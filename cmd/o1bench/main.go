@@ -45,7 +45,6 @@ func run() error {
 	dumpParams := flag.Bool("dump-params", false, "print the default cost table as JSON and exit")
 	cpus := flag.Int("cpus", 1, "simulated CPU count for every experiment machine")
 	hostpar := flag.Bool("hostpar", false, "run each experiment's simulated CPU contexts on host goroutines (simulated numbers unchanged; wall-clock drops)")
-	syncMode := flag.String("syncmode", "sharded", "host-parallel sync protocol: sharded (domain-scoped sync points) | global (legacy full quiescence); simulated numbers are identical")
 	tierPolicy := flag.String("tier-policy", "all", "tiering experiment policy sweep: 'all' or a comma list of none,promote,demote,smart")
 	fastRatio := flag.String("fast-ratio", "all", "tiering experiment fast-tier sizes: 'all' or a comma list of fractions of the working set like 1/8,1/2")
 	traceFile := flag.String("trace", "", "write a runtime execution trace of the suite to this file (goroutines are labeled sim_cpu=N)")
@@ -56,16 +55,10 @@ func run() error {
 	memProfile := flag.String("memprofile", "", "write a heap profile (after the suite) to this file")
 	flag.Parse()
 
-	bench.SetCPUs(*cpus)
-	bench.SetHostParallel(*hostpar)
-	switch *syncMode {
-	case "sharded":
-		bench.SetSyncLegacy(false)
-	case "global":
-		bench.SetSyncLegacy(true)
-	default:
-		return fmt.Errorf("unknown -syncmode %q (want sharded or global)", *syncMode)
+	if err := bench.SetCPUs(*cpus); err != nil {
+		return err
 	}
+	bench.SetHostParallel(*hostpar)
 	if err := bench.SetTierPolicies(*tierPolicy); err != nil {
 		return err
 	}

@@ -49,7 +49,10 @@ func main() {
 	hostpar := flag.Bool("hostpar", false, "run simulated CPU contexts on host goroutines (deterministic; simulated numbers unchanged)")
 	flag.Parse()
 
-	bench.SetCPUs(*cpus)
+	if err := bench.SetCPUs(*cpus); err != nil {
+		fmt.Fprintln(os.Stderr, "o1sim:", err)
+		os.Exit(2)
+	}
 	bench.SetHostParallel(*hostpar)
 
 	backends := []string{*backend}

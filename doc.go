@@ -18,7 +18,6 @@
 //   - internal/memfs      tmpfs (per-page) and PMFS (extent) memory
 //     file systems with durability and discard
 //   - internal/core       the paper's contribution: file-only memory
-//   - internal/proc       process model over both backends
 //   - internal/heap       user-level malloc on file-only memory
 //   - internal/trace      allocation-trace record/replay
 //   - internal/workload   deterministic workload generators

@@ -108,13 +108,14 @@ func machineParams() sim.Params {
 var benchCPUs = 1
 
 // SetCPUs sets the simulated CPU count for every machine the
-// experiments build (minimum 1). It exists so cmd/o1bench can plumb
-// its -cpus flag through.
-func SetCPUs(n int) {
+// experiments build; it rejects a count below 1. It exists so the
+// commands can plumb their -cpus flag through.
+func SetCPUs(n int) error {
 	if n < 1 {
-		n = 1
+		return fmt.Errorf("bench: CPU count %d, want at least 1", n)
 	}
 	benchCPUs = n
+	return nil
 }
 
 // CPUCount returns the configured CPU count.
@@ -133,27 +134,12 @@ func SetHostParallel(on bool) { benchHostPar = on }
 // HostParallel returns the configured host-parallel setting.
 func HostParallel() bool { return benchHostPar }
 
-// benchSyncLegacy selects the legacy global-quiescence sync protocol
-// (the -syncmode global flag); the default is sharded sync domains.
-// Simulated numbers are identical either way — the knob exists to
-// measure the wall-clock cost of global barriers.
-var benchSyncLegacy = false
-
-// SetSyncLegacy plumbs cmd/o1bench's -syncmode flag through to every
-// machine the experiments build (true = global quiescence).
-func SetSyncLegacy(on bool) { benchSyncLegacy = on }
-
-// SyncLegacy returns the configured sync protocol (true = global).
-func SyncLegacy() bool { return benchSyncLegacy }
-
 // newSimMachine builds a simulator machine with the configured
-// host-parallel and sync-protocol settings applied. Every experiment
-// machine is built through here so the -hostpar and -syncmode flags
-// reach them all.
+// host-parallel setting applied. Every experiment machine is built
+// through here so the -hostpar flag reaches them all.
 func newSimMachine(params *sim.Params, n int) *sim.Machine {
 	m := sim.NewMachine(params, n, 0)
 	m.SetHostParallel(benchHostPar)
-	m.SetSyncLegacy(benchSyncLegacy)
 	return m
 }
 

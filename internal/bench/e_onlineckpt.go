@@ -6,12 +6,10 @@ import (
 
 	"repro/internal/ckpt"
 	"repro/internal/core"
-	"repro/internal/heap"
 	"repro/internal/mem"
 	"repro/internal/memfs"
 	"repro/internal/metrics"
 	"repro/internal/sim"
-	"repro/internal/usermode"
 	"repro/internal/vm"
 	"repro/internal/workload"
 )
@@ -32,13 +30,11 @@ const (
 	ockTenants    = 600
 	ockBursts     = 2
 	ockHeapPages  = 48
-	ockTmplPages  = 64
-	ockSharedHot  = 8
 	ockFenceEvery = 24
 )
 
 // ockStats accumulates one CPU's checkpoint-fence observations; the
-// per-CPU instances are merged in CPU order after the parallel phase.
+// per-CPU fences' stats are merged in CPU order after the phase.
 type ockStats struct {
 	checkpoints uint64
 	dirtyPages  uint64
@@ -48,17 +44,10 @@ type ockStats struct {
 	fence       workload.Latency
 }
 
-func newOckStats(n int) []*ockStats {
-	out := make([]*ockStats, n)
-	for i := range out {
-		out[i] = &ockStats{}
-	}
-	return out
-}
-
-func mergeOckStats(stats []*ockStats) *ockStats {
-	out := stats[0]
-	for _, s := range stats[1:] {
+func mergeOckStats(fences []*ockFence) *ockStats {
+	out := &fences[0].stats
+	for _, f := range fences[1:] {
+		s := &f.stats
 		out.checkpoints += s.checkpoints
 		out.dirtyPages += s.dirtyPages
 		out.liveUnits += s.liveUnits
@@ -78,12 +67,11 @@ func mergeOckStats(stats []*ockStats) *ockStats {
 // while NVM-resident frames are already durable in place.
 type ockFence struct {
 	machine *sim.Machine
-	params  *sim.Params
 	mem     *mem.Memory
 	units   func([]mem.Frame) []ckpt.Unit
 	metaOp  sim.Time
 	dram    mem.Frame
-	stats   *ockStats
+	stats   ockStats
 }
 
 // run quiesces the CPU's sync domain with an ordered section, captures
@@ -111,9 +99,10 @@ func (f *ockFence) run(c *sim.CPU, peers []*sim.CPU) sim.Time {
 				copied++
 			}
 		}
-		cost := f.params.JournalAppend +
+		params := f.machine.Params()
+		cost := params.JournalAppend +
 			sim.Time(len(units))*f.metaOp +
-			sim.Time(copied)*f.params.ZeroPage
+			sim.Time(copied)*params.ZeroPage
 		c.Clock().Advance(cost)
 		f.mem.ResetDirty()
 		f.stats.checkpoints++
@@ -144,21 +133,18 @@ func onlineCkpt() (*Result, error) {
 		"config", "checkpoints", "dirty_pages", "live_units", "pages_per_unit", "dead_pages", "copied_pages", "fence_mean_ns", "fence_max_ns")
 
 	for _, cfg := range []struct {
-		name string
-		run  func([][]workload.TenantOp, bool) (*tenantLats, *ockStats, error)
+		name     string
+		build    tenantMaker
+		pageMeta bool // per-page checkpoint records, not per-extent
 	}{
-		{"baseline", ockBaseline},
-		{"fom", ockFOM},
-		{"pbm", func(tr [][]workload.TenantOp, ck bool) (*tenantLats, *ockStats, error) {
-			return ockCore(tr, core.SharedPT, ck)
-		}},
-		{"ranges", func(tr [][]workload.TenantOp, ck bool) (*tenantLats, *ockStats, error) {
-			return ockCore(tr, core.Ranges, ck)
-		}},
-		{"usermode", ockUsermode},
+		{"baseline", vmTenantsOn, true},
+		{"fom", fileTenantsOn, false},
+		{"pbm", coreTenantsOn(core.SharedPT), false},
+		{"ranges", coreTenantsOn(core.Ranges), false},
+		{"usermode", usermodeTenantsOn, false},
 	} {
 		for _, ck := range []bool{false, true} {
-			lat, stats, err := cfg.run(traces, ck)
+			lat, stats, err := ockRun(traces, cfg.build, cfg.pageMeta, ck)
 			if err != nil {
 				return nil, fmt.Errorf("online-ckpt %s (ckpt=%v): %w", cfg.name, ck, err)
 			}
@@ -199,492 +185,123 @@ func onlineCkpt() (*Result, error) {
 	}, nil
 }
 
-// ockBaseline replays the tenant trace against per-CPU baseline VM
-// kernels (populate mode) with dirty tracking, fencing every
-// ockFenceEvery tenants when ck is set.
-func ockBaseline(traces [][]workload.TenantOp, ck bool) (*tenantLats, *ockStats, error) {
-	const cpuPoolFrames = uint64(256) << 20 >> mem.FrameShift
-	params := machineParams()
-	machine := newSimMachine(&params, benchCPUs)
-	n := machine.NumCPUs()
-	machine.SetSyncGroups(tenantPairGroups(n))
-	defer machine.SetSyncGroups(nil)
-
-	kerns := make([]*vm.Kernel, n)
-	fences := make([]*ockFence, n)
-	stats := newOckStats(n)
-	for i := 0; i < n; i++ {
-		c := machine.CPU(i)
-		cpuMem, err := mem.New(c.Clock(), &params, mem.Config{DRAMFrames: cpuPoolFrames})
-		if err != nil {
-			return nil, nil, err
-		}
-		kerns[i], err = vm.NewKernel(c.Clock(), &params, cpuMem, vm.Config{
-			PoolBase: 0, PoolFrames: cpuPoolFrames,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		if ck {
-			cpuMem.SetDirtyTracking(true)
-		}
-		k := kerns[i]
-		fences[i] = &ockFence{
-			machine: machine, params: &params, mem: cpuMem,
-			units:  k.DirtyUnits,
-			metaOp: params.PageMetaOp,
-			dram:   mem.Frame(cpuPoolFrames),
-			stats:  stats[i],
-		}
-	}
-
-	lats := newTenantLats(n)
-	err := machine.RunParallel(func(c *sim.CPU) error {
-		lat := lats[c.ID()]
-		partner := tenantPartner(c.ID(), n)
-		peers := ockPeers(machine, partner)
-		var one [1]byte
-		tmpl, err := kerns[c.ID()].NewAddressSpaceOn(c)
-		if err != nil {
-			return err
-		}
-		tmplVA, err := tmpl.Mmap(vm.MmapRequest{
-			Pages: ockTmplPages, Prot: ro, Anon: true, Private: true, Populate: true,
-		})
-		if err != nil {
-			return err
-		}
-		done := 0
-		for ti := c.ID(); ti < len(traces); ti += n {
-			fenceDue := ck && done%ockFenceEvery == 0
-			var space *vm.AddressSpace
-			var heapVA mem.VirtAddr
-			var heapPages uint64
-			for _, op := range traces[ti] {
-				t0 := c.Now()
-				switch op.Kind {
-				case workload.TenantSpawn:
-					space, err = tmpl.ForkOn(c)
-					if err != nil {
-						return err
-					}
-					if ti%2 == 1 && partner >= 0 {
-						space.MarkRanOn(machine.CPU(partner))
-					}
-				case workload.TenantMapShared:
-					for p := uint64(0); p < ockSharedHot; p++ {
-						if err := space.Touch(tmplVA+mem.VirtAddr(p*mem.FrameSize), false); err != nil {
-							return err
-						}
-					}
-				case workload.TenantAlloc:
-					heapPages = op.Pages
-					heapVA, err = space.Mmap(vm.MmapRequest{
-						Pages: op.Pages, Prot: rw, Anon: true, Private: true, Populate: true,
-					})
-					if err != nil {
-						return err
-					}
-				case workload.TenantTouch:
-					for p := uint64(0); p < op.Pages; p++ {
-						if err := space.WriteBuf(heapVA+mem.VirtAddr(p*mem.FrameSize), one[:]); err != nil {
-							return err
-						}
-					}
-				case workload.TenantFree:
-					if err := space.Munmap(heapVA, heapPages); err != nil {
-						return err
-					}
-				case workload.TenantExit:
-					if err := space.Destroy(); err != nil {
-						return err
-					}
-				}
-				lat.record(op.Kind, c.Now()-t0)
-				if fenceDue && op.Kind == workload.TenantTouch {
-					lat.total.Record(fences[c.ID()].run(c, peers))
-					fenceDue = false
-				}
-			}
-			done++
-		}
-		if ck {
-			lat.total.Record(fences[c.ID()].run(c, peers))
-		}
-		return tmpl.Destroy()
-	})
+// ockRun replays the tenant traces with one private subsystem per CPU,
+// built by build; with ck set, dirty tracking is on and every CPU
+// fences its memory (see runTenants) and the fence stats are returned.
+func ockRun(traces [][]workload.TenantOp, build tenantMaker, pageMeta, ck bool) (*tenantLats, *ockStats, error) {
+	machine, cpus, err := privateTenants(build)
 	if err != nil {
 		return nil, nil, err
 	}
-	return mergeTenantLats(lats), mergeOckStats(stats), nil
-}
-
-// ockFOM replays the tenant trace against per-CPU extent file systems
-// accessed purely through the file interface: a tenant is a file, its
-// heap is the file's extent, and touches are one-byte writes — the
-// file-only-memory world with no mapping hardware at all.
-func ockFOM(traces [][]workload.TenantOp, ck bool) (*tenantLats, *ockStats, error) {
-	const (
-		cpuDRAMFrames = uint64(16)
-		cpuNVMFrames  = uint64(1) << 30 >> mem.FrameShift
-	)
-	params := machineParams()
-	machine := newSimMachine(&params, benchCPUs)
-	n := machine.NumCPUs()
-	machine.SetSyncGroups(tenantPairGroups(n))
-	defer machine.SetSyncGroups(nil)
-
-	fss := make([]*memfs.FS, n)
-	shared := make([]*memfs.File, n)
-	fences := make([]*ockFence, n)
-	stats := newOckStats(n)
-	for i := 0; i < n; i++ {
-		c := machine.CPU(i)
-		cpuMem, err := mem.New(c.Clock(), &params, mem.Config{
-			DRAMFrames: cpuDRAMFrames, NVMFrames: cpuNVMFrames,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		fss[i], err = memfs.New("ock", memfs.Extent, c.Clock(), &params, cpuMem,
-			mem.Frame(cpuDRAMFrames), cpuNVMFrames)
-		if err != nil {
-			return nil, nil, err
-		}
-		shared[i], err = fss[i].Create("/shared", memfs.CreateOptions{})
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := shared[i].Truncate(ockTmplPages * mem.FrameSize); err != nil {
-			return nil, nil, err
-		}
-		if ck {
-			cpuMem.SetDirtyTracking(true)
-		}
-		fs := fss[i]
+	if !ck {
+		lat, err := runTenants(machine, traces, cpus, nil)
+		return lat, nil, err
+	}
+	metaOp := machine.Params().ExtentOp
+	if pageMeta {
+		metaOp = machine.Params().PageMetaOp
+	}
+	fences := make([]*ockFence, len(cpus))
+	for i, tc := range cpus {
+		tc.mem.SetDirtyTracking(true)
+		dram, _ := tc.mem.Region(mem.DRAM)
 		fences[i] = &ockFence{
-			machine: machine, params: &params, mem: cpuMem,
-			units:  fs.DirtyUnits,
-			metaOp: params.ExtentOp,
-			dram:   mem.Frame(cpuDRAMFrames),
-			stats:  stats[i],
+			machine: machine, mem: tc.mem, units: tc.units,
+			metaOp: metaOp, dram: dram.End(),
 		}
 	}
-
-	lats := newTenantLats(n)
-	err := machine.RunParallel(func(c *sim.CPU) error {
-		lat := lats[c.ID()]
-		peers := ockPeers(machine, tenantPartner(c.ID(), n))
-		fs, sh := fss[c.ID()], shared[c.ID()]
-		var one [1]byte
-		done := 0
-		for ti := c.ID(); ti < len(traces); ti += n {
-			fenceDue := ck && done%ockFenceEvery == 0
-			path := fmt.Sprintf("/t%d", ti)
-			var f *memfs.File
-			for _, op := range traces[ti] {
-				t0 := c.Now()
-				switch op.Kind {
-				case workload.TenantSpawn:
-					var err error
-					f, err = fs.OpenFile(path, memfs.OCreate|memfs.OExcl, memfs.CreateOptions{})
-					if err != nil {
-						return err
-					}
-				case workload.TenantMapShared:
-					for pg := uint64(0); pg < ockSharedHot; pg++ {
-						if _, err := sh.Seek(int64(pg*mem.FrameSize), io.SeekStart); err != nil {
-							return err
-						}
-						if _, err := sh.Read(one[:]); err != nil {
-							return err
-						}
-					}
-				case workload.TenantAlloc:
-					if err := f.Truncate(op.Pages * mem.FrameSize); err != nil {
-						return err
-					}
-				case workload.TenantTouch:
-					for pg := uint64(0); pg < op.Pages; pg++ {
-						if _, err := f.WriteAt(one[:], pg*mem.FrameSize); err != nil {
-							return err
-						}
-					}
-				case workload.TenantFree:
-					if err := f.Truncate(0); err != nil {
-						return err
-					}
-				case workload.TenantExit:
-					if err := f.Close(); err != nil {
-						return err
-					}
-					if err := fs.Unlink(path); err != nil {
-						return err
-					}
-				}
-				lat.record(op.Kind, c.Now()-t0)
-				if fenceDue && op.Kind == workload.TenantTouch {
-					lat.total.Record(fences[c.ID()].run(c, peers))
-					fenceDue = false
-				}
-			}
-			done++
-		}
-		if ck {
-			lat.total.Record(fences[c.ID()].run(c, peers))
-		}
-		return nil
-	})
+	lat, err := runTenants(machine, traces, cpus, fences)
 	if err != nil {
 		return nil, nil, err
 	}
-	return mergeTenantLats(lats), mergeOckStats(stats), nil
+	return lat, mergeOckStats(fences), nil
 }
 
-// ockCore replays the tenant trace against per-CPU PBM systems in the
-// given translation mode, fencing via the system's extent/page-table
-// dirty units.
-func ockCore(traces [][]workload.TenantOp, mode core.TranslationMode, ck bool) (*tenantLats, *ockStats, error) {
-	const (
-		cpuDRAMFrames = uint64(256) << 20 >> mem.FrameShift
-		cpuNVMFrames  = uint64(1) << 30 >> mem.FrameShift
-	)
-	params := machineParams()
-	machine := newSimMachine(&params, benchCPUs)
-	n := machine.NumCPUs()
-	machine.SetSyncGroups(tenantPairGroups(n))
-	defer machine.SetSyncGroups(nil)
-
-	syss := make([]*core.System, n)
-	shared := make([]*memfs.File, n)
-	fences := make([]*ockFence, n)
-	stats := newOckStats(n)
-	for i := 0; i < n; i++ {
-		c := machine.CPU(i)
-		cpuMem, err := mem.New(c.Clock(), &params, mem.Config{
-			DRAMFrames: cpuDRAMFrames, NVMFrames: cpuNVMFrames,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		syss[i], err = core.NewSystem(c.Clock(), &params, cpuMem, core.Options{})
-		if err != nil {
-			return nil, nil, err
-		}
-		shared[i], err = syss[i].CreateContiguousFile("/shared", ockTmplPages,
-			memfs.CreateOptions{Mode: ro}, mode == core.SharedPT)
-		if err != nil {
-			return nil, nil, err
-		}
-		if ck {
-			cpuMem.SetDirtyTracking(true)
-		}
-		s := syss[i]
-		fences[i] = &ockFence{
-			machine: machine, params: &params, mem: cpuMem,
-			units:  s.DirtyUnits,
-			metaOp: params.ExtentOp,
-			dram:   mem.Frame(cpuDRAMFrames),
-			stats:  stats[i],
-		}
+// vmTenantsOn builds a private populate-mode baseline kernel per CPU;
+// its pool claims every dirty frame as a page-granular unit.
+func vmTenantsOn(c *sim.CPU, params *sim.Params) (*tenantCPU, error) {
+	cpuMem, err := mem.New(c.Clock(), params, mem.Config{DRAMFrames: tenantCPUDRAM})
+	if err != nil {
+		return nil, err
 	}
-
-	lats := newTenantLats(n)
-	err := machine.RunParallel(func(c *sim.CPU) error {
-		lat := lats[c.ID()]
-		partner := tenantPartner(c.ID(), n)
-		peers := ockPeers(machine, partner)
-		s := syss[c.ID()]
-		var one [1]byte
-		done := 0
-		for ti := c.ID(); ti < len(traces); ti += n {
-			fenceDue := ck && done%ockFenceEvery == 0
-			var p *core.Process
-			var heapM, sm *core.Mapping
-			for _, op := range traces[ti] {
-				t0 := c.Now()
-				switch op.Kind {
-				case workload.TenantSpawn:
-					var err error
-					p, err = s.NewProcessOn(c, mode)
-					if err != nil {
-						return err
-					}
-					if ti%2 == 1 && partner >= 0 {
-						p.MarkRanOn(machine.CPU(partner))
-					}
-				case workload.TenantMapShared:
-					var err error
-					sm, err = p.MapFile(shared[c.ID()], ro)
-					if err != nil {
-						return err
-					}
-					for pg := uint64(0); pg < ockSharedHot; pg++ {
-						if err := p.Touch(sm.Base()+mem.VirtAddr(pg*mem.FrameSize), false); err != nil {
-							return err
-						}
-					}
-				case workload.TenantAlloc:
-					var err error
-					heapM, err = p.AllocVolatile(op.Pages, rw)
-					if err != nil {
-						return err
-					}
-				case workload.TenantTouch:
-					for pg := uint64(0); pg < op.Pages; pg++ {
-						if err := p.WriteBuf(heapM.Base()+mem.VirtAddr(pg*mem.FrameSize), one[:]); err != nil {
-							return err
-						}
-					}
-				case workload.TenantFree:
-					if err := p.Unmap(heapM); err != nil {
-						return err
-					}
-				case workload.TenantExit:
-					if err := p.Exit(); err != nil {
-						return err
-					}
-				}
-				lat.record(op.Kind, c.Now()-t0)
-				if fenceDue && op.Kind == workload.TenantTouch {
-					lat.total.Record(fences[c.ID()].run(c, peers))
-					fenceDue = false
-				}
-			}
-			done++
-		}
-		if ck {
-			lat.total.Record(fences[c.ID()].run(c, peers))
-		}
-		return nil
+	k, err := vm.NewKernel(c.Clock(), params, cpuMem, vm.Config{
+		PoolBase: 0, PoolFrames: tenantCPUDRAM,
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return mergeTenantLats(lats), mergeOckStats(stats), nil
+	w := &vmTenants{kernel: k, populate: true}
+	return &tenantCPU{world: w, mem: cpuMem, units: k.DirtyUnits}, nil
 }
 
-// ockUsermode replays the tenant trace against per-CPU grant tables,
-// fencing via the table's grant dirty units.
-func ockUsermode(traces [][]workload.TenantOp, ck bool) (*tenantLats, *ockStats, error) {
-	const cpuPoolFrames = uint64(256) << 20 >> mem.FrameShift
-	params := machineParams()
-	machine := newSimMachine(&params, benchCPUs)
-	n := machine.NumCPUs()
-	machine.SetSyncGroups(tenantPairGroups(n))
-	defer machine.SetSyncGroups(nil)
+// fileTenants runs tenants on a private extent file system accessed
+// purely through the file interface: a tenant is a file, its heap is
+// the file's extent, and touches are one-byte writes — the
+// file-only-memory world with no mapping hardware at all (so nothing
+// to map and no TLBs a partner thread could fill).
+type fileTenants struct {
+	fs     *memfs.FS
+	shared *memfs.File
 
-	gts := make([]*usermode.GrantTable, n)
-	segs := make([]*usermode.SharedSeg, n)
-	fences := make([]*ockFence, n)
-	stats := newOckStats(n)
-	for i := 0; i < n; i++ {
-		c := machine.CPU(i)
-		cpuMem, err := mem.New(c.Clock(), &params, mem.Config{DRAMFrames: cpuPoolFrames})
-		if err != nil {
-			return nil, nil, err
-		}
-		gts[i], err = usermode.NewGrantTable(c.Clock(), &params, cpuMem, usermode.Config{
-			PoolBase: 0, PoolFrames: cpuPoolFrames,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		tmpl, err := gts[i].NewProcessOn(c)
-		if err != nil {
-			return nil, nil, err
-		}
-		segs[i], err = gts[i].NewShared(tmpl, ockTmplPages)
-		if err != nil {
-			return nil, nil, err
-		}
-		if ck {
-			cpuMem.SetDirtyTracking(true)
-		}
-		gt := gts[i]
-		fences[i] = &ockFence{
-			machine: machine, params: &params, mem: cpuMem,
-			units:  gt.DirtyUnits,
-			metaOp: params.ExtentOp,
-			dram:   mem.Frame(cpuPoolFrames),
-			stats:  stats[i],
-		}
-	}
+	path string
+	f    *memfs.File
+	one  [1]byte
+	builtBeforePhase
+}
 
-	lats := newTenantLats(n)
-	err := machine.RunParallel(func(c *sim.CPU) error {
-		lat := lats[c.ID()]
-		peers := ockPeers(machine, tenantPartner(c.ID(), n))
-		gt, seg := gts[c.ID()], segs[c.ID()]
-		var one [1]byte
-		done := 0
-		for ti := c.ID(); ti < len(traces); ti += n {
-			fenceDue := ck && done%ockFenceEvery == 0
-			var p *usermode.Process
-			var hr heap.Region
-			for _, op := range traces[ti] {
-				t0 := c.Now()
-				switch op.Kind {
-				case workload.TenantSpawn:
-					var err error
-					p, err = gt.NewProcessOn(c)
-					if err != nil {
-						return err
-					}
-				case workload.TenantMapShared:
-					if err := p.MapShared(seg); err != nil {
-						return err
-					}
-					for pg := uint64(0); pg < ockSharedHot; pg++ {
-						if err := p.ReadBuf(seg.Base()+mem.VirtAddr(pg*mem.FrameSize), one[:]); err != nil {
-							return err
-						}
-					}
-				case workload.TenantAlloc:
-					var err error
-					hr, err = p.AllocPages(op.Pages)
-					if err != nil {
-						return err
-					}
-				case workload.TenantTouch:
-					for pg := uint64(0); pg < op.Pages; pg++ {
-						if err := p.WriteBuf(hr.Base()+mem.VirtAddr(pg*mem.FrameSize), one[:1]); err != nil {
-							return err
-						}
-					}
-				case workload.TenantFree:
-					if err := p.FreeRegion(hr); err != nil {
-						return err
-					}
-				case workload.TenantExit:
-					if err := p.Exit(); err != nil {
-						return err
-					}
-				}
-				lat.record(op.Kind, c.Now()-t0)
-				if fenceDue && op.Kind == workload.TenantTouch {
-					lat.total.Record(fences[c.ID()].run(c, peers))
-					fenceDue = false
-				}
-			}
-			done++
-		}
-		if ck {
-			lat.total.Record(fences[c.ID()].run(c, peers))
-		}
-		return nil
+func fileTenantsOn(c *sim.CPU, params *sim.Params) (*tenantCPU, error) {
+	const dramFrames = uint64(16)
+	cpuMem, err := mem.New(c.Clock(), params, mem.Config{
+		DRAMFrames: dramFrames, NVMFrames: tenantCPUNVM,
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return mergeTenantLats(lats), mergeOckStats(stats), nil
+	fs, err := memfs.New("ock", memfs.Extent, c.Clock(), params, cpuMem,
+		mem.Frame(dramFrames), tenantCPUNVM)
+	if err != nil {
+		return nil, err
+	}
+	shared, err := fs.Create("/shared", memfs.CreateOptions{})
+	if err != nil {
+		return nil, err
+	}
+	if err := shared.Truncate(tenantTmplPages * mem.FrameSize); err != nil {
+		return nil, err
+	}
+	w := &fileTenants{fs: fs, shared: shared}
+	return &tenantCPU{world: w, mem: cpuMem, units: fs.DirtyUnits}, nil
 }
 
-// ockPeers returns the fence's sync-domain peers: the pair partner, or
-// nothing for an unpaired CPU.
-func ockPeers(machine *sim.Machine, partner int) []*sim.CPU {
-	if partner < 0 {
-		return nil
+func (w *fileTenants) spawn(_ *sim.CPU, ti int) (err error) {
+	w.path = fmt.Sprintf("/t%d", ti)
+	w.f, err = w.fs.OpenFile(w.path, memfs.OCreate|memfs.OExcl, memfs.CreateOptions{})
+	return err
+}
+
+func (w *fileTenants) markRanOn(*sim.CPU) {}
+func (w *fileTenants) mapShared() error   { return nil }
+
+func (w *fileTenants) readShared(pg uint64) error {
+	if _, err := w.shared.Seek(int64(pg*mem.FrameSize), io.SeekStart); err != nil {
+		return err
 	}
-	return []*sim.CPU{machine.CPU(partner)}
+	_, err := w.shared.Read(w.one[:])
+	return err
+}
+
+func (w *fileTenants) alloc(pages uint64) error { return w.f.Truncate(pages * mem.FrameSize) }
+
+func (w *fileTenants) writeHeap(pg uint64) error {
+	_, err := w.f.WriteAt(w.one[:], pg*mem.FrameSize)
+	return err
+}
+
+func (w *fileTenants) free() error { return w.f.Truncate(0) }
+
+func (w *fileTenants) exit() error {
+	if err := w.f.Close(); err != nil {
+		return err
+	}
+	return w.fs.Unlink(w.path)
 }

@@ -9,7 +9,9 @@ import (
 // results keyed by experiment ID.
 func runSuiteStrings(t *testing.T, cpus int, hostpar bool) map[string]string {
 	t.Helper()
-	SetCPUs(cpus)
+	if err := SetCPUs(cpus); err != nil {
+		t.Fatal(err)
+	}
 	SetHostParallel(hostpar)
 	out := make(map[string]string, len(registry))
 	for _, e := range All() {

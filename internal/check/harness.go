@@ -60,7 +60,12 @@ type Options struct {
 	Incremental bool
 }
 
-func (o Options) withDefaults() Options {
+// withDefaults fills in the zero-valued options and rejects the
+// invalid ones.
+func (o Options) withDefaults() (Options, error) {
+	if o.CPUs < 0 {
+		return o, fmt.Errorf("check: CPU count %d, want at least 1 (0 = default)", o.CPUs)
+	}
 	if o.Ops == 0 {
 		o.Ops = 1000
 	}
@@ -73,7 +78,7 @@ func (o Options) withDefaults() Options {
 	if o.ShrinkBudget == 0 {
 		o.ShrinkBudget = 400
 	}
-	return o
+	return o, nil
 }
 
 // Failure describes one detected divergence or invariant violation.
@@ -162,7 +167,10 @@ func (r *Report) Format() string {
 // shrinks the trace to a minimal reproducer. The returned error
 // reports setup problems only; test outcomes are in the Report.
 func Run(opts Options) (*Report, error) {
-	opts = opts.withDefaults()
+	opts, err := opts.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	if opts.Incremental && !opts.CrashRecover {
 		return nil, fmt.Errorf("check: -incremental requires -crash-recover")
 	}

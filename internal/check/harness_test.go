@@ -1,6 +1,7 @@
 package check
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -50,7 +51,10 @@ func TestTraceDeterminism(t *testing.T) {
 // TestReplayDeterminism: replaying the same trace twice must reach the
 // same verdict (the shrinker assumes this).
 func TestReplayDeterminism(t *testing.T) {
-	opts := Options{Seed: 6, Ops: 3000, CPUs: 2, CheckEvery: 256}.withDefaults()
+	opts, err := Options{Seed: 6, Ops: 3000, CPUs: 2, CheckEvery: 256}.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
 	trace := generate(opts.Seed, opts.Ops, opts.CPUs)
 	f1 := replay(trace, opts)
 	f2 := replay(trace, opts)
@@ -117,5 +121,32 @@ func TestShrinkerMinimizes(t *testing.T) {
 func TestUnknownConfig(t *testing.T) {
 	if _, err := Run(Options{Configs: []string{"nonesuch"}}); err == nil {
 		t.Fatal("unknown configuration accepted")
+	}
+}
+
+// TestNegativeCPUsRejected: a negative CPU count is a setup error from
+// every entry point, not a panic in the trace generator.
+func TestNegativeCPUsRejected(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(Options) error
+	}{
+		{"Run", func(o Options) error { _, err := Run(o); return err }},
+		{"RunMany", func(o Options) error { _, err := RunMany(o, 2, 2); return err }},
+		{"BuildSnapshot", func(o Options) error { _, err := BuildSnapshot("fom", o, 10); return err }},
+		{"CrashRecover", func(o Options) error { _, _, err := CrashRecover(o, 5, 10, false); return err }},
+		{"BuildChain", func(o Options) error { _, err := BuildChain("fom", o, 5, []int{10}); return err }},
+		{"CrashRecoverIncremental", func(o Options) error {
+			_, _, err := CrashRecoverIncremental(o, 5, []int{10}, 15, false)
+			return err
+		}},
+	} {
+		for _, cpus := range []int{-1, -3} {
+			t.Run(fmt.Sprintf("%s/cpus%d", tc.name, cpus), func(t *testing.T) {
+				if err := tc.run(Options{Seed: 1, Ops: 50, CPUs: cpus}); err == nil {
+					t.Fatalf("accepted CPUs = %d", cpus)
+				}
+			})
+		}
 	}
 }

@@ -195,7 +195,10 @@ func capture(w world) (*sim.MachineState, uint64) {
 // of the seeded trace and checkpoints it. The embedded trace is the
 // FULL trace, so a restored machine can finish the run.
 func BuildSnapshot(config string, opts Options, at int) (*snapshot.Snapshot, error) {
-	opts = opts.withDefaults()
+	opts, err := opts.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	trace := generate(opts.Seed, opts.Ops, opts.CPUs)
 	if at < 0 || at > len(trace) {
 		return nil, fmt.Errorf("check: snapshot point %d outside trace [0,%d]", at, len(trace))
@@ -310,7 +313,10 @@ type CrashRecoverReport struct {
 // A non-nil Failure reports a persistence bug; error reports setup
 // problems.
 func CrashRecover(opts Options, snapAt, crashAt int, torn bool) ([]*CrashRecoverReport, *Failure, error) {
-	opts = opts.withDefaults()
+	opts, err := opts.withDefaults()
+	if err != nil {
+		return nil, nil, err
+	}
 	trace := generate(opts.Seed, opts.Ops, opts.CPUs)
 	if snapAt < 0 || snapAt > crashAt || crashAt > len(trace) {
 		return nil, nil, fmt.Errorf("check: need 0 <= snapAt(%d) <= crashAt(%d) <= %d", snapAt, crashAt, len(trace))

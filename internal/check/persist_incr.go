@@ -138,7 +138,10 @@ func buildChain(cfg string, opts Options, trace []Op, baseAt int, deltaAts []int
 // the journal holding every op after baseAt (uncompacted — o1snap's
 // compact verb truncates it explicitly).
 func BuildChain(config string, opts Options, baseAt int, deltaAts []int) (*ckpt.Chain, error) {
-	opts = opts.withDefaults()
+	opts, err := opts.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	trace := generate(opts.Seed, opts.Ops, opts.CPUs)
 	if _, err := validateChainPoints(baseAt, deltaAts, len(trace), len(trace)); err != nil {
 		return nil, err
@@ -252,7 +255,10 @@ func VerifyChain(chain *ckpt.Chain) error {
 //     suffix, finishes the trace, and proves the final state
 //     bit-identical to the control.
 func CrashRecoverIncremental(opts Options, baseAt int, deltaAts []int, crashAt int, torn bool) ([]*ChainReport, *Failure, error) {
-	opts = opts.withDefaults()
+	opts, err := opts.withDefaults()
+	if err != nil {
+		return nil, nil, err
+	}
 	trace := generate(opts.Seed, opts.Ops, opts.CPUs)
 	lastAt, err := validateChainPoints(baseAt, deltaAts, crashAt, len(trace))
 	if err != nil {

@@ -111,7 +111,10 @@ func TestTieredExtentGranularity(t *testing.T) {
 // so a tiered replay must still reach the same verdict every time —
 // and at every host-parallel CPU count the shrinker might use.
 func TestTieredReplayDeterminism(t *testing.T) {
-	opts := Options{Seed: 6, Ops: 3000, CPUs: 2, CheckEvery: 256, Tier: true}.withDefaults()
+	opts, err := Options{Seed: 6, Ops: 3000, CPUs: 2, CheckEvery: 256, Tier: true}.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
 	trace := generate(opts.Seed, opts.Ops, opts.CPUs)
 	f1 := replay(trace, opts)
 	f2 := replay(trace, opts)

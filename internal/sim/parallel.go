@@ -120,8 +120,9 @@ func (m *Machine) HostParallel() bool { return m.hostpar }
 // machine-wide section and granted one at a time with every CPU
 // stopped, exactly as before sync domains existed. Simulated state is
 // identical to the sharded protocol; only host-side overlap (and thus
-// wall-clock) differs. Benchmarks use it for before/after comparisons
-// (o1bench -syncmode global).
+// wall-clock) differs. It serves as the reference the sharded protocol
+// is tested against, and RunParallel forces it for machines with an
+// IPI log or more than 64 CPUs.
 func (m *Machine) SetSyncLegacy(on bool) { m.syncLegacy = on }
 
 // SyncLegacy reports whether the legacy protocol is selected.

@@ -10,65 +10,177 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/heap"
 	"repro/internal/mem"
 	"repro/internal/memfs"
 	"repro/internal/pagetable"
-	"repro/internal/proc"
 	"repro/internal/trace"
+	"repro/internal/vm"
 	"repro/internal/workload"
 )
 
-func TestFullSystemScenario(t *testing.T) {
-	mgr, err := proc.NewManager(proc.MachineConfig{})
+// bothBackends is one program launched on the baseline kernel and on
+// file-only memory: a read-exec code segment holding NOPs and a
+// read-write heap of the requested size.
+type bothBackends struct {
+	baseline     *vm.AddressSpace
+	fom          *core.Process
+	textB, heapB mem.VirtAddr
+	textF, heapF mem.VirtAddr
+}
+
+const (
+	rx = pagetable.FlagRead | pagetable.FlagExec | pagetable.FlagUser
+	rw = pagetable.FlagRead | pagetable.FlagWrite | pagetable.FlagUser
+)
+
+// launchBoth launches the same four-page program on both backends of m.
+func launchBoth(t *testing.T, m *bench.Machine, heapPages uint64) bothBackends {
+	t.Helper()
+	nops := bytes.Repeat([]byte{0x90}, 4*mem.FrameSize)
+	code := memfs.CreateOptions{Mode: rx, Durability: memfs.Persistent}
+
+	// Baseline: the code file lives on tmpfs and is mapped privately;
+	// the heap is an anonymous mapping faulted in on first touch.
+	codeB, err := m.Tmpfs.Create("/prog", code)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const rw = pagetable.FlagRead | pagetable.FlagWrite | pagetable.FlagUser
+	if _, err := codeB.WriteAt(nops, 0); err != nil {
+		t.Fatal(err)
+	}
+	baseline, err := m.Kernel.NewAddressSpace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	textB, err := baseline.Mmap(vm.MmapRequest{Pages: 4, Prot: rx, File: codeB, Private: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	heapB, err := baseline.Mmap(vm.MmapRequest{Pages: heapPages, Prot: rw, Anon: true, Private: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// File-only memory: the code file is a contiguous persistent file
+	// mapped in O(1); the heap is a single-extent volatile file.
+	codeF, err := m.FOM.CreateContiguousFile("/prog", 4, code, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := codeF.WriteAt(nops, 0); err != nil {
+		t.Fatal(err)
+	}
+	fomProc, err := m.FOM.NewProcess(core.Ranges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	textF, err := fomProc.MapFile(codeF, rx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	heapF, err := fomProc.AllocVolatile(heapPages, rw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bothBackends{
+		baseline: baseline, fom: fomProc,
+		textB: textB, heapB: heapB,
+		textF: textF.Base(), heapF: heapF.Base(),
+	}
+}
+
+// heapIO is one backend's heap and its byte accessors.
+type heapIO struct {
+	name  string
+	write func(mem.VirtAddr, []byte) error
+	read  func(mem.VirtAddr, []byte) error
+	heap  mem.VirtAddr
+}
+
+// heaps lists each backend's heap accessors.
+func (b bothBackends) heaps() []heapIO {
+	return []heapIO{
+		{"baseline", b.baseline.WriteBuf, b.baseline.ReadBuf, b.heapB},
+		{"fom", b.fom.WriteBuf, b.fom.ReadBuf, b.heapF},
+	}
+}
+
+func newScenarioMachine(t *testing.T) *bench.Machine {
+	t.Helper()
+	m, err := bench.NewMachineN(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+func TestCodeWriteProtected(t *testing.T) {
+	b := launchBoth(t, newScenarioMachine(t), 64)
+	if err := b.baseline.Touch(b.textB, true); err == nil {
+		t.Fatal("baseline: write to code segment accepted")
+	}
+	if err := b.fom.Touch(b.textF, true); err == nil {
+		t.Fatal("fom: write to code segment accepted")
+	}
+}
+
+func TestSameWorkloadBothBackends(t *testing.T) {
+	// The same heap workload must produce identical data on both
+	// backends — only the costs differ.
+	b := launchBoth(t, newScenarioMachine(t), 128)
+	for _, p := range b.heaps() {
+		for i := uint64(0); i < 128; i++ {
+			if err := p.write(p.heap+mem.VirtAddr(i*mem.FrameSize), []byte{byte(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, p := range b.heaps() {
+		for i := uint64(0); i < 128; i += 17 {
+			var got [1]byte
+			if err := p.read(p.heap+mem.VirtAddr(i*mem.FrameSize), got[:]); err != nil {
+				t.Fatal(err)
+			}
+			if got[0] != byte(i) {
+				t.Fatalf("%s heap[%d] = %d", p.name, i, got[0])
+			}
+		}
+	}
+}
+
+func TestFullSystemScenario(t *testing.T) {
+	m := newScenarioMachine(t)
 
 	// --- Phase 1: launch the same program on both backends ---------
-	codeB, err := mgr.WriteProgram(mgr.Tmpfs, "/prog", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	codeF, err := mgr.WriteProgramFOM("/prog", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseline, err := mgr.LaunchBaseline(proc.Image{Code: codeB, HeapPages: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fomProc, err := mgr.LaunchFOM(proc.Image{Code: codeF, HeapPages: 64}, core.Ranges)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := launchBoth(t, m, 64)
+	baseline, fomProc := b.baseline, b.fom
 	payload := bytes.Repeat([]byte("scenario"), 2048) // 16 KB
-	for _, p := range []proc.Process{baseline, fomProc} {
-		if err := p.WriteHeap(0, payload); err != nil {
+	for _, p := range b.heaps() {
+		if err := p.write(p.heap, payload); err != nil {
 			t.Fatal(err)
 		}
 		got := make([]byte, len(payload))
-		if err := p.ReadHeap(0, got); err != nil {
+		if err := p.read(p.heap, got); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, payload) {
-			t.Fatal("heap round trip failed")
+			t.Fatalf("%s heap round trip failed", p.name)
 		}
 	}
 
 	// --- Phase 2: a shared persistent database + user-level heap ---
-	db, err := mgr.FOM.CreateContiguousFile("/db", 1024,
+	db, err := m.FOM.CreateContiguousFile("/db", 1024,
 		memfs.CreateOptions{Durability: memfs.Persistent}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	writer, err := mgr.FOM.NewProcess(core.SharedPT)
+	writer, err := m.FOM.NewProcess(core.SharedPT)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reader, err := mgr.FOM.NewProcess(core.Ranges)
+	reader, err := m.FOM.NewProcess(core.Ranges)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,11 +238,11 @@ func TestFullSystemScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayProc, err := mgr.FOM.NewProcess(core.Ranges)
+	replayProc, err := m.FOM.NewProcess(core.Ranges)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := trace.Replay(tr, trace.NewFOMTarget(replayProc), mgr.Clock)
+	rep, err := trace.Replay(tr, trace.NewFOMTarget(replayProc), m.Clock)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +254,7 @@ func TestFullSystemScenario(t *testing.T) {
 	}
 
 	// --- Phase 4: memory pressure against discardable caches -------
-	cache, err := mgr.FOM.CreateContiguousFile("/cache", 2048,
+	cache, err := m.FOM.CreateContiguousFile("/cache", 2048,
 		memfs.CreateOptions{Discardable: true}, false)
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +262,7 @@ func TestFullSystemScenario(t *testing.T) {
 	if err := cache.Close(); err != nil {
 		t.Fatal(err)
 	}
-	freed, err := mgr.FOM.DiscardUnderPressure(1024)
+	freed, err := m.FOM.DiscardUnderPressure(1024)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,19 +279,19 @@ func TestFullSystemScenario(t *testing.T) {
 	if err := fomProc.Exit(); err != nil {
 		t.Fatal(err)
 	}
-	if err := baseline.Exit(); err != nil {
+	if err := baseline.Destroy(); err != nil {
 		t.Fatal(err)
 	}
-	mgr.Memory.Crash()
-	if _, err := mgr.FOM.Remount(); err != nil {
+	m.Memory.Crash()
+	if _, err := m.FOM.Remount(); err != nil {
 		t.Fatal(err)
 	}
 
-	db2, err := mgr.FOM.FS().Open("/db")
+	db2, err := m.FOM.FS().Open("/db")
 	if err != nil {
 		t.Fatalf("database lost in crash: %v", err)
 	}
-	survivor, err := mgr.FOM.NewProcess(core.Ranges)
+	survivor, err := m.FOM.NewProcess(core.Ranges)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,11 +306,11 @@ func TestFullSystemScenario(t *testing.T) {
 		t.Fatalf("database corrupted by crash: %q", got)
 	}
 	// The program file was persistent too.
-	if _, err := mgr.FOM.FS().Open("/prog"); err != nil {
+	if _, err := m.FOM.FS().Open("/prog"); err != nil {
 		t.Fatalf("program file lost: %v", err)
 	}
-	if err := mgr.FOM.FS().CheckInvariants(); err != nil {
+	if err := m.FOM.FS().CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("scenario complete at virtual time %v", mgr.Clock.Now())
+	t.Logf("scenario complete at virtual time %v", m.Clock.Now())
 }
