@@ -36,15 +36,17 @@ profile:
 	$(GO) run ./cmd/o1bench -parallel 1 -cpuprofile cpu.pprof -memprofile mem.pprof > /dev/null
 	@echo "wrote cpu.pprof and mem.pprof; try: go tool pprof -top cpu.pprof"
 
-# Persistence smoke: checkpoint a machine, restore it with a
-# bit-identity proof, then the incremental path — base + dirty-extent
-# deltas, journal compaction, differential-image restore — and finally
-# crash-and-recover every configuration with a torn journal tail.
+# Persistence smoke: checkpoint a base-only chain (a full snapshot
+# plus its journal) and a chain with three dirty-extent deltas, restore
+# each with a bit-identity and differential-image proof, compact the
+# journal and restore again, then crash-and-recover every
+# configuration with a torn journal tail.
 snap:
-	$(GO) run ./cmd/o1snap save -config ranges -seed 1 -ops 2000 -o .o1snap.tmp
+	$(GO) run ./cmd/o1snap save -config ranges -seed 1 -ops 2000 -deltas 0 -o .o1snap.tmp
 	$(GO) run ./cmd/o1snap restore -i .o1snap.tmp
+	$(GO) run ./cmd/o1snap compact -i .o1snap.tmp
 	$(GO) run ./cmd/o1snap info -i .o1snap.tmp
-	$(GO) run ./cmd/o1snap save -config fom -seed 1 -ops 2000 -incremental -deltas 3 -o .o1snap.tmp
+	$(GO) run ./cmd/o1snap save -config fom -seed 1 -ops 2000 -deltas 3 -o .o1snap.tmp
 	$(GO) run ./cmd/o1snap restore -i .o1snap.tmp
 	$(GO) run ./cmd/o1snap compact -i .o1snap.tmp
 	$(GO) run ./cmd/o1snap info -i .o1snap.tmp

@@ -9,6 +9,13 @@
 // prints the seed, a (shrunk) minimal operation trace, and the exact
 // command that reproduces it, then exits non-zero.
 //
+// With -crash-recover a clean replay is followed by a crash: the run
+// checkpoints a chain (a base snapshot plus zero to three dirty-extent
+// deltas, the journal compacted at each), crashes at a seeded op,
+// possibly tearing the journal, then recovers and proves the run
+// bit-identical to an uncrashed control and the assembled differential
+// image exact.
+//
 // With -seeds N the harness sweeps N consecutive seeds; -hostpar (or
 // an explicit -workers M) fans the sweep out over host goroutines.
 // Each seed's run is fully isolated, so the verdicts are identical
@@ -19,7 +26,7 @@
 //	o1check -seed 1 -ops 50000 -cpus 4
 //	o1check -seed 7 -ops 20000 -config baseline,ranges -check-every 512
 //	o1check -seed 3 -ops 20000 -crash-recover -repro fail.trace
-//	o1check -seed 3 -ops 20000 -crash-recover -incremental
+//	o1check -seed 3 -ops 20000 -tier -crash-recover
 //	o1check -seed 1 -seeds 32 -ops 5000 -hostpar
 package main
 
@@ -35,14 +42,13 @@ import (
 
 func main() {
 	var (
-		seed       = flag.Uint64("seed", 1, "random seed (determines the whole trace)")
-		ops        = flag.Int("ops", 50000, "number of operations to generate")
-		cpus       = flag.Int("cpus", 4, "CPUs per simulated machine")
-		config     = flag.String("config", "all", "comma-separated configurations (baseline,fom,pbm,ranges,usermode) or 'all'")
+		seed         = flag.Uint64("seed", 1, "random seed (determines the whole trace)")
+		ops          = flag.Int("ops", 50000, "number of operations to generate")
+		cpus         = flag.Int("cpus", 4, "CPUs per simulated machine")
+		config       = flag.String("config", "all", "comma-separated configurations (baseline,fom,pbm,ranges,usermode) or 'all'")
 		checkEvery   = flag.Int("check-every", 1024, "run invariant sweeps every N ops (0 = only at the end)")
 		shrink       = flag.Bool("shrink", true, "shrink failing traces to a minimal reproducer")
-		crashRecover = flag.Bool("crash-recover", false, "after a clean replay, checkpoint + journal + crash at a seeded op and verify recovery")
-		incremental  = flag.Bool("incremental", false, "with -crash-recover: base + dirty-extent delta checkpoints with journal compaction, plus a differential-image proof")
+		crashRecover = flag.Bool("crash-recover", false, "after a clean replay, checkpoint a base + 0-3 dirty-extent deltas with journal compaction, crash at a seeded op, and verify recovery and the differential image")
 		tiered       = flag.Bool("tier", false, "attach a tier migration engine (smart policy) to every world: frames migrate between DRAM and NVM under the trace")
 		repro        = flag.String("repro", "", "on failure, write the (shrunk) failing trace to this file")
 		seeds        = flag.Int("seeds", 1, "number of consecutive seeds to sweep, starting at -seed")
@@ -70,7 +76,6 @@ func main() {
 		CheckEvery:   *checkEvery,
 		Shrink:       *shrink,
 		CrashRecover: *crashRecover,
-		Incremental:  *incremental,
 		Tier:         *tiered,
 	}, *seeds, nWorkers)
 	if err != nil {

@@ -1,28 +1,27 @@
 // Command o1snap drives the persistence subsystem from the shell:
-// checkpoint a simulated machine mid-trace (full snapshot or an
-// incremental base+delta chain), restore a checkpoint and prove the
+// checkpoint a simulated machine mid-trace as a chain (a base snapshot
+// plus zero or more dirty-extent deltas), restore a chain and prove the
 // rebuilt machine bit-identical, compact a chain's journal, inject a
 // crash (optionally tearing the metadata journal mid-record) and
-// verify recovery, or inspect a snapshot/chain file.
+// verify recovery, or inspect a chain file.
 //
 // Usage:
 //
-//	o1snap save -config ranges -seed 1 -ops 2000 -at 1000 -o m.snap
-//	o1snap save -config fom -seed 1 -ops 2000 -incremental -deltas 3 -o m.ckpt
-//	o1snap restore -i m.snap          # also accepts chain files
+//	o1snap save -config ranges -seed 1 -ops 2000 -deltas 0 -o m.ckpt
+//	o1snap save -config fom -seed 1 -ops 2000 -deltas 3 -o m.ckpt
+//	o1snap restore -i m.ckpt
 //	o1snap compact -i m.ckpt
 //	o1snap crash -config all -seed 1 -ops 2000 -snap-at 500 -at 1500 -torn
 //	o1snap info -i m.ckpt
 //
 // Every subcommand exits non-zero on failure; restore and crash run a
-// full invariant sweep and bit-identity proof (chains additionally
-// prove the assembled differential image exact), so a zero exit means
-// the persistence contract held.
+// full invariant sweep and bit-identity proof, including the assembled
+// differential image, so a zero exit means the persistence contract
+// held.
 package main
 
 import (
 	"bytes"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -30,7 +29,6 @@ import (
 
 	"repro/internal/check"
 	"repro/internal/ckpt"
-	"repro/internal/snapshot"
 )
 
 func main() {
@@ -69,7 +67,7 @@ func traceFlags(fs *flag.FlagSet) (seed *uint64, ops, cpus *int, config *string)
 	seed = fs.Uint64("seed", 1, "random seed (determines the whole trace)")
 	ops = fs.Int("ops", 2000, "trace length")
 	cpus = fs.Int("cpus", 2, "CPUs per simulated machine")
-	config = fs.String("config", "ranges", "configuration (baseline,fom,pbm,ranges), or comma list / 'all' where supported")
+	config = fs.String("config", "ranges", "configuration (baseline,fom,pbm,ranges,usermode), or comma list / 'all' where supported")
 	return
 }
 
@@ -83,41 +81,24 @@ func configList(spec string) []string {
 func cmdSave(args []string) error {
 	fs := flag.NewFlagSet("save", flag.ExitOnError)
 	seed, ops, cpus, config := traceFlags(fs)
-	at := fs.Int("at", -1, "checkpoint after this many ops (default ops/2; incremental base default ops/3)")
-	incremental := fs.Bool("incremental", false, "save a base + dirty-extent delta chain instead of a full snapshot")
-	deltas := fs.Int("deltas", 2, "with -incremental: number of delta checkpoints between base and end of trace")
-	out := fs.String("o", "machine.snap", "output file")
+	at := fs.Int("at", -1, "base checkpoint after this many ops (default ops/3)")
+	deltas := fs.Int("deltas", 2, "number of delta checkpoints between base and end of trace (0 = base only)")
+	out := fs.String("o", "machine.ckpt", "output file")
 	_ = fs.Parse(args)
-	if *incremental {
-		if *at < 0 {
-			*at = *ops / 3
-		}
-		deltaAts := spacedDeltas(*at, *ops, *deltas)
-		chain, err := check.BuildChain(*config, check.Options{Seed: *seed, Ops: *ops, CPUs: *cpus}, *at, deltaAts)
-		if err != nil {
-			return err
-		}
-		if err := writeFile(*out, func(f *os.File) error { return chain.Save(f) }); err != nil {
-			return err
-		}
-		st, _ := os.Stat(*out)
-		fmt.Printf("saved %s: config=%s seed=%d base@%d deltas@%v of %d ops, %d journal records, %d bytes\n",
-			*out, chain.Base.Meta.Config, chain.Base.Meta.Seed, *at, deltaAts, *ops, chain.Journal.Len(), st.Size())
-		return nil
-	}
 	if *at < 0 {
-		*at = *ops / 2
+		*at = *ops / 3
 	}
-	snap, err := check.BuildSnapshot(*config, check.Options{Seed: *seed, Ops: *ops, CPUs: *cpus}, *at)
+	deltaAts := spacedDeltas(*at, *ops, *deltas)
+	chain, err := check.BuildChain(*config, check.Options{Seed: *seed, Ops: *ops, CPUs: *cpus}, *at, deltaAts)
 	if err != nil {
 		return err
 	}
-	if err := writeFile(*out, func(f *os.File) error { return snap.Save(f) }); err != nil {
+	if err := writeFile(*out, func(f *os.File) error { return chain.Save(f) }); err != nil {
 		return err
 	}
 	st, _ := os.Stat(*out)
-	fmt.Printf("saved %s: config=%s seed=%d snap-at=%d/%d ops, %d bytes, mem checksum %#x\n",
-		*out, snap.Meta.Config, snap.Meta.Seed, snap.Meta.SnapAt, snap.Meta.TraceOps, st.Size(), snap.MemChecksum)
+	fmt.Printf("saved %s: config=%s seed=%d base@%d deltas@%v of %d ops, %d journal records, %d bytes\n",
+		*out, chain.Base.Meta.Config, chain.Base.Meta.Seed, *at, deltaAts, *ops, chain.Journal.Len(), st.Size())
 	return nil
 }
 
@@ -147,51 +128,31 @@ func writeFile(path string, save func(*os.File) error) error {
 	return f.Close()
 }
 
-// loadAny reads a persistence file, sniffing the chain magic first and
-// falling back to the full-snapshot format. Exactly one return is
-// non-nil on success.
-func loadAny(path string) (*ckpt.Chain, *snapshot.Snapshot, error) {
+// loadChain reads a whole chain file before decoding it, so compact
+// can rewrite the same path.
+func loadChain(path string) (*ckpt.Chain, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	chain, cerr := ckpt.Load(bytes.NewReader(data))
-	if cerr == nil {
-		return chain, nil, nil
-	}
-	if !errors.Is(cerr, ckpt.ErrNotChain) {
-		return nil, nil, cerr
-	}
-	snap, serr := snapshot.Load(bytes.NewReader(data))
-	if serr != nil {
-		return nil, nil, serr
-	}
-	return nil, snap, nil
+	return ckpt.Load(bytes.NewReader(data))
 }
 
 func cmdRestore(args []string) error {
 	fs := flag.NewFlagSet("restore", flag.ExitOnError)
-	in := fs.String("i", "machine.snap", "snapshot or chain file")
+	in := fs.String("i", "machine.ckpt", "chain file")
 	_ = fs.Parse(args)
-	chain, snap, err := loadAny(*in)
+	chain, err := loadChain(*in)
 	if err != nil {
 		return err
 	}
-	if chain != nil {
-		if err := check.VerifyChain(chain); err != nil {
-			return err
-		}
-		end := chain.Base.Meta.SnapAt + int(chain.Journal.Watermark()) + chain.Journal.Len()
-		fmt.Printf("restored %s: config=%s base@%d + %d delta(s) to op %d, journal replayed to op %d/%d — machine state, differential image, and invariants all bit-identical\n",
-			*in, chain.Base.Meta.Config, chain.Base.Meta.SnapAt, len(chain.Deltas),
-			chain.LastUpTo(), end, chain.Base.Meta.TraceOps)
-		return nil
-	}
-	if err := check.VerifySnapshot(snap); err != nil {
+	if err := check.VerifyChain(chain); err != nil {
 		return err
 	}
-	fmt.Printf("restored %s: config=%s rebuilt to op %d/%d — machine state, memory checksum, and invariants all bit-identical\n",
-		*in, snap.Meta.Config, snap.Meta.SnapAt, snap.Meta.TraceOps)
+	end := chain.Base.Meta.SnapAt + int(chain.Journal.Watermark()) + chain.Journal.Len()
+	fmt.Printf("restored %s: config=%s base@%d + %d delta(s) to op %d, journal replayed to op %d/%d — machine state, differential image, and invariants all bit-identical\n",
+		*in, chain.Base.Meta.Config, chain.Base.Meta.SnapAt, len(chain.Deltas),
+		chain.LastUpTo(), end, chain.Base.Meta.TraceOps)
 	return nil
 }
 
@@ -203,12 +164,9 @@ func cmdCompact(args []string) error {
 	if *out == "" {
 		*out = *in
 	}
-	chain, _, err := loadAny(*in)
+	chain, err := loadChain(*in)
 	if err != nil {
 		return err
-	}
-	if chain == nil {
-		return fmt.Errorf("%s is a full snapshot; only incremental chains have a journal to compact", *in)
 	}
 	before := chain.Journal.Len()
 	upTo := uint64(chain.LastUpTo() - chain.Base.Meta.SnapAt)
@@ -218,7 +176,7 @@ func cmdCompact(args []string) error {
 	if err := writeFile(*out, func(f *os.File) error { return chain.Save(f) }); err != nil {
 		return err
 	}
-	fmt.Printf("compacted %s: %d -> %d journal records, watermark %d (op %d, the last delta)\n",
+	fmt.Printf("compacted %s: %d -> %d journal records, watermark %d (op %d, the last capture)\n",
 		*out, before, chain.Journal.Len(), chain.Journal.Watermark(), chain.LastUpTo())
 	return nil
 }
@@ -237,7 +195,7 @@ func cmdCrash(args []string) error {
 		*snapAt = *at / 2
 	}
 	opts := check.Options{Seed: *seed, Ops: *ops, CPUs: *cpus, Configs: configList(*config)}
-	reports, failure, err := check.CrashRecover(opts, *snapAt, *at, *torn)
+	reports, failure, err := check.CrashRecoverIncremental(opts, *snapAt, nil, *at, *torn)
 	if err != nil {
 		return err
 	}
@@ -245,49 +203,26 @@ func cmdCrash(args []string) error {
 		return failure
 	}
 	for _, r := range reports {
-		fmt.Printf("%-8s snap@%d crash@%d recovered@%d: %d journal records replayed, %d torn bytes discarded, %d snapshot bytes — recovered run bit-identical to uncrashed control\n",
-			r.Config, r.SnapAt, r.CrashAt, r.RecoveredAt, r.JournalRecords, r.TornBytes, r.SnapshotBytes)
+		fmt.Printf("%-8s snap@%d crash@%d recovered@%d: %d journal records replayed, %d torn bytes discarded, %d chain bytes — recovered run bit-identical to uncrashed control\n",
+			r.Config, r.BaseAt, r.CrashAt, r.RecoveredAt, r.JournalRecords, r.TornBytes, r.ChainBytes)
 	}
 	return nil
 }
 
 func cmdInfo(args []string) error {
 	fs := flag.NewFlagSet("info", flag.ExitOnError)
-	in := fs.String("i", "machine.snap", "snapshot or chain file")
+	in := fs.String("i", "machine.ckpt", "chain file")
 	_ = fs.Parse(args)
-	chain, snap, err := loadAny(*in)
+	chain, err := loadChain(*in)
 	if err != nil {
 		return err
 	}
-	if chain != nil {
-		return chainInfo(chain)
-	}
-	trace, err := check.DecodeTrace(snap.Trace)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("format:        full snapshot\n")
-	fmt.Printf("config:        %s\n", snap.Meta.Config)
-	fmt.Printf("cpus:          %d\n", snap.Meta.CPUs)
-	fmt.Printf("seed:          %d\n", snap.Meta.Seed)
-	fmt.Printf("snap-at:       op %d of %d\n", snap.Meta.SnapAt, snap.Meta.TraceOps)
-	fmt.Printf("tier:          %v\n", snap.Meta.Tier)
-	fmt.Printf("mem checksum:  %#x\n", snap.MemChecksum)
-	fmt.Printf("machine:       %d CPUs captured, %d stat sets\n", len(snap.Machine.CPUs), len(snap.Machine.Stats))
-	for _, c := range snap.Machine.CPUs {
-		fmt.Printf("  cpu %d: clock=%d rng=%#x counters=%d\n", c.ID, int64(c.Clock), c.RNG, len(c.Counters))
-	}
-	fmt.Printf("trace:         %d ops (%d bytes encoded)\n", len(trace), len(snap.Trace))
-	return nil
-}
-
-func chainInfo(chain *ckpt.Chain) error {
 	trace, err := check.DecodeTrace(chain.Base.Trace)
 	if err != nil {
 		return err
 	}
 	meta := chain.Base.Meta
-	fmt.Printf("format:        incremental chain (base + %d deltas)\n", len(chain.Deltas))
+	fmt.Printf("format:        checkpoint chain (base + %d deltas)\n", len(chain.Deltas))
 	fmt.Printf("config:        %s\n", meta.Config)
 	fmt.Printf("cpus:          %d\n", meta.CPUs)
 	fmt.Printf("seed:          %d\n", meta.Seed)

@@ -158,7 +158,7 @@ func tiering() (*Result, error) {
 type tierCtx struct {
 	eng   *tier.Engine
 	touch func(c *sim.CPU, page uint64, write bool) error
-	pump  func(c *sim.CPU)           // nil when the access path pumps itself
+	pump  func(c *sim.CPU) // nil when the access path pumps itself
 	scan  func(c *sim.CPU, batch int)
 }
 

@@ -34,8 +34,7 @@ type Options struct {
 	// tier engine is deterministic, so restore-by-reexecution rebuilds
 	// it — the snapshot records the tier flag and the recovery replay
 	// drives the same tier steps. Migrations dirty their destination
-	// frames like any other write, so incremental checkpoints capture
-	// them.
+	// frames like any other write, so checkpoint deltas capture them.
 	Tier bool
 	// Shrink reduces a failing trace to a minimal reproducer.
 	Shrink bool
@@ -47,17 +46,13 @@ type Options struct {
 	// only tests set it.
 	Corrupt bool
 	// CrashRecover runs the randomized crash-and-recover stage after a
-	// successful differential replay: checkpoint mid-trace, journal,
-	// crash at a seeded op (possibly tearing the journal), recover, and
-	// demand the recovered timeline be bit-identical to an uncrashed
-	// control (see persist.go).
+	// successful differential replay: a base checkpoint mid-trace, zero
+	// to three dirty-extent deltas with the journal compacted at each,
+	// a crash at a seeded op (possibly tearing the journal), recovery,
+	// and a demand that the recovered timeline be bit-identical to an
+	// uncrashed control and that base + deltas reconstruct memory
+	// bit-exactly (see persist_incr.go).
 	CrashRecover bool
-	// Incremental switches the crash-recover stage to incremental
-	// checkpointing: a base snapshot plus dirty-extent deltas, with the
-	// journal compacted at each delta, and a differential-image proof
-	// that base + deltas reconstruct memory bit-exactly (see
-	// persist_incr.go). Requires CrashRecover.
-	Incremental bool
 }
 
 // withDefaults fills in the zero-valued options and rejects the
@@ -108,12 +103,8 @@ type Report struct {
 	Failure *Failure // nil on success
 	Shrunk  []Op     // minimal failing trace (with Opts.Shrink)
 
-	// CrashReports describes the crash-and-recover stage (with
+	// ChainReports describes the crash-and-recover stage (with
 	// Opts.CrashRecover, when the stage ran to completion).
-	CrashReports []*CrashRecoverReport
-
-	// ChainReports describes the incremental crash-and-recover stage
-	// (with Opts.Incremental, when the stage ran to completion).
 	ChainReports []*ChainReport
 }
 
@@ -123,14 +114,9 @@ func (r *Report) Format() string {
 	if r.Failure == nil {
 		s := fmt.Sprintf("ok: seed=%d ops=%d cpus=%d configs=%s",
 			r.Opts.Seed, len(r.Trace), r.Opts.CPUs, strings.Join(r.Opts.Configs, ","))
-		if len(r.CrashReports) > 0 {
-			cr := r.CrashReports[0]
-			s += fmt.Sprintf("\nok: crash-recover snap@%d crash@%d (torn=%v): all configs recovered bit-identical",
-				cr.SnapAt, cr.CrashAt, cr.CrashAt != cr.RecoveredAt)
-		}
 		if len(r.ChainReports) > 0 {
 			cr := r.ChainReports[0]
-			s += fmt.Sprintf("\nok: incremental crash-recover base@%d deltas@%v crash@%d (torn=%v): all configs recovered bit-identical, differential images exact",
+			s += fmt.Sprintf("\nok: crash-recover base@%d deltas@%v crash@%d (torn=%v): all configs recovered bit-identical, differential images exact",
 				cr.BaseAt, cr.DeltaAts, cr.CrashAt, cr.TornBytes > 0)
 		}
 		return s
@@ -151,9 +137,6 @@ func (r *Report) Format() string {
 	if r.Opts.CrashRecover {
 		extra = " -crash-recover"
 	}
-	if r.Opts.Incremental {
-		extra += " -incremental"
-	}
 	if r.Opts.Tier {
 		extra += " -tier"
 	}
@@ -171,9 +154,6 @@ func Run(opts Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.Incremental && !opts.CrashRecover {
-		return nil, fmt.Errorf("check: -incremental requires -crash-recover")
-	}
 	for _, cfg := range opts.Configs {
 		if _, err := newWorld(cfg, 1, 0, opts.Tier); err != nil {
 			return nil, err
@@ -182,27 +162,13 @@ func Run(opts Options) (*Report, error) {
 	trace := generate(opts.Seed, opts.Ops, opts.CPUs)
 	report := &Report{Opts: opts, Trace: trace}
 	report.Failure = replay(trace, opts)
-	if report.Failure == nil && opts.CrashRecover && opts.Incremental {
+	if report.Failure == nil && opts.CrashRecover {
 		baseAt, deltaAts, crashAt, torn := incrementalStage(opts, len(trace))
 		crs, f, err := CrashRecoverIncremental(opts, baseAt, deltaAts, crashAt, torn)
 		if err != nil {
 			return nil, err
 		}
 		report.ChainReports = crs
-		if f != nil {
-			// Crash-recover failures are not shrinkable: the shrink
-			// predicate replays without the persistence stage.
-			f.Reason = "incremental crash-recover: " + f.Reason
-			report.Failure = f
-			return report, nil
-		}
-	} else if report.Failure == nil && opts.CrashRecover {
-		snapAt, crashAt, torn := crashRecoverStage(opts, len(trace))
-		crs, f, err := CrashRecover(opts, snapAt, crashAt, torn)
-		if err != nil {
-			return nil, err
-		}
-		report.CrashReports = crs
 		if f != nil {
 			// Crash-recover failures are not shrinkable: the shrink
 			// predicate replays without the persistence stage.

@@ -134,7 +134,6 @@ func TestNegativeCPUsRejected(t *testing.T) {
 		{"Run", func(o Options) error { _, err := Run(o); return err }},
 		{"RunMany", func(o Options) error { _, err := RunMany(o, 2, 2); return err }},
 		{"BuildSnapshot", func(o Options) error { _, err := BuildSnapshot("fom", o, 10); return err }},
-		{"CrashRecover", func(o Options) error { _, _, err := CrashRecover(o, 5, 10, false); return err }},
 		{"BuildChain", func(o Options) error { _, err := BuildChain("fom", o, 5, []int{10}); return err }},
 		{"CrashRecoverIncremental", func(o Options) error {
 			_, _, err := CrashRecoverIncremental(o, 5, []int{10}, 15, false)

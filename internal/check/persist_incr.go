@@ -9,16 +9,16 @@ import (
 	"repro/internal/snapshot"
 )
 
-// This file implements the incremental (differential) persistence
-// stage on top of persist.go's restore-by-reexecution machinery: a
-// base snapshot plus dirty-extent deltas (internal/ckpt), with the
-// write-ahead journal compacted at every delta. The same doctrine
-// applies — persistence tooling charges ZERO simulated time; the
-// modeled costs of online checkpointing are charged by the bench
-// experiment (E20), not here.
+// This file implements the crash-and-recover stage on top of
+// persist.go's restore-by-reexecution machinery: a base snapshot plus
+// zero or more dirty-extent deltas (internal/ckpt), with the
+// write-ahead journal compacted at every delta. A chain with no deltas
+// is a full snapshot plus a journal. The same doctrine applies —
+// persistence tooling charges ZERO simulated time; the modeled costs
+// of recovery and online checkpointing are charged by the bench
+// experiments (E17, E20), not here.
 
-// ChainReport summarizes one configuration's incremental
-// crash-and-recover run.
+// ChainReport summarizes one configuration's crash-and-recover run.
 type ChainReport struct {
 	Config      string
 	BaseAt      int   // ops executed before the base snapshot
@@ -157,36 +157,16 @@ func BuildChain(config string, opts Options, baseAt int, deltaAts []int) (*ckpt.
 }
 
 // rebuildFromChain reconstructs the machine at the chain's last
-// capture point: build the configuration fresh, replay the prefix, and
-// prove the rebuild bit-identical to the last capture AND to the
-// differential image (base overlaid with every delta) — the proof that
-// dirty tracking missed nothing.
+// capture point and proves the rebuild bit-identical to the last
+// capture AND to the differential image (base overlaid with every
+// delta) — the proof that dirty tracking missed nothing.
 func rebuildFromChain(chain *ckpt.Chain) (world, *model, []Op, error) {
-	trace, err := DecodeTrace(chain.Base.Trace)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	meta := chain.Base.Meta
-	if len(trace) != meta.TraceOps {
-		return nil, nil, nil, fmt.Errorf("check: chain meta says %d ops, trace holds %d", meta.TraceOps, len(trace))
-	}
-	lastUpTo := chain.LastUpTo()
-	if lastUpTo < 0 || lastUpTo > len(trace) {
-		return nil, nil, nil, fmt.Errorf("check: chain capture point %d outside trace [0,%d]", lastUpTo, len(trace))
-	}
-	w, err := newWorld(meta.Config, meta.CPUs, meta.Seed, meta.Tier)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	mdl := newModel(meta.CPUs)
-	if f := replaySpan(w, mdl, trace, 0, lastUpTo); f != nil {
-		return nil, nil, nil, fmt.Errorf("check: chain rebuild replay: %v", f)
-	}
 	wantState, wantSum := chain.Base.Machine, chain.Base.MemChecksum
 	if n := len(chain.Deltas); n > 0 {
 		wantState, wantSum = chain.Deltas[n-1].Machine, chain.Deltas[n-1].MemChecksum
 	}
-	if err := verifyRestored(w, wantState, wantSum, "chain restore"); err != nil {
+	w, mdl, trace, err := rebuild(chain.Base, chain.LastUpTo(), wantState, wantSum, "chain restore")
+	if err != nil {
 		return nil, nil, nil, err
 	}
 	if err := ckpt.ImageEqual(w.memory(), ckpt.AssembleImage(chain.BaseFrames, chain.Deltas)); err != nil {
@@ -206,13 +186,14 @@ func VerifyChain(chain *ckpt.Chain) error {
 	}
 	baseAt := chain.Base.Meta.SnapAt
 	lastUpTo := chain.LastUpTo()
-	startOp := baseAt + int(chain.Journal.Watermark())
-	if startOp > lastUpTo {
-		return fmt.Errorf("check: journal watermark at op %d, past last capture %d (over-compacted: records lost)", startOp, lastUpTo)
+	wm := chain.Journal.Watermark()
+	if wm > uint64(lastUpTo-baseAt) {
+		return fmt.Errorf("check: journal watermark %d, past last capture at op %d (over-compacted: records lost)", wm, lastUpTo)
 	}
+	startOp := baseAt + int(wm)
 	endOp := startOp + chain.Journal.Len()
-	if endOp < lastUpTo {
-		return fmt.Errorf("check: journal ends at op %d, before last capture %d", endOp, lastUpTo)
+	if endOp < lastUpTo || endOp > len(trace) {
+		return fmt.Errorf("check: journal covers ops [%d,%d), want it to reach from the last capture %d to at most %d", startOp, endOp, lastUpTo, len(trace))
 	}
 	for i, rec := range chain.Journal.Records() {
 		op, rest, err := decodeOp(rec)
@@ -235,8 +216,8 @@ func VerifyChain(chain *ckpt.Chain) error {
 	return nil
 }
 
-// CrashRecoverIncremental runs the incremental crash-consistency
-// experiment for every selected configuration:
+// CrashRecoverIncremental runs the crash-consistency experiment for
+// every selected configuration:
 //
 //  1. An uncrashed CONTROL executes the whole trace, capturing its
 //     state at crashAt and at the end.
@@ -246,14 +227,18 @@ func VerifyChain(chain *ckpt.Chain) error {
 //     the previous capture, covered by subsystem units — after which
 //     the journal is compacted to the delta (the WAL stops growing).
 //     The chain round-trips through the binary format; the crash cuts
-//     the live journal (mid-record with torn) and drops DRAM.
-//  3. RECOVERY rebuilds to the LAST delta (not the base: the deltas'
-//     proof states pin every intermediate capture), proves the rebuild
-//     bit-identical to the delta capture AND to the assembled
-//     differential image (base + deltas), checks the journal watermark
-//     landed exactly at the last delta, replays the journal's valid
-//     suffix, finishes the trace, and proves the final state
-//     bit-identical to the control.
+//     the live journal (mid-record with torn) and drops DRAM. With no
+//     deltas, the chain is a full snapshot plus an uncompacted journal.
+//  3. RECOVERY rebuilds to the LAST capture (the base, or the last
+//     delta: the deltas' proof states pin every intermediate capture),
+//     proves the rebuild bit-identical to that capture AND to the
+//     assembled differential image (base + deltas), checks the journal
+//     watermark landed exactly at the last capture, replays the
+//     journal's valid suffix, finishes the trace, and proves the final
+//     state bit-identical to the control.
+//
+// A non-nil Failure reports a persistence bug; error reports setup
+// problems.
 func CrashRecoverIncremental(opts Options, baseAt int, deltaAts []int, crashAt int, torn bool) ([]*ChainReport, *Failure, error) {
 	opts, err := opts.withDefaults()
 	if err != nil {
@@ -409,14 +394,15 @@ func chainRecoverOne(cfg string, opts Options, trace []Op, baseAt int, deltaAts 
 }
 
 // incrementalStage is the randomized point selection Run uses when
-// Options.Incremental is set: a seeded crash op, a base checkpoint at
-// its first third, up to three evenly spaced deltas between base and
-// crash, and a coin flip for a torn tail.
+// Options.CrashRecover is set: a seeded crash op, a base checkpoint at
+// its first third, zero to three evenly spaced deltas between base and
+// crash (zero is the full-snapshot-plus-journal case), and a coin flip
+// for a torn tail.
 func incrementalStage(opts Options, traceLen int) (baseAt int, deltaAts []int, crashAt int, torn bool) {
 	rng := sim.NewRNG(opts.Seed ^ 0x5bd1e9955bd1e995)
 	crashAt = 1 + int(rng.Uint64n(uint64(traceLen)))
 	baseAt = crashAt / 3
-	nDeltas := 1 + int(rng.Uint64n(3))
+	nDeltas := int(rng.Uint64n(4))
 	span := crashAt - baseAt
 	last := baseAt
 	for i := 1; i <= nDeltas; i++ {

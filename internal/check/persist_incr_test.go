@@ -7,17 +7,6 @@ import (
 	"repro/internal/sim"
 )
 
-// TestIncrementalRequiresCrashRecover pins the option contract.
-func TestIncrementalRequiresCrashRecover(t *testing.T) {
-	_, err := Run(Options{Seed: 1, Ops: 100, Incremental: true})
-	if err == nil {
-		t.Fatal("-incremental without -crash-recover accepted")
-	}
-	if !strings.Contains(err.Error(), "requires") {
-		t.Errorf("error does not explain the requirement: %v", err)
-	}
-}
-
 // TestIncrementalRecoverAllConfigs is the core property test: across
 // random crash points — torn and clean, one to three deltas — every
 // configuration's base+deltas restore must be bit-identical to full
@@ -82,30 +71,41 @@ func TestIncrementalRecoverAllConfigs(t *testing.T) {
 			if torn && rep.TornBytes == 0 {
 				t.Errorf("trial %d %s: torn run reported no torn bytes", trial, rep.Config)
 			}
+			if rep.ChainBytes == 0 {
+				t.Errorf("trial %d %s: empty chain", trial, rep.Config)
+			}
 		}
 	}
 }
 
 // TestIncrementalEdgePoints covers the degenerate chain shapes: no
-// deltas (base-only chain, journal from the base), a delta exactly at
-// the crash (empty journal suffix), and a base at op 0.
+// deltas (base-only chain: a full snapshot plus a journal from the
+// base, across seeds and CPU counts), a delta exactly at the crash
+// (empty journal suffix), and a base at op 0. Every configuration must
+// recover to the crash point (one op earlier when torn) and finish
+// bit-identical to the uncrashed control.
 func TestIncrementalEdgePoints(t *testing.T) {
 	cases := []struct {
 		name     string
+		seed     uint64
+		cpus     int
 		baseAt   int
 		deltaAts []int
 		crashAt  int
 		torn     bool
 	}{
-		{"no-deltas", 100, nil, 220, false},
-		{"no-deltas-torn", 100, nil, 220, true},
-		{"delta-at-crash", 80, []int{160, 240}, 240, false},
-		{"base-at-zero", 0, []int{90}, 180, true},
+		{"no-deltas", 42, 2, 100, nil, 220, false},
+		{"no-deltas-torn", 42, 2, 100, nil, 220, true},
+		{"no-deltas-seed1-cpus1", 1, 1, 110, nil, 230, false},
+		{"no-deltas-seed2-cpus2-torn", 2, 2, 70, nil, 150, true},
+		{"no-deltas-seed3-cpus4", 3, 4, 130, nil, 270, false},
+		{"delta-at-crash", 42, 2, 80, []int{160, 240}, 240, false},
+		{"base-at-zero", 42, 2, 0, []int{90}, 180, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			reports, f, err := CrashRecoverIncremental(
-				Options{Seed: 42, Ops: 300, CPUs: 2}, tc.baseAt, tc.deltaAts, tc.crashAt, tc.torn)
+				Options{Seed: tc.seed, Ops: 300, CPUs: tc.cpus}, tc.baseAt, tc.deltaAts, tc.crashAt, tc.torn)
 			if err != nil {
 				t.Fatalf("%v", err)
 			}
@@ -114,6 +114,21 @@ func TestIncrementalEdgePoints(t *testing.T) {
 			}
 			if len(reports) != len(AllConfigs) {
 				t.Fatalf("%d reports, want %d", len(reports), len(AllConfigs))
+			}
+			wantRecovered := tc.crashAt
+			if tc.torn {
+				wantRecovered--
+			}
+			for _, rep := range reports {
+				if rep.RecoveredAt != wantRecovered {
+					t.Errorf("%s: recovered to op %d, want %d", rep.Config, rep.RecoveredAt, wantRecovered)
+				}
+				if tc.torn == (rep.TornBytes == 0) {
+					t.Errorf("%s: torn=%v but %d torn bytes", rep.Config, tc.torn, rep.TornBytes)
+				}
+				if rep.ChainBytes == 0 {
+					t.Errorf("%s: empty chain", rep.Config)
+				}
 			}
 		})
 	}
@@ -165,6 +180,20 @@ func TestBuildVerifyChain(t *testing.T) {
 	}
 }
 
+// TestVerifyChainRejectsJournalPastTrace: a chain file whose journal
+// holds more records than the embedded trace has ops is malformed input
+// and must fail verification, not index past the trace.
+func TestVerifyChainRejectsJournalPastTrace(t *testing.T) {
+	chain, err := BuildChain("fom", Options{Seed: 9, Ops: 300, CPUs: 2}, 100, []int{200})
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	chain.Journal.Append(encodeOp(nil, Op{}))
+	if err := VerifyChain(chain); err == nil {
+		t.Fatal("journal running past the trace verified")
+	}
+}
+
 // TestChainDifferentialImageCatchesMissedDirt proves the acceptance
 // mechanism has teeth: corrupt one delta's captured frame data and the
 // differential-image proof must fail the restore.
@@ -198,10 +227,10 @@ func TestChainDifferentialImageCatchesMissedDirt(t *testing.T) {
 	}
 }
 
-// TestRunIncrementalStage drives the stage end-to-end through Run with
-// the randomized point selection, tier off and on.
+// TestRunIncrementalStage: Run with Options.CrashRecover builds a
+// base + delta chain per config and says so in its report.
 func TestRunIncrementalStage(t *testing.T) {
-	report, err := Run(Options{Seed: 13, Ops: 600, CPUs: 2, CrashRecover: true, Incremental: true})
+	report, err := Run(Options{Seed: 13, Ops: 600, CPUs: 2, CrashRecover: true})
 	if err != nil {
 		t.Fatalf("%v", err)
 	}
@@ -211,8 +240,8 @@ func TestRunIncrementalStage(t *testing.T) {
 	if len(report.ChainReports) != len(AllConfigs) {
 		t.Fatalf("%d chain reports, want %d", len(report.ChainReports), len(AllConfigs))
 	}
-	if !strings.Contains(report.Format(), "incremental crash-recover") {
-		t.Errorf("report does not mention the incremental stage:\n%s", report.Format())
+	if !strings.Contains(report.Format(), "crash-recover") {
+		t.Errorf("report does not mention the crash-recover stage:\n%s", report.Format())
 	}
 }
 

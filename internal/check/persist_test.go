@@ -44,60 +44,34 @@ func TestSnapshotBuildRestoreVerify(t *testing.T) {
 	}
 }
 
-// TestCrashRecoverDeterminismAllConfigs is the tentpole's acceptance
-// test: crash at an op, recover from checkpoint + journal, finish the
-// trace — byte-identical to the uncrashed control, in every
-// configuration, with and without a torn journal tail.
-func TestCrashRecoverDeterminismAllConfigs(t *testing.T) {
-	ops := 1200
-	if testing.Short() {
-		ops = 400
-	}
-	cases := []struct {
-		seed uint64
-		cpus int
-		torn bool
-	}{
-		{seed: 1, cpus: 1, torn: false},
-		{seed: 2, cpus: 2, torn: true},
-		{seed: 3, cpus: 4, torn: false},
-	}
-	for _, tc := range cases {
-		opts := Options{Seed: tc.seed, Ops: ops, CPUs: tc.cpus}
-		snapAt, crashAt, _ := crashRecoverStage(opts, ops)
-		if tc.torn && crashAt == snapAt {
-			crashAt = snapAt + 1
-		}
-		reports, f, err := CrashRecover(opts, snapAt, crashAt, tc.torn)
-		if err != nil {
-			t.Fatalf("seed %d: %v", tc.seed, err)
-		}
-		if f != nil {
-			t.Fatalf("seed %d: %v", tc.seed, f)
-		}
-		if len(reports) != len(AllConfigs) {
-			t.Fatalf("seed %d: %d reports, want %d", tc.seed, len(reports), len(AllConfigs))
-		}
-		for _, rep := range reports {
-			wantRecovered := crashAt
-			if tc.torn {
-				wantRecovered--
-			}
-			if rep.RecoveredAt != wantRecovered {
-				t.Fatalf("seed %d %s: recovered to op %d, want %d", tc.seed, rep.Config, rep.RecoveredAt, wantRecovered)
-			}
-			if tc.torn == (rep.TornBytes == 0) {
-				t.Fatalf("seed %d %s: torn=%v but %d torn bytes", tc.seed, rep.Config, tc.torn, rep.TornBytes)
-			}
-			if rep.SnapshotBytes == 0 {
-				t.Fatalf("seed %d %s: empty snapshot", tc.seed, rep.Config)
-			}
-		}
+// TestDecodeTraceHugeCount: a 4-byte payload claiming 2^32-1 ops must
+// be rejected, not preallocated.
+func TestDecodeTraceHugeCount(t *testing.T) {
+	if _, err := DecodeTrace([]byte{0xff, 0xff, 0xff, 0xff}); err == nil {
+		t.Fatal("trace claiming 2^32-1 ops with no op bytes decoded")
 	}
 }
 
-// TestRunCrashRecoverStage exercises the harness wiring: Run with
-// Options.CrashRecover performs the randomized crash stage.
+// FuzzDecodeTrace: malformed trace payloads return errors, never
+// panic, and every payload that decodes re-encodes to itself.
+func FuzzDecodeTrace(f *testing.F) {
+	f.Add(EncodeTrace(generate(1, 40, 2)))
+	f.Add(EncodeTrace(nil))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		trace, err := DecodeTrace(b)
+		if err != nil {
+			return
+		}
+		if got := EncodeTrace(trace); !bytes.Equal(got, b) {
+			t.Fatalf("%d decoded ops do not re-encode to the input (%d vs %d bytes)", len(trace), len(got), len(b))
+		}
+	})
+}
+
+// TestRunCrashRecoverStage drives the stage end to end through Run with
+// the randomized point selection, and pins that the selection covers
+// every chain shape from base-only to three deltas.
 func TestRunCrashRecoverStage(t *testing.T) {
 	ops := 600
 	if testing.Short() {
@@ -108,6 +82,16 @@ func TestRunCrashRecoverStage(t *testing.T) {
 		t.Fatal(err)
 	}
 	if report.Failure != nil {
-		t.Fatalf("crash-recover stage failed: %v", report.Failure)
+		t.Fatalf("crash-recover stage failed:\n%s", report.Format())
+	}
+	shapes := map[int]bool{}
+	for seed := uint64(1); seed <= 64; seed++ {
+		_, deltaAts, _, _ := incrementalStage(Options{Seed: seed}, 20000)
+		shapes[len(deltaAts)] = true
+	}
+	for n := 0; n <= 3; n++ {
+		if !shapes[n] {
+			t.Errorf("no seed in 1..64 draws a chain with %d deltas", n)
+		}
 	}
 }

@@ -135,8 +135,8 @@ func TestTierCrashRecoverComposes(t *testing.T) {
 	if report.Failure != nil {
 		t.Fatalf("tier + crash-recover:\n%s", report.Format())
 	}
-	if len(report.CrashReports) != len(AllConfigs) {
-		t.Fatalf("crash stage covered %d configs, want %d", len(report.CrashReports), len(AllConfigs))
+	if len(report.ChainReports) != len(AllConfigs) {
+		t.Fatalf("crash stage covered %d configs, want %d", len(report.ChainReports), len(AllConfigs))
 	}
 }
 
@@ -145,7 +145,7 @@ func TestTierCrashRecoverComposes(t *testing.T) {
 // crash, differential restore. Migrations dirty their destination
 // frames, so the differential-image proof covers them too.
 func TestTierIncrementalCrashRecoverComposes(t *testing.T) {
-	report, err := Run(Options{Seed: 8, Ops: 1500, CPUs: 2, Tier: true, CrashRecover: true, Incremental: true})
+	report, err := Run(Options{Seed: 8, Ops: 1500, CPUs: 2, Tier: true, CrashRecover: true})
 	if err != nil {
 		t.Fatalf("tier + incremental: %v", err)
 	}

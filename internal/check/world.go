@@ -39,7 +39,7 @@ type world interface {
 	// dirtyUnits maps a dirty-frame set onto checkpoint units by asking
 	// each subsystem to claim the frames it owns — extents for file
 	// stores, grants for usermode, single pages for the baseline. Every
-	// dirty frame must be covered; the incremental recovery stage fails
+	// dirty frame must be covered; the crash-recover stage fails
 	// on gaps (see persist_incr.go).
 	dirtyUnits(frames []mem.Frame) []ckpt.Unit
 }

@@ -15,8 +15,7 @@ import (
 // snapshot file verbatim; BIMG the base memory image; one DELT per
 // delta in order; JRNL the (possibly compacted) journal stream.
 const (
-	// Magic identifies a chain file; the first 8 bytes distinguish it
-	// from a plain snapshot, so tools can sniff the format.
+	// Magic identifies a chain file: its first 8 bytes.
 	Magic        = "O1MCKPT\x00"
 	chainVersion = 1
 
@@ -27,7 +26,7 @@ const (
 )
 
 // ErrNotChain reports that the input does not start with the chain
-// magic (it may be a plain snapshot).
+// magic.
 var ErrNotChain = errors.New("ckpt: not a checkpoint chain file")
 
 // Save writes the chain in the versioned binary format.
@@ -64,7 +63,7 @@ func (c *Chain) Save(w io.Writer) error {
 
 // Load reads a chain written by Save, verifying magic, version, and
 // every section checksum. It returns ErrNotChain if the magic is
-// absent, so callers can fall back to snapshot.Load.
+// absent.
 func Load(r io.Reader) (*Chain, error) {
 	var hdr [len(Magic) + 4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -150,10 +149,15 @@ func encodeFrames(frames []FrameImage) []byte {
 	return b
 }
 
+// minFrameBytes is the encoded size of an all-zero frame image.
+const minFrameBytes = 9
+
 func decodeFrames(b []byte) ([]FrameImage, error) {
 	d := reader{b: b}
 	n := d.u32()
-	out := make([]FrameImage, 0, n)
+	// The count is untrusted: preallocate no more images than the
+	// remaining bytes can hold.
+	out := make([]FrameImage, 0, min(int(n), len(b)/minFrameBytes))
 	for i := uint32(0); i < n && d.err == nil; i++ {
 		fi := FrameImage{Frame: mem.Frame(d.u64())}
 		if d.u8() != 0 {

@@ -40,7 +40,7 @@ func TestMapWalkRoundTrip(t *testing.T) {
 	if err := tbl.Map(cpu, va, 1234, FlagRead|FlagWrite); err != nil {
 		t.Fatalf("Map: %v", err)
 	}
-	pa, flags, levels, ok := tbl.Walk(cpu, va + 123)
+	pa, flags, levels, ok := tbl.Walk(cpu, va+123)
 	if !ok {
 		t.Fatal("Walk missed mapped address")
 	}
@@ -159,7 +159,7 @@ func TestHugePages2M(t *testing.T) {
 		t.Fatalf("MappedPages = %d, want 512", tbl.MappedPages())
 	}
 	// Any address inside the huge page translates with a 3-level walk.
-	pa, _, levels, ok := tbl.Walk(cpu, va + 300*mem.FrameSize + 5)
+	pa, _, levels, ok := tbl.Walk(cpu, va+300*mem.FrameSize+5)
 	if !ok || levels != 3 {
 		t.Fatalf("huge walk: ok=%v levels=%d", ok, levels)
 	}
@@ -186,7 +186,7 @@ func TestHugePages1G(t *testing.T) {
 	if err := tbl.Map1G(cpu, va, mem.HugeFrames1G, FlagRead); err != nil {
 		t.Fatalf("Map1G: %v", err)
 	}
-	_, _, levels, ok := tbl.Walk(cpu, va + 123456789)
+	_, _, levels, ok := tbl.Walk(cpu, va+123456789)
 	if !ok || levels != 2 {
 		t.Fatalf("1G walk: ok=%v levels=%d", ok, levels)
 	}

@@ -52,7 +52,7 @@ type enc struct {
 	b []byte
 }
 
-func (e *enc) u8(v byte)  { e.b = append(e.b, v) }
+func (e *enc) u8(v byte) { e.b = append(e.b, v) }
 func (e *enc) u32(v uint32) {
 	e.b = append(e.b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
 }

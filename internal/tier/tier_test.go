@@ -257,7 +257,7 @@ func TestPumpChargesSimulatedTime(t *testing.T) {
 }
 
 func TestRingCompaction(t *testing.T) {
-	eng, _, cpu := newTestRig(t, None, 1 << 9)
+	eng, _, cpu := newTestRig(t, None, 1<<9)
 	for i := uint64(0); i < 256; i++ {
 		eng.Track(mem.Frame(i))
 	}

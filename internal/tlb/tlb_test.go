@@ -83,12 +83,12 @@ func TestHugeEntryCoversWholePage(t *testing.T) {
 	base := mem.VirtAddr(2 << 20)
 	tl.Insert(0, base, Translation{Frame: 512, Size: Size2M})
 	// Any address inside the 2M page must hit.
-	tr, ok := tl.Lookup(0, base + 1234567%((2<<20)-1))
+	tr, ok := tl.Lookup(0, base+1234567%((2<<20)-1))
 	if !ok || tr.Size != Size2M {
 		t.Fatalf("huge lookup: ok=%v size=%v", ok, tr.Size)
 	}
 	// An address in the next 2M page must miss.
-	if _, ok := tl.Lookup(0, base + 2<<20); ok {
+	if _, ok := tl.Lookup(0, base+2<<20); ok {
 		t.Fatal("hit outside huge page")
 	}
 }
@@ -96,10 +96,10 @@ func TestHugeEntryCoversWholePage(t *testing.T) {
 func Test1GEntry(t *testing.T) {
 	tl, _, _ := newTLB(t)
 	tl.Insert(0, 0, Translation{Frame: 0, Size: Size1G})
-	if _, ok := tl.Lookup(0, 512 << 20); !ok {
+	if _, ok := tl.Lookup(0, 512<<20); !ok {
 		t.Fatal("1G entry did not cover interior address")
 	}
-	if _, ok := tl.Lookup(0, 1 << 30); ok {
+	if _, ok := tl.Lookup(0, 1<<30); ok {
 		t.Fatal("1G entry covered next gigabyte")
 	}
 }
@@ -213,7 +213,7 @@ func TestMixedSizesDoNotAlias(t *testing.T) {
 	if !ok || tr.Size != Size4K || tr.Frame != 1 {
 		t.Fatalf("4K entry wrong: %+v ok=%v", tr, ok)
 	}
-	tr, ok = tl.Lookup(0, 2<<20 + 0x5000)
+	tr, ok = tl.Lookup(0, 2<<20+0x5000)
 	if !ok || tr.Size != Size2M {
 		t.Fatalf("2M entry wrong: %+v ok=%v", tr, ok)
 	}
