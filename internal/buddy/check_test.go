@@ -1,0 +1,361 @@
+package buddy
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"strings"
+	"testing"
+
+	"repro/internal/mem"
+	"repro/internal/sim"
+)
+
+// checkPerFrame is the frame-by-frame form of CheckInvariants: it marks
+// every managed frame in a map. It is kept only as a test oracle for
+// the interval-tiling check, which must reject every state this one
+// rejects.
+func checkPerFrame(a *Allocator) error {
+	covered := make(map[mem.Frame]bool, a.size)
+	mark := func(f mem.Frame, o int, what string) error {
+		for i := uint64(0); i < uint64(1)<<o; i++ {
+			fr := f + mem.Frame(i)
+			if !a.Contains(fr, 1) {
+				return fmt.Errorf("buddy: %s block [%d, order %d] leaves managed range", what, f, o)
+			}
+			if covered[fr] {
+				return fmt.Errorf("buddy: frame %d covered twice (%s block at %d order %d)", fr, what, f, o)
+			}
+			covered[fr] = true
+		}
+		return nil
+	}
+	var freeSeen uint64
+	for o := 0; o <= MaxOrder; o++ {
+		for f := a.heads[o]; f != noFrame; f = a.nodes[f].next {
+			if got := a.order[f]; got != o {
+				return fmt.Errorf("buddy: free block %d on list %d but order map says %d", f, o, got)
+			}
+			if err := mark(f, o, "free"); err != nil {
+				return err
+			}
+			freeSeen += uint64(1) << o
+		}
+	}
+	if freeSeen != a.freeCount {
+		return fmt.Errorf("buddy: free count %d but lists hold %d frames", a.freeCount, freeSeen)
+	}
+	for f, o := range a.allocated {
+		if err := mark(f, o, "allocated"); err != nil {
+			return err
+		}
+	}
+	if uint64(len(covered)) != a.size {
+		return fmt.Errorf("buddy: %d frames accounted, managed %d", len(covered), a.size)
+	}
+	return nil
+}
+
+// freeBlocks lists the free blocks in free-list order.
+func freeBlocks(a *Allocator) []block {
+	var out []block
+	a.VisitFree(func(start mem.Frame, count uint64) {
+		o, _ := OrderFor(count)
+		out = append(out, block{start: start, order: o, free: true})
+	})
+	return out
+}
+
+// allocatedStarts lists the allocated blocks' first frames, sorted.
+func allocatedStarts(a *Allocator) []mem.Frame {
+	out := make([]mem.Frame, 0, len(a.allocated))
+	for f := range a.allocated {
+		out = append(out, f)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// lowestAllocated returns the lowest-numbered allocated block.
+func lowestAllocated(a *Allocator) (mem.Frame, bool) {
+	starts := allocatedStarts(a)
+	if len(starts) == 0 {
+		return 0, false
+	}
+	return starts[0], true
+}
+
+// corruption damages an allocator's bookkeeping in one way. apply
+// reports false when the state offers nothing to corrupt that way.
+// perFrame says whether the per-frame oracle rejects the damage too;
+// the stale-metadata corruptions are caught by the tiling check alone.
+type corruption struct {
+	name     string
+	want     string // substring of the tiling check's error
+	perFrame bool
+	apply    func(a *Allocator) bool
+}
+
+var corruptions = []corruption{
+	{"wrong order list", "order map says", true, func(a *Allocator) bool {
+		for _, b := range freeBlocks(a) {
+			if b.order < MaxOrder {
+				a.removeFree(b.start)
+				a.pushFree(b.start, b.order+1)
+				a.order[b.start] = b.order
+				return true
+			}
+		}
+		return false
+	}},
+	{"free block also allocated", "covered twice", true, func(a *Allocator) bool {
+		fb := freeBlocks(a)
+		if len(fb) == 0 {
+			return false
+		}
+		a.allocated[fb[0].start+mem.Frame(uint64(1)<<fb[0].order)-1] = 0
+		return true
+	}},
+	{"allocated blocks overlap", "covered twice", true, func(a *Allocator) bool {
+		for _, f := range allocatedStarts(a) {
+			if a.allocated[f] > 0 {
+				a.allocated[f+1] = 0
+				return true
+			}
+		}
+		return false
+	}},
+	{"gap", "frames accounted", true, func(a *Allocator) bool {
+		f, ok := lowestAllocated(a)
+		if !ok {
+			return false
+		}
+		delete(a.allocated, f)
+		return true
+	}},
+	{"block past the range", "leaves managed range", true, func(a *Allocator) bool {
+		a.allocated[a.base+mem.Frame(a.size)] = 0
+		return true
+	}},
+	{"block before the range", "leaves managed range", true, func(a *Allocator) bool {
+		if a.base == 0 {
+			return false
+		}
+		a.allocated[a.base-1] = 0
+		return true
+	}},
+	{"free count", "free count", true, func(a *Allocator) bool {
+		a.freeCount++
+		return true
+	}},
+	{"free-list cycle", "cycle", true, func(a *Allocator) bool {
+		fb := freeBlocks(a)
+		if len(fb) == 0 {
+			return false
+		}
+		n := a.nodes[fb[0].start]
+		n.next = fb[0].start
+		a.nodes[fb[0].start] = n
+		return true
+	}},
+	{"stale list node", "stale metadata", false, func(a *Allocator) bool {
+		f, ok := lowestAllocated(a)
+		if !ok {
+			return false
+		}
+		a.nodes[f] = listNode{prev: noFrame, next: noFrame}
+		return true
+	}},
+	{"stale order entry", "stale metadata", false, func(a *Allocator) bool {
+		f, ok := lowestAllocated(a)
+		if !ok {
+			return false
+		}
+		a.order[f] = a.allocated[f]
+		return true
+	}},
+}
+
+// fragmented returns an allocator over [base, base+size) holding a
+// seeded mix of allocated runs and frames with holes freed between
+// them.
+func fragmented(t testing.TB, base mem.Frame, size uint64, seed int64) *Allocator {
+	t.Helper()
+	clock := &sim.Clock{}
+	params := sim.DefaultParams()
+	a, err := New(clock, &params, base, size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	var runs []Run
+	for a.FreeFrames() > size/2 {
+		r, err := a.AllocRun(1 + uint64(rng.Intn(48)))
+		if err != nil {
+			break
+		}
+		runs = append(runs, r)
+	}
+	for i := 0; i < len(runs); i += 2 {
+		if err := a.FreeRun(runs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return a
+}
+
+func TestCheckInvariantsRejectsCorruption(t *testing.T) {
+	for _, c := range corruptions {
+		t.Run(c.name, func(t *testing.T) {
+			a := fragmented(t, 4096, 3000, 1)
+			if err := a.CheckInvariants(); err != nil {
+				t.Fatalf("before corruption: %v", err)
+			}
+			if !c.apply(a) {
+				t.Fatal("corruption not applicable")
+			}
+			err := a.CheckInvariants()
+			if err == nil {
+				t.Fatal("CheckInvariants accepted the corrupted state")
+			}
+			if !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("error %q does not mention %q", err, c.want)
+			}
+			if c.perFrame && checkPerFrame(a) == nil {
+				t.Fatal("per-frame oracle accepted the corrupted state")
+			}
+		})
+	}
+}
+
+// TestCheckInvariantsMatchesPerFrameOracle drives random Alloc, Free,
+// AllocRun and FreeRange sequences and compares the tiling check with
+// the per-frame oracle after every step; each sequence then injects one
+// corruption, which both must reject (the stale-metadata ones only the
+// tiling check sees).
+func TestCheckInvariantsMatchesPerFrameOracle(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		base := mem.Frame(rng.Intn(4) * 512)
+		a, _ := newAlloc(t, base, 256+uint64(rng.Intn(1024)))
+		type held struct {
+			start mem.Frame
+			count uint64
+			block bool // from Alloc, freed with Free
+		}
+		var live []held
+		for step := 0; step < 200; step++ {
+			switch op := rng.Intn(4); {
+			case op == 0:
+				if f, err := a.Alloc(rng.Intn(5)); err == nil {
+					live = append(live, held{start: f, block: true})
+				}
+			case op == 1:
+				if r, err := a.AllocRun(1 + uint64(rng.Intn(40))); err == nil {
+					live = append(live, held{start: r.Start, count: r.Count})
+				}
+			case len(live) > 0:
+				i := rng.Intn(len(live))
+				h := live[i]
+				live = append(live[:i], live[i+1:]...)
+				if h.block {
+					if err := a.Free(h.start); err != nil {
+						t.Fatalf("seed %d: Free: %v", seed, err)
+					}
+					break
+				}
+				// Free a random sub-range and keep the rest.
+				off := uint64(rng.Int63n(int64(h.count)))
+				n := 1 + uint64(rng.Int63n(int64(h.count-off)))
+				if err := a.FreeRange(h.start+mem.Frame(off), n); err != nil {
+					t.Fatalf("seed %d: FreeRange: %v", seed, err)
+				}
+				if off > 0 {
+					live = append(live, held{start: h.start, count: off})
+				}
+				if rest := h.count - off - n; rest > 0 {
+					live = append(live, held{start: h.start + mem.Frame(off+n), count: rest})
+				}
+			}
+			got, want := a.CheckInvariants(), checkPerFrame(a)
+			if (got == nil) != (want == nil) {
+				t.Fatalf("seed %d step %d: tiling check %v, per-frame oracle %v", seed, step, got, want)
+			}
+			if got != nil {
+				t.Fatalf("seed %d step %d: clean state rejected: %v", seed, step, got)
+			}
+		}
+		c := corruptions[rng.Intn(len(corruptions))]
+		if !c.apply(a) {
+			continue
+		}
+		if err := a.CheckInvariants(); err == nil {
+			t.Fatalf("seed %d: tiling check accepted corruption %q", seed, c.name)
+		}
+		if c.perFrame && checkPerFrame(a) == nil {
+			t.Fatalf("seed %d: per-frame oracle accepted corruption %q", seed, c.name)
+		}
+	}
+}
+
+// TestCheckInvariantsAllocsIndependentOfSize pins the check's host
+// allocation count: the same fragmentation pattern over pools from
+// 16 MiB to 2 GiB must cost the same number of allocations.
+func TestCheckInvariantsAllocsIndependentOfSize(t *testing.T) {
+	var first float64
+	for i, size := range []uint64{1 << 12, 1 << 16, 1 << 19} {
+		clock := &sim.Clock{}
+		params := sim.DefaultParams()
+		a, err := New(clock, &params, 0, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var frames []mem.Frame
+		for j := 0; j < 256; j++ {
+			f, err := a.AllocFrame()
+			if err != nil {
+				t.Fatal(err)
+			}
+			frames = append(frames, f)
+		}
+		for j := 0; j < len(frames); j += 2 {
+			if err := a.Free(frames[j]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if err := a.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if i == 0 {
+			first = allocs
+		}
+		if allocs != first || allocs > 1 {
+			t.Fatalf("%d frames: %v allocations per check, want %v (at most 1)", size, allocs, first)
+		}
+	}
+}
+
+// BenchmarkCheckInvariants audits a fragmented 2 GiB pool (2^19
+// frames). The per-frame-oracle case is the frame-walking check the
+// tiling one replaced, kept for before/after numbers.
+func BenchmarkCheckInvariants(b *testing.B) {
+	a := fragmented(b, 0, 1<<19, 1)
+	for _, bc := range []struct {
+		name  string
+		check func(*Allocator) error
+	}{
+		{"tiling", (*Allocator).CheckInvariants},
+		{"per-frame-oracle", checkPerFrame},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := bc.check(a); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -20,7 +20,9 @@
 package memfs
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -1235,10 +1237,18 @@ func (fs *FS) RecoverMetadata() (inodes, extents uint64) {
 	return inodes, extents
 }
 
-// CheckInvariants validates that no two files share frames and that
-// every extent lies inside the block region.
+// CheckInvariants validates that each file's extents are logically
+// disjoint, that every extent lies inside the block region (or the
+// fast-tier region when tiering is attached), that no two extents share
+// a frame, and that the block allocator is consistent. It costs
+// O(E log E) in the number of extents E: the extents are sorted by
+// first frame and each is compared with its predecessor.
 func (fs *FS) CheckInvariants() error {
-	owner := make(map[mem.Frame]uint64)
+	type owned struct {
+		run ExtentRun
+		ino uint64
+	}
+	var runs []owned
 	for _, ino := range fs.inodes {
 		var prevEnd uint64
 		for idx, e := range ino.extents {
@@ -1246,12 +1256,17 @@ func (fs *FS) CheckInvariants() error {
 				return fmt.Errorf("memfs %s: inode %d extents overlap logically", fs.name, ino.ino)
 			}
 			prevEnd = e.End()
-			for f := e.Start; f < e.Start+mem.Frame(e.Count); f++ {
-				if other, dup := owner[f]; dup {
-					return fmt.Errorf("memfs %s: frame %d owned by inodes %d and %d", fs.name, f, other, ino.ino)
-				}
-				owner[f] = ino.ino
+			if !fs.bud.Contains(e.Start, e.Count) && (fs.fastBud == nil || !fs.fastBud.Contains(e.Start, e.Count)) {
+				return fmt.Errorf("memfs %s: inode %d extent [%d,+%d) lies outside the block region", fs.name, ino.ino, e.Start, e.Count)
 			}
+			runs = append(runs, owned{e, ino.ino})
+		}
+	}
+	slices.SortFunc(runs, func(x, y owned) int { return cmp.Compare(x.run.Start, y.run.Start) })
+	for i := 1; i < len(runs); i++ {
+		prev, cur := runs[i-1], runs[i]
+		if cur.run.Start < prev.run.Start+mem.Frame(prev.run.Count) {
+			return fmt.Errorf("memfs %s: frame %d owned by inodes %d and %d", fs.name, cur.run.Start, prev.ino, cur.ino)
 		}
 	}
 	return fs.bud.CheckInvariants()

@@ -810,18 +810,9 @@ func (gt *GrantTable) checkDisjoint() error {
 	for _, s := range gt.shared {
 		spans = append(spans, span{s.run.Start, s.run.Count, "shared"})
 	}
-	inPool := func(f mem.Frame, n uint64) bool {
-		if uint64(f) >= uint64(gt.pool.Base()) && uint64(f)+n <= uint64(gt.pool.Base())+gt.pool.Size() {
-			return true
-		}
-		if gt.fast != nil && uint64(f) >= uint64(gt.fast.Base()) && uint64(f)+n <= uint64(gt.fast.Base())+gt.fast.Size() {
-			return true
-		}
-		return false
-	}
 	sort.Slice(spans, func(i, j int) bool { return spans[i].start < spans[j].start })
 	for i, s := range spans {
-		if !inPool(s.start, s.count) {
+		if !gt.pool.Contains(s.start, s.count) && (gt.fast == nil || !gt.fast.Contains(s.start, s.count)) {
 			return fmt.Errorf("usermode: %s [%d,+%d) outside all pools", s.what, s.start, s.count)
 		}
 		if i > 0 {
@@ -832,18 +823,21 @@ func (gt *GrantTable) checkDisjoint() error {
 			}
 		}
 	}
+	// The spans are now sorted and disjoint, so their ends ascend too:
+	// the only span that can overlap a free block is the first one
+	// ending past the block's start, found by binary search. The cost
+	// is O(F log S) in free blocks and spans.
 	var overlap error
 	checkFree := func(pool *buddy.Allocator) {
 		pool.VisitFree(func(start mem.Frame, count uint64) {
 			if overlap != nil {
 				return
 			}
-			for _, s := range spans {
-				if s.start < start+mem.Frame(count) && start < s.start+mem.Frame(s.count) {
-					overlap = fmt.Errorf("usermode: %s [%d,+%d) overlaps pool free space [%d,+%d)",
-						s.what, s.start, s.count, start, count)
-					return
-				}
+			i := sort.Search(len(spans), func(i int) bool { return spans[i].start+mem.Frame(spans[i].count) > start })
+			if i < len(spans) && spans[i].start < start+mem.Frame(count) {
+				s := spans[i]
+				overlap = fmt.Errorf("usermode: %s [%d,+%d) overlaps pool free space [%d,+%d)",
+					s.what, s.start, s.count, start, count)
 			}
 		})
 	}

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/buddy"
 	"repro/internal/mem"
@@ -87,55 +88,39 @@ func (k *Kernel) CheckInvariants() error {
 				}
 			}
 		}
-
-		// Buddy pool: internal accounting must tile the managed range,
-		// and no free block may cover a frame that still has live
-		// metadata (a mapped or tracked frame on the free list is a
-		// use-after-free). Carved arena ranges are allocated runs from
-		// the global pool's point of view, so each pool is audited
-		// against frame metadata via the domain routing.
-		if err := pool.CheckInvariants(); err != nil {
-			return fmt.Errorf("vm: %s pool: %w", label, err)
-		}
-		var freeErr error
-		pool.VisitFree(func(start mem.Frame, count uint64) {
-			if freeErr != nil {
-				return
-			}
-			for i := uint64(0); i < count; i++ {
-				if _, tracked := k.page(start + mem.Frame(i)); tracked {
-					freeErr = fmt.Errorf("vm: frame %d is on the %s buddy free list but still tracked", start+mem.Frame(i), label)
-					return
-				}
-			}
-		})
-		return freeErr
+		return nil
 	})
 	if err != nil {
 		return err
 	}
 
-	// The slow-tier pool shares the global metadata domain, so it is
-	// audited separately: internal accounting plus the same no-free-
-	// but-tracked rule as the other pools.
+	// Buddy pools: internal accounting must tile the managed range,
+	// and no free block may cover a frame that still has live metadata
+	// (a mapped or tracked frame on the free list is a use-after-free).
+	// Carved arena ranges are allocated runs from the global pool's
+	// point of view; the slow-tier pool shares the global metadata
+	// domain. The walk above proved every tracked frame sits in the
+	// domain its frame number routes to, so the tracked set is the
+	// union of the domains' pages.
+	type auditedPool struct {
+		pool       *buddy.Allocator
+		name, list string
+	}
+	var pools []auditedPool
+	_ = k.domains(func(label string, d *metaDomain, pool *buddy.Allocator) error {
+		pools = append(pools, auditedPool{pool, label + " pool", label + " buddy"})
+		return nil
+	})
 	if k.slowPool != nil {
-		if err := k.slowPool.CheckInvariants(); err != nil {
-			return fmt.Errorf("vm: slow pool: %w", err)
+		pools = append(pools, auditedPool{k.slowPool, "slow pool", "slow-pool"})
+	}
+	tracked := k.trackedFrames()
+	for _, p := range pools {
+		if err := p.pool.CheckInvariants(); err != nil {
+			return fmt.Errorf("vm: %s: %w", p.name, err)
 		}
-		var freeErr error
-		k.slowPool.VisitFree(func(start mem.Frame, count uint64) {
-			if freeErr != nil {
-				return
-			}
-			for i := uint64(0); i < count; i++ {
-				if _, tracked := k.page(start + mem.Frame(i)); tracked {
-					freeErr = fmt.Errorf("vm: frame %d is on the slow-pool free list but still tracked", start+mem.Frame(i))
-					return
-				}
-			}
-		})
-		if freeErr != nil {
-			return freeErr
+		if err := checkFreeUntracked(p.pool, p.list, tracked); err != nil {
+			return err
 		}
 	}
 
@@ -191,6 +176,38 @@ func (k *Kernel) CheckInvariants() error {
 		}
 		return nil
 	})
+}
+
+// trackedFrames returns every frame with PageInfo metadata, in all
+// domains, sorted.
+func (k *Kernel) trackedFrames() []mem.Frame {
+	frames := make([]mem.Frame, 0, k.TrackedPages())
+	_ = k.domains(func(label string, d *metaDomain, pool *buddy.Allocator) error {
+		for f := range d.pages {
+			frames = append(frames, f)
+		}
+		return nil
+	})
+	slices.Sort(frames)
+	return frames
+}
+
+// checkFreeUntracked reports the first frame, in free-list order, that
+// lies on one of pool's free blocks yet appears in tracked (sorted).
+// Each free block costs one binary search, so the check is
+// O(F log T) in free blocks F and tracked frames T, not proportional
+// to the free frames.
+func checkFreeUntracked(pool *buddy.Allocator, label string, tracked []mem.Frame) error {
+	var err error
+	pool.VisitFree(func(start mem.Frame, count uint64) {
+		if err != nil {
+			return
+		}
+		if i, _ := slices.BinarySearch(tracked, start); i < len(tracked) && tracked[i] < start+mem.Frame(count) {
+			err = fmt.Errorf("vm: frame %d is on the %s free list but still tracked", tracked[i], label)
+		}
+	})
+	return err
 }
 
 func rmapContains(pi *PageInfo, as *AddressSpace, va mem.VirtAddr) bool {
