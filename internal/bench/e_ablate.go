@@ -104,7 +104,7 @@ func ablateHuge() (*Result, error) {
 
 	cpu := m.Sim.BootCPU()
 	for _, size := range []tlb.PageSize{tlb.Size4K, tlb.Size2M, tlb.Size1G} {
-		pt, err := pagetable.New(cpu, m.Params, m.Kernel.Pool(), pagetable.Levels4)
+		pt, err := pagetable.New(cpu, m.Params, m.Kernel.TablePool(), pagetable.Levels4)
 		if err != nil {
 			return nil, err
 		}

@@ -54,7 +54,7 @@ func walkDepth() (*Result, error) {
 		"levels", "walk_levels_touched")
 	cpu := m.Sim.BootCPU()
 	for _, levels := range []int{pagetable.Levels4, pagetable.Levels5} {
-		pt, err := pagetable.New(cpu, m.Params, m.Kernel.Pool(), levels)
+		pt, err := pagetable.New(cpu, m.Params, m.Kernel.TablePool(), levels)
 		if err != nil {
 			return nil, err
 		}

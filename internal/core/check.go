@@ -23,6 +23,10 @@ func (s *System) CheckInvariants() error {
 	if err := s.ptPool.bud.CheckInvariants(); err != nil {
 		return err
 	}
+	// One pool serves the masters and every process: check it once.
+	if err := s.ptPool.nodes.SpareScrubbed(); err != nil {
+		return fmt.Errorf("core: page-table pool: %w", err)
+	}
 
 	// Master tables: every pre-created leaf must be a PBM identity
 	// mapping with its table's protection class.
@@ -32,9 +36,6 @@ func (s *System) CheckInvariants() error {
 		}
 		if err := checkIdentityLeaves(m.table, fmt.Sprintf("master %s", prot), &prot); err != nil {
 			return err
-		}
-		if err := m.table.SpareScrubbed(); err != nil {
-			return fmt.Errorf("core: master table %s: %w", prot, err)
 		}
 	}
 
@@ -154,10 +155,7 @@ func (p *Process) checkSharedPT() error {
 	if err := p.pt.CheckInvariants(); err != nil {
 		return fmt.Errorf("core: pid %d: %w", p.pid, err)
 	}
-	if err := checkIdentityLeaves(p.pt, fmt.Sprintf("pid %d", p.pid), nil); err != nil {
-		return err
-	}
-	return p.pt.SpareScrubbed()
+	return checkIdentityLeaves(p.pt, fmt.Sprintf("pid %d", p.pid), nil)
 }
 
 // checkIdentityLeaves asserts that every present leaf of t maps its

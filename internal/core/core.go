@@ -250,7 +250,7 @@ func (s *System) master(cur *sim.CPU, prot pagetable.Flags) (*masterTable, error
 	if m, ok := s.masters[prot]; ok {
 		return m, nil
 	}
-	t, err := pagetable.New(cur, s.params, s.ptPool.bud, pagetable.Levels4)
+	t, err := pagetable.New(cur, s.params, s.ptPool.nodes, pagetable.Levels4)
 	if err != nil {
 		return nil, err
 	}

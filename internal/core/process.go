@@ -14,9 +14,12 @@ import (
 	"repro/internal/tlb"
 )
 
-// ptPool allocates page-table node frames for SharedPT mode.
+// ptPool allocates page-table node frames for SharedPT mode; nodes
+// recycles the node structs of every table built on bud (the masters
+// and all processes).
 type ptPool struct {
-	bud *buddy.Allocator
+	bud   *buddy.Allocator
+	nodes *pagetable.Pool
 }
 
 func newPTPool(clock *sim.Clock, params *sim.Params, base mem.Frame, frames uint64) (*ptPool, error) {
@@ -24,7 +27,7 @@ func newPTPool(clock *sim.Clock, params *sim.Params, base mem.Frame, frames uint
 	if err != nil {
 		return nil, err
 	}
-	return &ptPool{bud: bud}, nil
+	return &ptPool{bud: bud, nodes: pagetable.NewPool(bud)}, nil
 }
 
 // Process is one file-only-memory address space. Depending on the
@@ -92,7 +95,7 @@ func (s *System) NewProcessOn(cpu *sim.CPU, mode TranslationMode) (*Process, err
 	case Ranges:
 		p.ranges = rangetable.New(s.clock, s.params)
 	case SharedPT:
-		pt, err := pagetable.New(cpu, s.params, s.ptPool.bud, pagetable.Levels4)
+		pt, err := pagetable.New(cpu, s.params, s.ptPool.nodes, pagetable.Levels4)
 		if err != nil {
 			return nil, err
 		}

@@ -44,6 +44,11 @@ const (
 
 const rw = pagetable.FlagRead | pagetable.FlagWrite | pagetable.FlagUser
 
+// zeroBlock is the all-zero source every heap re-zeroes recycled
+// blocks from, so neither a new heap nor the steady-state alloc path
+// allocates host memory for it. Nothing ever writes it.
+var zeroBlock [1 << maxClassShift]byte
+
 // Region is one contiguous chunk of address space the allocator carves
 // blocks from. core.Mapping and usermode extents both satisfy it.
 type Region interface {
@@ -53,7 +58,8 @@ type Region interface {
 
 // Space is the address-space contract the allocator runs on: O(1)
 // region allocation and release plus byte access through whatever
-// translation (or bounds-check) path the space simulates.
+// translation (or bounds-check) path the space simulates. WriteBuf
+// only reads its argument: the heap passes it the shared zeroBlock.
 type Space interface {
 	AllocPages(pages uint64) (Region, error)
 	FreeRegion(Region) error
@@ -103,11 +109,6 @@ type Heap struct {
 	// dedicated region.
 	large map[mem.VirtAddr]Region
 
-	// zeroScratch is a reusable all-zero buffer for re-zeroing
-	// recycled blocks, so the steady-state alloc path is free of host
-	// allocations.
-	zeroScratch []byte
-
 	bytesInUse  uint64
 	liveObjects int
 }
@@ -128,11 +129,10 @@ func New(p *core.Process) *Heap {
 // their allocator on granted physical extents through this).
 func NewOn(s Space) *Heap {
 	return &Heap{
-		space:       s,
-		arenas:      make(map[Region]*arenaInfo),
-		arenaOf:     make(map[mem.VirtAddr]Region),
-		large:       make(map[mem.VirtAddr]Region),
-		zeroScratch: make([]byte, uint64(1)<<maxClassShift),
+		space:   s,
+		arenas:  make(map[Region]*arenaInfo),
+		arenaOf: make(map[mem.VirtAddr]Region),
+		large:   make(map[mem.VirtAddr]Region),
 	}
 }
 
@@ -172,7 +172,7 @@ func (h *Heap) Alloc(size uint64) (mem.VirtAddr, error) {
 	// blocks come from an epoch-erased extent and are already zero.
 	if recycled {
 		payload := block + headerSize
-		zero := h.zeroScratch[:blockSize(c)-headerSize]
+		zero := zeroBlock[:blockSize(c)-headerSize]
 		if err := h.space.WriteBuf(payload, zero); err != nil {
 			return 0, err
 		}

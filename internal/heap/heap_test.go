@@ -494,7 +494,7 @@ func TestInterleavedFreePatterns(t *testing.T) {
 
 // TestAllocFreeHotPathAllocs pins the host-allocation cost of the
 // steady-state alloc/free cycle: once the size class is warm (arena
-// grown, free list populated, zero-scratch reused), recycling a block
+// grown, free list populated), recycling a block
 // must not allocate on the host beyond the simulated machine's own
 // bookkeeping. The bound is deliberately tight — a regression that
 // adds a per-Alloc buffer (as the old re-zeroing path did) trips it.
@@ -518,5 +518,32 @@ func TestAllocFreeHotPathAllocs(t *testing.T) {
 	})
 	if avg > 4 {
 		t.Fatalf("steady-state alloc/free averages %.1f host allocations, want <= 4", avg)
+	}
+}
+
+// heapSink keeps BenchmarkNewOn's heaps alive past the loop body.
+var heapSink *Heap
+
+// BenchmarkNewOn measures creating one tenant's heap: B/op is the host
+// memory a heap costs before its first allocation.
+func BenchmarkNewOn(b *testing.B) {
+	clock := &sim.Clock{}
+	params := sim.DefaultParams()
+	memory, err := mem.New(clock, &params, mem.Config{DRAMFrames: 16384, NVMFrames: 1 << 18})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sys, err := core.NewSystem(clock, &params, memory, core.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := sys.NewProcess(core.Ranges)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		heapSink = NewOn(coreSpace{p})
 	}
 }

@@ -15,7 +15,9 @@
 //     file and later linked into any number of processes.
 //
 // Node frames are allocated from the buddy allocator so that page-table
-// memory is part of the machine's physical accounting.
+// memory is part of the machine's physical accounting. Every table
+// draws its nodes through a Pool bound to that allocator, which also
+// recycles the host-side node structs across tables.
 package pagetable
 
 import (
@@ -137,17 +139,12 @@ func indexAt(va mem.VirtAddr, level int) int {
 // touched from any CPU.
 type Table struct {
 	params *sim.Params
-	bud    *buddy.Allocator
+	pool   *Pool
 
 	levels int
 	root   *node
 
 	mapped uint64 // present leaf pages (4 KiB units, huge counted by span)
-
-	// spare recycles freed node structs, slab-style, so map/unmap churn
-	// does not allocate a ~20 KiB host object per page-table page. The
-	// simulated cost (PTNodeAlloc, the buddy frame) is unaffected.
-	spare []*node
 
 	stats *metrics.Set
 	// Cached counters for the per-access paths (a map lookup per PTE
@@ -155,19 +152,84 @@ type Table struct {
 	cPTEWrites, cNodeAllocs, cNodeFrees, cWalks *metrics.Counter
 }
 
-// maxSpareNodes bounds the per-table recycled-node pool.
+// maxSpareNodes bounds each pool's recycled-node list.
 const maxSpareNodes = 512
 
+// Pool supplies the nodes of every table built on one buddy allocator:
+// the frame comes from the allocator and the host-side node struct
+// from a recycled list, slab-style, so address-space churn does not
+// allocate a ~16 KiB host object per page-table page. The simulated
+// cost (PTNodeAlloc, the buddy frame) is unaffected.
+//
+// A pool is touched only next to the allocator call it pairs with, so
+// it needs exactly the synchronization its allocator already has. Its
+// owner is the owner of the allocator: a pool lives and dies with it.
+type Pool struct {
+	bud   *buddy.Allocator
+	spare []*node
+}
+
+// NewPool returns an empty node pool drawing frames from bud.
+func NewPool(bud *buddy.Allocator) *Pool {
+	return &Pool{bud: bud}
+}
+
+// alloc takes a frame from the allocator and a node struct from the
+// recycled list, falling back to the Go heap when the list is empty.
+func (p *Pool) alloc(level int) (*node, error) {
+	f, err := p.bud.AllocFrame()
+	if err != nil {
+		return nil, err
+	}
+	if n := len(p.spare); n > 0 {
+		nd := p.spare[n-1]
+		p.spare[n-1] = nil
+		p.spare = p.spare[:n-1]
+		nd.level = level
+		nd.frame = f
+		nd.refs = 1
+		return nd, nil
+	}
+	return &node{level: level, frame: f, refs: 1}, nil
+}
+
+// free returns n's frame to the allocator and its scrubbed struct to
+// the recycled list.
+func (p *Pool) free(n *node) error {
+	if err := p.bud.Free(n.frame); err != nil {
+		return err
+	}
+	if len(p.spare) < maxSpareNodes {
+		n.reset()
+		p.spare = append(p.spare, n)
+	}
+	return nil
+}
+
+// SpareScrubbed verifies that every node on the recycled list is fully
+// zeroed, i.e. nothing from its previous life can leak into the next
+// table that pops it.
+func (p *Pool) SpareScrubbed() error {
+	zero := node{}
+	for i, n := range p.spare {
+		if *n != zero {
+			return fmt.Errorf("pagetable: spare node %d not scrubbed (level=%d frame=%d present=%d refs=%d)",
+				i, n.level, n.frame, n.present, n.refs)
+		}
+	}
+	return nil
+}
+
 // New creates an empty table with the given number of levels (Levels4
-// or Levels5). The root node is allocated immediately, as in a real
-// address-space creation, charged to cpu.
-func New(cpu *sim.CPU, params *sim.Params, bud *buddy.Allocator, levels int) (*Table, error) {
+// or Levels5) whose nodes come from pool. The root node is allocated
+// immediately, as in a real address-space creation, charged to cpu.
+func New(cpu *sim.CPU, params *sim.Params, pool *Pool, levels int) (*Table, error) {
 	if levels != Levels4 && levels != Levels5 {
 		return nil, fmt.Errorf("pagetable: unsupported level count %d", levels)
 	}
 	t := &Table{
 		params: params,
-		bud:    bud,
+		pool:   pool,
 		levels: levels,
 		stats:  metrics.NewSet(),
 	}
@@ -228,27 +290,18 @@ func (t *Table) MaxVirt() mem.VirtAddr {
 }
 
 func (t *Table) newNode(cpu *sim.CPU, level int) (*node, error) {
-	f, err := t.bud.AllocFrame()
+	nd, err := t.pool.alloc(level)
 	if err != nil {
 		return nil, fmt.Errorf("pagetable: node allocation: %w", err)
 	}
 	cpu.Advance(t.params.PTNodeAlloc)
 	t.cNodeAllocs.Inc()
-	if n := len(t.spare); n > 0 {
-		nd := t.spare[n-1]
-		t.spare[n-1] = nil
-		t.spare = t.spare[:n-1]
-		nd.level = level
-		nd.frame = f
-		nd.refs = 1
-		return nd, nil
-	}
-	return &node{level: level, frame: f, refs: 1}, nil
+	return nd, nil
 }
 
 // freeNode drops one reference to n. When the last reference goes, the
 // node's children are released recursively and its frame returns to
-// the buddy allocator. Shared subtrees are therefore freed exactly once,
+// the table's pool. Shared subtrees are therefore freed exactly once,
 // by whichever table releases them last.
 func (t *Table) freeNode(n *node) error {
 	n.refs--
@@ -266,14 +319,7 @@ func (t *Table) freeNode(n *node) error {
 			}
 		}
 	}
-	if err := t.bud.Free(n.frame); err != nil {
-		return err
-	}
-	if len(t.spare) < maxSpareNodes {
-		n.reset()
-		t.spare = append(t.spare, n)
-	}
-	return nil
+	return t.pool.free(n)
 }
 
 func (t *Table) checkVA(va mem.VirtAddr) error {
@@ -745,20 +791,6 @@ func (t *Table) VisitLeaves(fn func(va mem.VirtAddr, frame mem.Frame, pages uint
 		}
 	}
 	walk(t.root, 0)
-}
-
-// SpareScrubbed verifies that every node on the recycled-node pool is
-// fully zeroed, i.e. nothing from its previous life can leak into the
-// next address space that pops it.
-func (t *Table) SpareScrubbed() error {
-	zero := node{}
-	for i, n := range t.spare {
-		if *n != zero {
-			return fmt.Errorf("pagetable: spare node %d not scrubbed (level=%d frame=%d present=%d refs=%d)",
-				i, n.level, n.frame, n.present, n.refs)
-		}
-	}
-	return nil
 }
 
 // CheckInvariants validates present-entry counts throughout the tree.

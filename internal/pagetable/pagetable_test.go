@@ -18,7 +18,7 @@ func newTable(t *testing.T, levels int) (*Table, *buddy.Allocator, *sim.CPU) {
 	if err != nil {
 		t.Fatalf("buddy.New: %v", err)
 	}
-	tbl, err := New(cpu, &params, bud, levels)
+	tbl, err := New(cpu, &params, NewPool(bud), levels)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -29,7 +29,7 @@ func TestNewRejectsBadLevels(t *testing.T) {
 	clock := &sim.Clock{}
 	params := sim.DefaultParams()
 	bud, _ := buddy.New(clock, &params, 0, 64)
-	if _, err := New(sim.MachineOf(clock, &params).BootCPU(), &params, bud, 3); err == nil {
+	if _, err := New(sim.MachineOf(clock, &params).BootCPU(), &params, NewPool(bud), 3); err == nil {
 		t.Fatal("accepted 3-level table")
 	}
 }
@@ -262,7 +262,7 @@ func TestSubtreeSharingO1(t *testing.T) {
 
 	params := sim.DefaultParams()
 	bud2, _ := buddy.New(cpu.Clock(), &params, 1<<20, 1<<20)
-	dst, err := New(cpu, &params, bud2, Levels4)
+	dst, err := New(cpu, &params, NewPool(bud2), Levels4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,11 +315,12 @@ func TestSharedSubtreeFreedByLastOwner(t *testing.T) {
 	params := sim.DefaultParams()
 	cpu := sim.MachineOf(clock, &params).BootCPU()
 	bud, _ := buddy.New(clock, &params, 0, 1<<20)
-	src, _ := New(cpu, &params, bud, Levels4)
+	pool := NewPool(bud)
+	src, _ := New(cpu, &params, pool, Levels4)
 	if err := src.MapRange(cpu, 2<<20, 0x200, 512, FlagRead); err != nil {
 		t.Fatal(err)
 	}
-	dst, _ := New(cpu, &params, bud, Levels4)
+	dst, _ := New(cpu, &params, pool, Levels4)
 	if err := dst.LinkSubtree(cpu, 4<<20, src, 2<<20, 2); err != nil {
 		t.Fatal(err)
 	}

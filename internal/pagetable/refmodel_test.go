@@ -24,7 +24,7 @@ func TestReferenceModelProperty(t *testing.T) {
 			return false
 		}
 		cpu := sim.MachineOf(clock, &params).BootCPU()
-		tbl, err := New(cpu, &params, bud, Levels4)
+		tbl, err := New(cpu, &params, NewPool(bud), Levels4)
 		if err != nil {
 			return false
 		}

@@ -86,12 +86,15 @@ func (tr Translation) Translate(va mem.VirtAddr) mem.PhysAddr {
 	return tr.Frame.Addr() + mem.PhysAddr(off)
 }
 
+// entryT is one TLB slot. It is valid iff its gen equals its array's
+// current generation, so a full flush is one increment rather than a
+// pass over every slot.
 type entryT struct {
-	valid bool
-	asid  int    // address-space tag (PCID analogue)
-	vpn   uint64 // va >> size-dependent shift
-	tr    Translation
-	lru   uint64
+	gen  uint64 // generation the entry was filled in; 0 = invalidated
+	asid int    // address-space tag (PCID analogue)
+	vpn  uint64 // va >> size-dependent shift
+	tr   Translation
+	lru  uint64
 }
 
 type array struct {
@@ -99,11 +102,15 @@ type array struct {
 	ways  int
 	data  []entryT // sets*ways
 	stamp uint64
+	gen   uint64 // current generation; starts at 1, so zeroed slots are invalid
 }
 
 func newArray(sets, ways int) *array {
-	return &array{sets: sets, ways: ways, data: make([]entryT, sets*ways)}
+	return &array{sets: sets, ways: ways, data: make([]entryT, sets*ways), gen: 1}
 }
+
+// valid reports whether e was filled in a's current generation.
+func (a *array) valid(e *entryT) bool { return e.gen == a.gen }
 
 func vpnFor(va mem.VirtAddr, size PageSize) uint64 {
 	switch size {
@@ -116,12 +123,17 @@ func vpnFor(va mem.VirtAddr, size PageSize) uint64 {
 	}
 }
 
+// set returns the ways of the set vpn maps to.
+func (a *array) set(vpn uint64) []entryT {
+	base := int(vpn%uint64(a.sets)) * a.ways
+	return a.data[base : base+a.ways]
+}
+
 func (a *array) lookup(asid int, vpn uint64) (*entryT, bool) {
-	set := int(vpn % uint64(a.sets))
-	base := set * a.ways
-	for i := 0; i < a.ways; i++ {
-		e := &a.data[base+i]
-		if e.valid && e.asid == asid && e.vpn == vpn {
+	gen, set := a.gen, a.set(vpn)
+	for i := range set {
+		e := &set[i]
+		if e.gen == gen && e.asid == asid && e.vpn == vpn {
 			a.stamp++
 			e.lru = a.stamp
 			return e, true
@@ -132,69 +144,55 @@ func (a *array) lookup(asid int, vpn uint64) (*entryT, bool) {
 
 // peek is lookup without LRU side effects (diagnostic).
 func (a *array) peek(asid int, vpn uint64) (*entryT, bool) {
-	set := int(vpn % uint64(a.sets))
-	base := set * a.ways
-	for i := 0; i < a.ways; i++ {
-		e := &a.data[base+i]
-		if e.valid && e.asid == asid && e.vpn == vpn {
+	gen, set := a.gen, a.set(vpn)
+	for i := range set {
+		e := &set[i]
+		if e.gen == gen && e.asid == asid && e.vpn == vpn {
 			return e, true
 		}
 	}
 	return nil, false
 }
 
-// insert returns true if an existing valid entry was evicted.
+// insert returns true if an existing valid entry was evicted. The
+// victim is the matching entry, else the first invalid way, else the
+// least recently used one.
 func (a *array) insert(asid int, vpn uint64, tr Translation) (evicted entryT, wasEvict bool) {
-	set := int(vpn % uint64(a.sets))
-	base := set * a.ways
-	victim := base
-	for i := 0; i < a.ways; i++ {
-		e := &a.data[base+i]
-		if e.valid && e.asid == asid && e.vpn == vpn {
-			// Re-insert over the existing entry.
-			victim = base + i
+	gen, set := a.gen, a.set(vpn)
+	victim := 0
+	for i := range set {
+		e := &set[i]
+		if e.gen != gen || e.asid == asid && e.vpn == vpn {
+			victim = i
 			break
 		}
-		if !e.valid {
-			victim = base + i
-			break
-		}
-		if e.lru < a.data[victim].lru {
-			victim = base + i
+		if e.lru < set[victim].lru {
+			victim = i
 		}
 	}
-	v := &a.data[victim]
-	if v.valid && !(v.asid == asid && v.vpn == vpn) {
+	v := &set[victim]
+	if v.gen == gen && !(v.asid == asid && v.vpn == vpn) {
 		evicted, wasEvict = *v, true
 	}
 	a.stamp++
-	*v = entryT{valid: true, asid: asid, vpn: vpn, tr: tr, lru: a.stamp}
+	*v = entryT{gen: gen, asid: asid, vpn: vpn, tr: tr, lru: a.stamp}
 	return evicted, wasEvict
 }
 
 func (a *array) invalidate(asid int, vpn uint64) bool {
-	set := int(vpn % uint64(a.sets))
-	base := set * a.ways
-	for i := 0; i < a.ways; i++ {
-		e := &a.data[base+i]
-		if e.valid && e.asid == asid && e.vpn == vpn {
-			e.valid = false
+	gen, set := a.gen, a.set(vpn)
+	for i := range set {
+		e := &set[i]
+		if e.gen == gen && e.asid == asid && e.vpn == vpn {
+			e.gen = 0
 			return true
 		}
 	}
 	return false
 }
 
-func (a *array) flush() int {
-	n := 0
-	for i := range a.data {
-		if a.data[i].valid {
-			a.data[i].valid = false
-			n++
-		}
-	}
-	return n
-}
+// flush invalidates every entry by starting a new generation.
+func (a *array) flush() { a.gen++ }
 
 // Config sets the TLB geometry.
 type Config struct {
@@ -396,7 +394,7 @@ func (t *TLB) VisitEntries(fn func(asid int, va mem.VirtAddr, tr Translation)) {
 	visit := func(a *array, decode func(vpn uint64, tr Translation) mem.VirtAddr) {
 		for i := range a.data {
 			e := &a.data[i]
-			if e.valid {
+			if a.valid(e) {
 				fn(e.asid, decode(e.vpn, e.tr), e.tr)
 			}
 		}
@@ -429,7 +427,7 @@ func (t *TLB) ValidEntries() int {
 	n := 0
 	for _, a := range []*array{t.l14k, t.l1huge, t.l2} {
 		for i := range a.data {
-			if a.data[i].valid {
+			if a.valid(&a.data[i]) {
 				n++
 			}
 		}

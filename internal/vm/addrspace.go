@@ -108,11 +108,11 @@ func (k *Kernel) NewAddressSpace() (*AddressSpace, error) {
 // from it.
 func (k *Kernel) NewAddressSpaceOn(cpu *sim.CPU) (*AddressSpace, error) {
 	ar := k.ArenaFor(cpu)
-	alloc := k.pool
+	nodes := k.meta.ptNodes
 	if ar != nil {
-		alloc = ar.pool
+		nodes = ar.meta.ptNodes
 	}
-	pt, err := pagetable.New(cpu, k.Params, alloc, k.levels)
+	pt, err := pagetable.New(cpu, k.Params, nodes, k.levels)
 	if err != nil {
 		return nil, err
 	}

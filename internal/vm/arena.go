@@ -6,11 +6,13 @@ import (
 
 	"repro/internal/buddy"
 	"repro/internal/mem"
+	"repro/internal/pagetable"
 	"repro/internal/sim"
 )
 
 // metaDomain is one frame-metadata domain: a struct-page map, the
-// recycled-record pool, and a pair of LRU lists. The kernel owns the
+// recycled-record pool, the page-table node pool of the domain's
+// allocator, and a pair of LRU lists. The kernel owns the
 // global domain; each carved per-CPU arena owns its own, so parallel
 // CPU contexts never share metadata structures — frames are routed to
 // a domain by number (Kernel.domainOf).
@@ -24,6 +26,11 @@ type metaDomain struct {
 	// profile. Recycled records keep their rmap capacity.
 	sparePages []*PageInfo
 
+	// ptNodes supplies the page-table nodes of every address space
+	// drawing its tables from this domain's allocator, so a tenant's
+	// table reuses the node structs of the tenants before it.
+	ptNodes *pagetable.Pool
+
 	// Two-list reclaim state. The global scanner only walks the global
 	// domain's lists; arena lists exist so arena-backed pages pay the
 	// same per-page LRU bookkeeping cost as pool-backed ones.
@@ -31,9 +38,10 @@ type metaDomain struct {
 	inactive *pageList
 }
 
-func newMetaDomain() metaDomain {
+func newMetaDomain(pool *buddy.Allocator) metaDomain {
 	return metaDomain{
 		pages:    make(map[mem.Frame]*PageInfo),
+		ptNodes:  pagetable.NewPool(pool),
 		active:   newPageList(),
 		inactive: newPageList(),
 	}
@@ -107,7 +115,7 @@ func (k *Kernel) CarveArenas(framesPerCPU uint64) error {
 			base:   run.Start,
 			frames: run.Count,
 			pool:   pool,
-			meta:   newMetaDomain(),
+			meta:   newMetaDomain(pool),
 		})
 	}
 	sort.Slice(arenas, func(i, j int) bool { return arenas[i].base < arenas[j].base })

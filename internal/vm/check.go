@@ -167,15 +167,7 @@ func (k *Kernel) CheckInvariants() error {
 	if err := k.SpareScrubbed(); err != nil {
 		return err
 	}
-	if err := k.Memory.SpareScrubbed(); err != nil {
-		return err
-	}
-	return k.eachSpace(func(asid int, as *AddressSpace) error {
-		if err := as.pt.SpareScrubbed(); err != nil {
-			return fmt.Errorf("vm: asid %d: %w", asid, err)
-		}
-		return nil
-	})
+	return k.Memory.SpareScrubbed()
 }
 
 // trackedFrames returns every frame with PageInfo metadata, in all
@@ -286,9 +278,13 @@ func (k *Kernel) checkLRU(l *pageList, name string, active bool) error {
 // SpareScrubbed verifies that every recycled PageInfo in every domain
 // is fully zeroed, including the retained rmap backing array past its
 // (zero) length: stale entries there hold dangling *AddressSpace
-// pointers.
+// pointers. Each domain's page-table node pool is checked once, not
+// once per address space drawing from it.
 func (k *Kernel) SpareScrubbed() error {
 	return k.domains(func(label string, d *metaDomain, pool *buddy.Allocator) error {
+		if err := d.ptNodes.SpareScrubbed(); err != nil {
+			return fmt.Errorf("vm: %s: %w", label, err)
+		}
 		for i, p := range d.sparePages {
 			if p.Frame != 0 || p.Flags != 0 || p.MapCount != 0 || len(p.rmap) != 0 ||
 				p.prev != nil || p.next != nil || p.list != nil {

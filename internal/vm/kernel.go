@@ -20,6 +20,7 @@ import (
 	"repro/internal/buddy"
 	"repro/internal/mem"
 	"repro/internal/metrics"
+	"repro/internal/pagetable"
 	"repro/internal/sim"
 	"repro/internal/tier"
 	"repro/internal/tlb"
@@ -153,7 +154,7 @@ func NewKernel(clock *sim.Clock, params *sim.Params, memory *mem.Memory, cfg Con
 		levels:   levels,
 		pool:     pool,
 		slowPool: slowPool,
-		meta:     newMetaDomain(),
+		meta:     newMetaDomain(pool),
 		shards:   make([]asidShard, machine.NumCPUs()),
 		swap:     newSwapDevice(cfg.SwapFrames),
 		lowWater: low,
@@ -237,6 +238,10 @@ func (k *Kernel) FreePoolFrames() uint64 { return k.pool.FreeFrames() }
 // Pool exposes the kernel's frame allocator (page tables allocate
 // their nodes from it).
 func (k *Kernel) Pool() *buddy.Allocator { return k.pool }
+
+// TablePool returns the page-table node pool over Pool(): tables built
+// outside an address space draw their nodes through it.
+func (k *Kernel) TablePool() *pagetable.Pool { return k.meta.ptNodes }
 
 // TrackedPages returns the number of frames with live metadata — the
 // per-page bookkeeping footprint the paper wants to eliminate —
