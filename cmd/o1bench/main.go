@@ -43,7 +43,7 @@ func run() error {
 	format := flag.String("format", "text", "output format: text | md")
 	paramsFile := flag.String("params", "", "JSON cost-table file overriding the calibrated defaults")
 	dumpParams := flag.Bool("dump-params", false, "print the default cost table as JSON and exit")
-	cpus := flag.Int("cpus", 1, "simulated CPU count for every experiment machine")
+	cpus := flag.Int("cpus", 1, "simulated CPU count for every experiment machine (1 to 64)")
 	hostpar := flag.Bool("hostpar", false, "run each experiment's simulated CPU contexts on host goroutines (simulated numbers unchanged; wall-clock drops)")
 	tierPolicy := flag.String("tier-policy", "all", "tiering experiment policy sweep: 'all' or a comma list of none,promote,demote,smart")
 	fastRatio := flag.String("fast-ratio", "all", "tiering experiment fast-tier sizes: 'all' or a comma list of fractions of the working set like 1/8,1/2")

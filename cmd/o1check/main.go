@@ -44,7 +44,7 @@ func main() {
 	var (
 		seed         = flag.Uint64("seed", 1, "random seed (determines the whole trace)")
 		ops          = flag.Int("ops", 50000, "number of operations to generate")
-		cpus         = flag.Int("cpus", 4, "CPUs per simulated machine")
+		cpus         = flag.Int("cpus", 4, "CPUs per simulated machine (1 to 64)")
 		config       = flag.String("config", "all", "comma-separated configurations (baseline,fom,pbm,ranges,usermode) or 'all'")
 		checkEvery   = flag.Int("check-every", 1024, "run invariant sweeps every N ops (0 = only at the end)")
 		shrink       = flag.Bool("shrink", true, "shrink failing traces to a minimal reproducer")

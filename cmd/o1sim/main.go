@@ -45,7 +45,7 @@ func main() {
 	stride := flag.Uint64("stride", 8, "stride for the strided pattern")
 	writes := flag.Bool("writes", false, "touch with writes instead of reads")
 	seed := flag.Uint64("seed", 42, "workload RNG seed")
-	cpus := flag.Int("cpus", 1, "simulated CPU count")
+	cpus := flag.Int("cpus", 1, "simulated CPU count (1 to 64)")
 	hostpar := flag.Bool("hostpar", false, "run simulated CPU contexts on host goroutines (deterministic; simulated numbers unchanged)")
 	flag.Parse()
 

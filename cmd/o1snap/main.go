@@ -66,7 +66,7 @@ func usage() {
 func traceFlags(fs *flag.FlagSet) (seed *uint64, ops, cpus *int, config *string) {
 	seed = fs.Uint64("seed", 1, "random seed (determines the whole trace)")
 	ops = fs.Int("ops", 2000, "trace length")
-	cpus = fs.Int("cpus", 2, "CPUs per simulated machine")
+	cpus = fs.Int("cpus", 2, "CPUs per simulated machine (1 to 64)")
 	config = fs.String("config", "ranges", "configuration (baseline,fom,pbm,ranges,usermode), or comma list / 'all' where supported")
 	return
 }

@@ -108,11 +108,11 @@ func machineParams() sim.Params {
 var benchCPUs = 1
 
 // SetCPUs sets the simulated CPU count for every machine the
-// experiments build; it rejects a count below 1. It exists so the
+// experiments build; it rejects a count outside 1..sim.MaxCPUs. It exists so the
 // commands can plumb their -cpus flag through.
 func SetCPUs(n int) error {
-	if n < 1 {
-		return fmt.Errorf("bench: CPU count %d, want at least 1", n)
+	if n < 1 || n > sim.MaxCPUs {
+		return fmt.Errorf("bench: CPU count %d, want 1 to %d", n, sim.MaxCPUs)
 	}
 	benchCPUs = n
 	return nil

@@ -2,6 +2,8 @@ package bench
 
 import (
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // runSuiteStrings runs every registered experiment under the given
@@ -113,6 +115,22 @@ func TestPartitionTouchesCoversTrace(t *testing.T) {
 			if parts[i][j] != want[i][j] {
 				t.Fatalf("partition %d = %v, want %v", i, parts[i], want[i])
 			}
+		}
+	}
+}
+
+// TestSetCPUsRejectsOutOfRange: the -cpus flag of every command goes
+// through SetCPUs, so a count outside 1..sim.MaxCPUs must be an error
+// there and leave the configured count alone, not panic later in
+// sim.NewMachine.
+func TestSetCPUsRejectsOutOfRange(t *testing.T) {
+	old := CPUCount()
+	for _, n := range []int{0, -1, sim.MaxCPUs + 1} {
+		if err := SetCPUs(n); err == nil {
+			t.Errorf("SetCPUs(%d) accepted", n)
+		}
+		if CPUCount() != old {
+			t.Fatalf("SetCPUs(%d) changed the CPU count to %d", n, CPUCount())
 		}
 	}
 }

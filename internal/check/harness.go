@@ -5,6 +5,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
+
+	"repro/internal/sim"
 )
 
 // AllConfigs lists every configuration the harness can drive, in the
@@ -58,8 +60,8 @@ type Options struct {
 // withDefaults fills in the zero-valued options and rejects the
 // invalid ones.
 func (o Options) withDefaults() (Options, error) {
-	if o.CPUs < 0 {
-		return o, fmt.Errorf("check: CPU count %d, want at least 1 (0 = default)", o.CPUs)
+	if o.CPUs < 0 || o.CPUs > sim.MaxCPUs {
+		return o, fmt.Errorf("check: CPU count %d, want 1 to %d (0 = default)", o.CPUs, sim.MaxCPUs)
 	}
 	if o.Ops == 0 {
 		o.Ops = 1000
@@ -249,7 +251,7 @@ func RunMany(opts Options, seeds, workers int) ([]*Report, error) {
 // nil return means the trace passes.
 func replay(trace []Op, opts Options) *Failure {
 	mdl := newModel(opts.CPUs)
-	worlds := make([]world, len(opts.Configs))
+	worlds := make([]*world, len(opts.Configs))
 	for i, cfg := range opts.Configs {
 		w, err := newWorld(cfg, opts.CPUs, opts.Seed, opts.Tier)
 		if err != nil {
@@ -259,29 +261,13 @@ func replay(trace []Op, opts Options) *Failure {
 	}
 
 	for i, op := range trace {
-		valid, want := mdl.apply(op)
-		if !valid {
-			continue // prerequisite removed by the shrinker: skip everywhere
-		}
-		for _, w := range worlds {
-			if op.Kind == OpRead {
-				got, err := w.readback(op)
-				if err != nil {
-					return &Failure{OpIndex: i, World: w.name(), Reason: fmt.Sprintf("%s: %v", op, err)}
-				}
-				if got != want {
-					return &Failure{OpIndex: i, World: w.name(),
-						Reason: fmt.Sprintf("%s: read %#02x, model (and every agreeing configuration) says %#02x", op, got, want)}
-				}
-			} else if err := w.apply(op); err != nil {
-				return &Failure{OpIndex: i, World: w.name(), Reason: fmt.Sprintf("%s: %v", op, err)}
-			}
-			w.tierStep(i)
+		if f := step(mdl, worlds, i, op); f != nil {
+			return f
 		}
 		if opts.CheckEvery > 0 && (i+1)%opts.CheckEvery == 0 {
 			for _, w := range worlds {
 				if err := w.check(); err != nil {
-					return &Failure{OpIndex: i, World: w.name(), Reason: err.Error()}
+					return &Failure{OpIndex: i, World: w.name, Reason: err.Error()}
 				}
 			}
 		}
@@ -289,8 +275,8 @@ func replay(trace []Op, opts Options) *Failure {
 
 	if opts.Corrupt {
 		for _, w := range worlds {
-			if bw, ok := w.(*vmWorld); ok {
-				bw.k.TestOnlyCorruptRmap()
+			if vb, ok := w.b.(*vmBackend); ok {
+				vb.k.TestOnlyCorruptRmap()
 			}
 		}
 	}
@@ -298,7 +284,7 @@ func replay(trace []Op, opts Options) *Failure {
 	end := len(trace)
 	for _, w := range worlds {
 		if err := w.check(); err != nil {
-			return &Failure{OpIndex: end, World: w.name(), Reason: err.Error()}
+			return &Failure{OpIndex: end, World: w.name, Reason: err.Error()}
 		}
 	}
 	return finalCompare(mdl, worlds, end)
@@ -307,20 +293,20 @@ func replay(trace []Op, opts Options) *Failure {
 // finalCompare verifies that every world's observable end state —
 // byte 0 of every page of every live object, per mapping process, and
 // of every live file — matches the model.
-func finalCompare(mdl *model, worlds []world, end int) *Failure {
+func finalCompare(mdl *model, worlds []*world, end int) *Failure {
 	for _, obj := range sortedKeys(mdl.objects) {
 		o := mdl.objects[obj]
-		for _, proc := range sortedBoolKeys(o.procs) {
+		for _, proc := range sortedKeys(o.procs) {
 			content := o.bytes(proc)
 			for page := uint64(0); page < o.pages; page++ {
 				for _, w := range worlds {
-					got, err := w.objectByte(obj, proc, page)
+					got, err := w.readback(obj, proc, page)
 					if err != nil {
-						return &Failure{OpIndex: end, World: w.name(),
+						return &Failure{OpIndex: end, World: w.name,
 							Reason: fmt.Sprintf("final state: obj %d proc %d page %d: %v", obj, proc, page, err)}
 					}
 					if got != content[page] {
-						return &Failure{OpIndex: end, World: w.name(),
+						return &Failure{OpIndex: end, World: w.name,
 							Reason: fmt.Sprintf("final state: obj %d proc %d page %d holds %#02x, want %#02x",
 								obj, proc, page, got, content[page])}
 					}
@@ -339,11 +325,11 @@ func finalCompare(mdl *model, worlds []world, end int) *Failure {
 			for _, w := range worlds {
 				got, err := w.fileByte(path, uint64(page))
 				if err != nil {
-					return &Failure{OpIndex: end, World: w.name(),
+					return &Failure{OpIndex: end, World: w.name,
 						Reason: fmt.Sprintf("final state: file %q page %d: %v", path, page, err)}
 				}
 				if got != content[page] {
-					return &Failure{OpIndex: end, World: w.name(),
+					return &Failure{OpIndex: end, World: w.name,
 						Reason: fmt.Sprintf("final state: file %q page %d holds %#02x, want %#02x",
 							path, page, got, content[page])}
 				}
@@ -351,14 +337,4 @@ func finalCompare(mdl *model, worlds []world, end int) *Failure {
 		}
 	}
 	return nil
-}
-
-// sortedBoolKeys returns a set's keys in ascending order.
-func sortedBoolKeys(m map[int]bool) []int {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	return keys
 }

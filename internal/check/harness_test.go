@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // TestStressAllConfigs runs the differential harness across seeds and
@@ -124,8 +126,9 @@ func TestUnknownConfig(t *testing.T) {
 	}
 }
 
-// TestNegativeCPUsRejected: a negative CPU count is a setup error from
-// every entry point, not a panic in the trace generator.
+// TestNegativeCPUsRejected: a CPU count below 0 or above sim.MaxCPUs is
+// a setup error from every entry point, not a panic in the trace
+// generator or in sim.NewMachine.
 func TestNegativeCPUsRejected(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -140,7 +143,7 @@ func TestNegativeCPUsRejected(t *testing.T) {
 			return err
 		}},
 	} {
-		for _, cpus := range []int{-1, -3} {
+		for _, cpus := range []int{-1, -3, sim.MaxCPUs + 1} {
 			t.Run(fmt.Sprintf("%s/cpus%d", tc.name, cpus), func(t *testing.T) {
 				if err := tc.run(Options{Seed: 1, Ops: 50, CPUs: cpus}); err == nil {
 					t.Fatalf("accepted CPUs = %d", cpus)

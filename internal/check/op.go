@@ -2,9 +2,10 @@
 // seeded, randomized differential stress harness that runs the same
 // operation sequence against every memory-system configuration the
 // repository implements — the baseline VM (package vm), file-only
-// memory accessed through read/write (fom), and file-only memory
-// mapped with PBM translations in both SharedPT and Ranges modes
-// (package core) — and demands that all observable outcomes agree.
+// memory accessed through read/write (fom), file-only memory mapped
+// with PBM translations in both SharedPT and Ranges modes (package
+// core), and user-mode grants under a heap (package usermode) — and
+// demands that all observable outcomes agree.
 //
 // The harness is deterministic: a seed fully determines the operation
 // trace, so any failure is replayable with `o1check -seed N`. On

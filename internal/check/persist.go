@@ -160,32 +160,16 @@ func gu64(b []byte) (uint64, []byte, error) {
 }
 
 // replaySpan applies trace[from:to] to one world, advancing the model
-// alongside (the model gates validity and supplies expected read
-// values, exactly as the differential replay does). The caller owns
-// the model across spans.
-func replaySpan(w world, mdl *model, trace []Op, from, to int) *Failure {
+// alongside through the same per-op step as the differential replay:
+// the model gates validity and supplies expected read values, and the
+// tier engine follows the same migration schedule. The caller owns the
+// model across spans.
+func replaySpan(w *world, mdl *model, trace []Op, from, to int) *Failure {
+	worlds := []*world{w}
 	for i := from; i < to; i++ {
-		op := trace[i]
-		valid, want := mdl.apply(op)
-		if !valid {
-			continue
+		if f := step(mdl, worlds, i, trace[i]); f != nil {
+			return f
 		}
-		if op.Kind == OpRead {
-			got, err := w.readback(op)
-			if err != nil {
-				return &Failure{OpIndex: i, World: w.name(), Reason: fmt.Sprintf("%s: %v", op, err)}
-			}
-			if got != want {
-				return &Failure{OpIndex: i, World: w.name(),
-					Reason: fmt.Sprintf("%s: read %#02x, model says %#02x", op, got, want)}
-			}
-		} else if err := w.apply(op); err != nil {
-			return &Failure{OpIndex: i, World: w.name(), Reason: fmt.Sprintf("%s: %v", op, err)}
-		}
-		// Drive the tier engine exactly as the differential replay does,
-		// so a tiered world's reconstruction follows the same migration
-		// schedule (no-op without tiering).
-		w.tierStep(i)
 	}
 	return nil
 }
@@ -193,7 +177,7 @@ func replaySpan(w world, mdl *model, trace []Op, from, to int) *Failure {
 // capture freezes a world's observable machine state: per-CPU
 // clocks/RNGs/counters, every registered stat set, and a content
 // checksum of materialized physical memory. It advances no clock.
-func capture(w world) (*sim.MachineState, uint64) {
+func capture(w *world) (*sim.MachineState, uint64) {
 	return w.machine().CaptureState(), w.memory().ContentChecksum()
 }
 
@@ -237,7 +221,7 @@ func BuildSnapshot(config string, opts Options, at int) (*snapshot.Snapshot, err
 // and prove the result bit-identical to the captured want/wantSum. The
 // returned model has consumed the same prefix and is ready to continue
 // the trace.
-func rebuild(base *snapshot.Snapshot, upTo int, want *sim.MachineState, wantSum uint64, what string) (world, *model, []Op, error) {
+func rebuild(base *snapshot.Snapshot, upTo int, want *sim.MachineState, wantSum uint64, what string) (*world, *model, []Op, error) {
 	trace, err := DecodeTrace(base.Trace)
 	if err != nil {
 		return nil, nil, nil, err
@@ -266,7 +250,7 @@ func rebuild(base *snapshot.Snapshot, upTo int, want *sim.MachineState, wantSum 
 // verifyRestored proves a reconstructed world matches a captured
 // state: machine state diff, memory content checksum, and a full
 // invariant sweep.
-func verifyRestored(w world, wantState *sim.MachineState, wantSum uint64, what string) error {
+func verifyRestored(w *world, wantState *sim.MachineState, wantSum uint64, what string) error {
 	st, sum := capture(w)
 	if d := st.Diff(wantState); d != "" {
 		return fmt.Errorf("check: %s: machine state diverged: %s", what, d)

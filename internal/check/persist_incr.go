@@ -60,7 +60,7 @@ func validateChainPoints(baseAt int, deltaAts []int, upTo, traceLen int) (int, e
 // the journal is compacted at each delta — the online-checkpoint
 // behavior, leaving only the post-watermark suffix on media. The
 // returned world is live at upTo (the caller crashes or discards it).
-func buildChain(cfg string, opts Options, trace []Op, baseAt int, deltaAts []int, upTo int, compact bool) (*ckpt.Chain, world, *Failure, error) {
+func buildChain(cfg string, opts Options, trace []Op, baseAt int, deltaAts []int, upTo int, compact bool) (*ckpt.Chain, *world, *Failure, error) {
 	w, err := newWorld(cfg, opts.CPUs, opts.Seed, opts.Tier)
 	if err != nil {
 		return nil, nil, nil, err
@@ -98,7 +98,7 @@ func buildChain(cfg string, opts Options, trace []Op, baseAt int, deltaAts []int
 			chain.Journal.Append(encodeOp(nil, trace[i]))
 		}
 		frames := w.memory().DirtyFrames()
-		units := w.dirtyUnits(frames)
+		units := w.b.dirtyUnits(frames)
 		if gaps := ckpt.Uncovered(frames, units); len(gaps) > 0 {
 			return nil, nil, &Failure{OpIndex: at, World: cfg,
 				Reason: fmt.Sprintf("delta %d: %d dirty frames unclaimed by any subsystem (first: %d)", k+1, len(gaps), gaps[0])}, nil
@@ -160,7 +160,7 @@ func BuildChain(config string, opts Options, baseAt int, deltaAts []int) (*ckpt.
 // capture point and proves the rebuild bit-identical to the last
 // capture AND to the differential image (base overlaid with every
 // delta) — the proof that dirty tracking missed nothing.
-func rebuildFromChain(chain *ckpt.Chain) (world, *model, []Op, error) {
+func rebuildFromChain(chain *ckpt.Chain) (*world, *model, []Op, error) {
 	wantState, wantSum := chain.Base.Machine, chain.Base.MemChecksum
 	if n := len(chain.Deltas); n > 0 {
 		wantState, wantSum = chain.Deltas[n-1].Machine, chain.Deltas[n-1].MemChecksum
@@ -210,7 +210,7 @@ func VerifyChain(chain *ckpt.Chain) error {
 	if err := w.check(); err != nil {
 		return fmt.Errorf("check: post-replay invariants: %v", err)
 	}
-	if f := finalCompare(mdl, []world{w}, endOp); f != nil {
+	if f := finalCompare(mdl, []*world{w}, endOp); f != nil {
 		return fmt.Errorf("check: post-replay content: %v", f)
 	}
 	return nil
@@ -371,7 +371,7 @@ func chainRecoverOne(cfg string, opts Options, trace []Op, baseAt int, deltaAts 
 	if err := verifyRestored(recovered, finalState, finalSum, "final state after recovery"); err != nil {
 		return nil, &Failure{OpIndex: len(trace), World: cfg, Reason: err.Error()}, nil
 	}
-	if f := finalCompare(recoveredMdl, []world{recovered}, len(trace)); f != nil {
+	if f := finalCompare(recoveredMdl, []*world{recovered}, len(trace)); f != nil {
 		f.Reason = "post-recovery: " + f.Reason
 		return nil, f, nil
 	}

@@ -6,41 +6,69 @@ import (
 
 	"repro/internal/ckpt"
 	"repro/internal/mem"
+	"repro/internal/memfs"
 	"repro/internal/pagetable"
 	"repro/internal/sim"
+	"repro/internal/tier"
 )
 
 // A world is one memory-system configuration under differential test.
-// Worlds receive only operations the model declared valid, so any
-// error is a divergence and fails the run.
-type world interface {
-	name() string
-	// apply executes one non-read operation.
-	apply(op Op) error
-	// readback executes an OpRead and returns the observed byte.
-	readback(op Op) (byte, error)
-	// objectByte reads byte 0 of one page of a live object through the
-	// given process's view (final-state comparison).
-	objectByte(obj, proc int, page uint64) (byte, error)
-	// fileByte reads byte 0 of one page of a named file.
-	fileByte(path string, page uint64) (byte, error)
-	// check runs the machine-wide invariant sweep.
-	check() error
-	// tierStep drives the tier engine between operations (promotion
-	// pump where the data path has no CPU handle, periodic hotness
-	// scan). No-op without tiering.
-	tierStep(i int)
-	// machine exposes the world's simulated machine (persistence
-	// captures its state; see persist.go).
-	machine() *sim.Machine
-	// memory exposes the world's physical memory (persistence
-	// checksums its content and injects crashes).
-	memory() *mem.Memory
+// It owns everything the configurations share — the machine, physical
+// memory, the named-file store, and the object table — and reduces the
+// configuration itself to a backend of primitives. Worlds receive only
+// operations the model declared valid, so any error is a divergence
+// and fails the run. The world keeps its own object table instead of
+// reading the model's, so the oracle and the subject stay independent.
+type world struct {
+	name string
+	m    *sim.Machine
+	mem  *mem.Memory
+	b    backend
+
+	fs    *memfs.FS              // the named-file store
+	files map[string]*memfs.File // live named files
+	objs  map[int]*object        // live objects
+
+	// pump is the tier engine the harness pumps after every operation
+	// (file stores, whose data paths have no CPU handle); nil where the
+	// configuration pumps inside its own access paths. scan is the
+	// periodic hotness scan; nil without a tier.
+	pump *tier.Engine
+	scan func(cur *sim.CPU, batch int)
+}
+
+// object is one live memory object in a world's object table.
+type object struct {
+	id     int
+	pages  uint64
+	shared bool
+	procs  map[int]bool // processes mapping it
+}
+
+// A backend is one configuration's primitives. The world hands each
+// call what it already knows (the object's size and sharing, whether
+// an unmap was the last, the objects a fork inherits), so a backend
+// keeps only the handles its own API returns.
+type backend interface {
+	// mapNew creates object o and maps it into proc.
+	mapNew(proc int, o *object) error
+	// unmap removes proc's mapping of o; last reports that no process
+	// maps o any more, so its backing can be released.
+	unmap(proc int, o *object, last bool) error
+	writeByte(proc int, o *object, page uint64, v byte) error
+	readByte(proc int, o *object, page uint64) (byte, error)
+	// fork clones parent into child; objs are the parent's mapped
+	// objects in ascending ID order.
+	fork(parent, child int, objs []*object) error
+	// share maps the existing shared object o into proc.
+	share(proc int, o *object) error
+	reclaim(proc int, cur *sim.CPU) error
+	migrate(proc int, cpu *sim.CPU)
 	// dirtyUnits maps a dirty-frame set onto checkpoint units by asking
 	// each subsystem to claim the frames it owns — extents for file
 	// stores, grants for usermode, single pages for the baseline. Every
-	// dirty frame must be covered; the crash-recover stage fails
-	// on gaps (see persist_incr.go).
+	// dirty frame must be covered; the crash-recover stage fails on
+	// gaps (see persist_incr.go).
 	dirtyUnits(frames []mem.Frame) []ckpt.Unit
 }
 
@@ -90,30 +118,25 @@ const (
 // rwProt is the protection every harness mapping uses.
 var rwProt = pagetable.FlagRead | pagetable.FlagWrite | pagetable.FlagUser
 
-// newWorld builds the named configuration on a fresh machine. With
-// tiered set, the world attaches a tier.Engine under the Smart policy —
-// the bidirectional one, so promotions, demotions, and swaps all happen
-// on a long enough trace.
-func newWorld(config string, cpus int, seed uint64, tiered bool) (world, error) {
+// newWorld builds the named configuration on a fresh machine with CPUs,
+// params, and a DRAM+NVM physical memory. With tiered set, the
+// configuration attaches a tier.Engine under the Smart policy — the
+// bidirectional one, so promotions, demotions, and swaps all happen on
+// a long enough trace.
+func newWorld(config string, cpus int, seed uint64, tiered bool) (*world, error) {
+	var build func(w *world, params *sim.Params, tiered bool) error
 	switch config {
 	case "baseline":
-		return newVMWorld(cpus, seed, tiered)
+		build = buildVM
 	case "fom":
-		return newFOMWorld(cpus, seed, tiered)
-	case "pbm":
-		return newCoreWorld("pbm", cpus, seed, tiered)
-	case "ranges":
-		return newCoreWorld("ranges", cpus, seed, tiered)
+		build = buildFOM
+	case "pbm", "ranges":
+		build = buildCore
 	case "usermode":
-		return newUsermodeWorld(cpus, seed, tiered)
+		build = buildUsermode
 	default:
 		return nil, fmt.Errorf("check: unknown configuration %q (want baseline, fom, pbm, ranges, or usermode)", config)
 	}
-}
-
-// newWorldMachine builds the shared machine skeleton: CPUs, params,
-// and a DRAM+NVM physical memory.
-func newWorldMachine(cpus int, seed uint64) (*sim.Machine, *sim.Params, *mem.Memory, error) {
 	params := sim.DefaultParams()
 	machine := sim.NewMachine(&params, cpus, seed)
 	memory, err := mem.New(machine.Clock(), &params, mem.Config{
@@ -121,9 +144,149 @@ func newWorldMachine(cpus int, seed uint64) (*sim.Machine, *sim.Params, *mem.Mem
 		NVMFrames:  nvmFrames,
 	})
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	return machine, &params, memory, nil
+	w := &world{
+		name:  config,
+		m:     machine,
+		mem:   memory,
+		files: make(map[string]*memfs.File),
+		objs:  make(map[int]*object),
+	}
+	if err := build(w, &params, tiered); err != nil {
+		return nil, err
+	}
+	return w, nil
+}
+
+// apply executes one non-read operation.
+func (w *world) apply(op Op) error {
+	switch op.Kind {
+	case OpMap:
+		o := &object{id: op.Obj, pages: op.Pages, shared: op.Shared, procs: map[int]bool{op.Proc: true}}
+		w.objs[op.Obj] = o
+		return w.b.mapNew(op.Proc, o)
+
+	case OpUnmap:
+		o := w.objs[op.Obj]
+		delete(o.procs, op.Proc)
+		last := len(o.procs) == 0
+		if last {
+			delete(w.objs, op.Obj)
+		}
+		return w.b.unmap(op.Proc, o, last)
+
+	case OpWrite:
+		return w.b.writeByte(op.Proc, w.objs[op.Obj], op.Page, op.Val)
+
+	case OpFork:
+		var inherited []*object
+		for _, id := range sortedKeys(w.objs) {
+			if o := w.objs[id]; o.procs[op.Proc] {
+				o.procs[op.Child] = true
+				inherited = append(inherited, o)
+			}
+		}
+		return w.b.fork(op.Proc, op.Child, inherited)
+
+	case OpShare:
+		o := w.objs[op.Obj]
+		o.procs[op.Proc] = true
+		return w.b.share(op.Proc, o)
+
+	case OpReclaim:
+		return w.b.reclaim(op.Proc, w.m.Current())
+
+	case OpMigrate:
+		w.b.migrate(op.Proc, w.m.CPU(op.CPU))
+		return nil
+
+	case OpFSCreate:
+		f, err := w.fs.Create(fsPath(op.Path), memfs.CreateOptions{})
+		if err != nil {
+			return err
+		}
+		w.files[op.Path] = f
+		return nil
+
+	case OpFSWrite:
+		_, err := w.files[op.Path].WriteAt([]byte{op.Val}, op.Page*pageSize)
+		return err
+
+	case OpFSDelete:
+		if err := w.files[op.Path].Close(); err != nil {
+			return err
+		}
+		delete(w.files, op.Path)
+		return w.fs.Unlink(fsPath(op.Path))
+	}
+	return fmt.Errorf("check: %s world cannot apply %s", w.name, op.Kind)
+}
+
+// readback reads byte 0 of one page of a live object through the given
+// process's view.
+func (w *world) readback(obj, proc int, page uint64) (byte, error) {
+	return w.b.readByte(proc, w.objs[obj], page)
+}
+
+// fileByte reads byte 0 of one page of a named file.
+func (w *world) fileByte(path string, page uint64) (byte, error) {
+	var b [1]byte
+	if _, err := w.files[path].ReadAt(b[:], page*pageSize); err != nil {
+		return 0, err
+	}
+	return b[0], nil
+}
+
+// check runs the machine-wide invariant sweep.
+func (w *world) check() error { return w.m.CheckInvariants() }
+
+// tierStep drives the tier engine after operation i: the promotion
+// pump where the data path has no CPU handle, then the periodic
+// hotness scan, both charged to the machine's current CPU. No-op
+// without tiering.
+func (w *world) tierStep(i int) {
+	if w.pump != nil {
+		w.pump.Pump(w.m.Current())
+	}
+	if w.scan != nil && (i+1)%tierScanEvery == 0 {
+		w.scan(w.m.Current(), tierScanBatch)
+	}
+}
+
+// machine exposes the world's simulated machine (persistence captures
+// its state; see persist.go).
+func (w *world) machine() *sim.Machine { return w.m }
+
+// memory exposes the world's physical memory (persistence checksums its
+// content and injects crashes).
+func (w *world) memory() *mem.Memory { return w.mem }
+
+// step advances the model by trace op i and, when the model accepts it,
+// applies it to every world — or, for a read, compares each world's
+// byte with the model's — then takes each world's tier step. Invalid
+// ops (a prerequisite removed by the shrinker) are skipped everywhere.
+func step(mdl *model, worlds []*world, i int, op Op) *Failure {
+	valid, want := mdl.apply(op)
+	if !valid {
+		return nil
+	}
+	for _, w := range worlds {
+		if op.Kind == OpRead {
+			got, err := w.readback(op.Obj, op.Proc, op.Page)
+			if err != nil {
+				return &Failure{OpIndex: i, World: w.name, Reason: fmt.Sprintf("%s: %v", op, err)}
+			}
+			if got != want {
+				return &Failure{OpIndex: i, World: w.name,
+					Reason: fmt.Sprintf("%s: read %#02x, model says %#02x", op, got, want)}
+			}
+		} else if err := w.apply(op); err != nil {
+			return &Failure{OpIndex: i, World: w.name, Reason: fmt.Sprintf("%s: %v", op, err)}
+		}
+		w.tierStep(i)
+	}
+	return nil
 }
 
 // objPath names the backing file of a shared object in worlds that

@@ -1,8 +1,6 @@
 package check
 
 import (
-	"fmt"
-
 	"repro/internal/ckpt"
 	"repro/internal/core"
 	"repro/internal/mem"
@@ -11,33 +9,26 @@ import (
 	"repro/internal/tier"
 )
 
-// coreWorld drives file-only memory with PBM translations, in either
+// coreBackend drives file-only memory with PBM translations, in either
 // SharedPT ("pbm") or Ranges ("ranges") mode. Objects are mapped
 // files accessed through virtual addresses; there is no page-fault
 // path, so fork copies private objects eagerly (allocate + copy the
 // observable byte of each page), while shared objects are simply
 // mapped again — every process maps a file at the same PBM address.
-type coreWorld struct {
-	cfg  string
-	m    *sim.Machine
-	sys  *core.System
-	mode core.TranslationMode
-
-	procs map[int]*core.Process
-	maps  map[int]map[int]*core.Mapping // proc -> obj -> mapping
-
-	sharedFiles map[int]*memfs.File
-	objPages    map[int]uint64
-	mapCount    map[int]int
-
-	files map[string]*memfs.File
+type coreBackend struct {
+	sys         *core.System
+	mode        core.TranslationMode
+	maps        map[int]*coreProc   // proc -> its process and mappings
+	sharedFiles map[int]*memfs.File // shared objects' files
 }
 
-func newCoreWorld(cfg string, cpus int, seed uint64, tiered bool) (*coreWorld, error) {
-	machine, params, memory, err := newWorldMachine(cpus, seed)
-	if err != nil {
-		return nil, err
-	}
+// coreProc is one process and its mapping of each object.
+type coreProc struct {
+	p    *core.Process
+	maps map[int]*core.Mapping
+}
+
+func buildCore(w *world, params *sim.Params, tiered bool) error {
 	opts := core.Options{}
 	if tiered {
 		// Split DRAM: the page-table pool keeps the bottom half, the
@@ -46,236 +37,159 @@ func newCoreWorld(cfg string, cpus int, seed uint64, tiered bool) (*coreWorld, e
 		opts.PTPoolBase = 0
 		opts.PTPoolFrames = dramFrames / 2
 	}
-	sys, err := core.NewSystem(machine.Clock(), params, memory, opts)
+	sys, err := core.NewSystem(w.m.Clock(), params, w.mem, opts)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if tiered {
 		// SharedPT migrates 512-page chunk extents, so its fast region
 		// must hold several; ranges extents are small, and a small cap
-		// keeps the tier under genuine pressure.
+		// keeps the tier under genuine pressure. Promotions pump inside
+		// the access paths of core processes; the harness only scans.
 		fastCap, fastFrames := uint64(tierFastCapPBM), uint64(tierFastRegionPBM)
-		if cfg == "ranges" {
+		if w.name == "ranges" {
 			fastCap, fastFrames = tierFastCapRanges, tierFastRegionRanges
 		}
-		eng := tier.New(params, memory, tier.Smart, fastCap)
+		eng := tier.New(params, w.mem, tier.Smart, fastCap)
 		if err := sys.AttachTier(eng, mem.Frame(dramFrames/2), fastFrames); err != nil {
-			return nil, err
+			return err
 		}
+		w.scan = sys.TierScan
 	}
 	mode := core.SharedPT
-	if cfg == "ranges" {
+	if w.name == "ranges" {
 		mode = core.Ranges
 	}
-	w := &coreWorld{
-		cfg:         cfg,
-		m:           machine,
+	b := &coreBackend{
 		sys:         sys,
 		mode:        mode,
-		procs:       make(map[int]*core.Process),
-		maps:        make(map[int]map[int]*core.Mapping),
+		maps:        make(map[int]*coreProc),
 		sharedFiles: make(map[int]*memfs.File),
-		objPages:    make(map[int]uint64),
-		mapCount:    make(map[int]int),
-		files:       make(map[string]*memfs.File),
 	}
-	p, err := sys.NewProcess(mode)
-	if err != nil {
-		return nil, err
+	if err := b.newProcess(0); err != nil {
+		return err
 	}
-	w.procs[0] = p
-	w.maps[0] = make(map[int]*core.Mapping)
-	return w, nil
+	w.fs = sys.FS()
+	w.b = b
+	return nil
 }
 
-func (w *coreWorld) name() string { return w.cfg }
+func (b *coreBackend) newProcess(proc int) error {
+	p, err := b.sys.NewProcess(b.mode)
+	if err != nil {
+		return err
+	}
+	b.maps[proc] = &coreProc{p: p, maps: make(map[int]*core.Mapping)}
+	return nil
+}
 
-func (w *coreWorld) apply(op Op) error {
-	switch op.Kind {
-	case OpMap:
-		p := w.procs[op.Proc]
-		var m *core.Mapping
-		var err error
-		if op.Shared {
-			f, ferr := w.sys.CreateContiguousFile(objPath(op.Obj), op.Pages,
-				memfs.CreateOptions{Mode: rwProt}, w.mode == core.SharedPT)
-			if ferr != nil {
-				return ferr
-			}
-			w.sharedFiles[op.Obj] = f
-			m, err = p.MapFile(f, rwProt)
-		} else {
-			m, err = p.AllocVolatile(op.Pages, rwProt)
-		}
-		if err != nil {
-			return err
-		}
-		w.maps[op.Proc][op.Obj] = m
-		w.objPages[op.Obj] = op.Pages
-		w.mapCount[op.Obj] = 1
+func (b *coreBackend) mapNew(proc int, o *object) error {
+	if !o.shared {
+		return b.allocPrivate(proc, o)
+	}
+	f, err := b.sys.CreateContiguousFile(objPath(o.id), o.pages,
+		memfs.CreateOptions{Mode: rwProt}, b.mode == core.SharedPT)
+	if err != nil {
+		return err
+	}
+	b.sharedFiles[o.id] = f
+	return b.share(proc, o)
+}
+
+func (b *coreBackend) allocPrivate(proc int, o *object) error {
+	cp := b.maps[proc]
+	m, err := cp.p.AllocVolatile(o.pages, rwProt)
+	if err != nil {
+		return err
+	}
+	cp.maps[o.id] = m
+	return nil
+}
+
+func (b *coreBackend) unmap(proc int, o *object, last bool) error {
+	cp := b.maps[proc]
+	if err := cp.p.Unmap(cp.maps[o.id]); err != nil {
+		return err
+	}
+	delete(cp.maps, o.id)
+	f, ok := b.sharedFiles[o.id]
+	if !last || !ok {
 		return nil
+	}
+	delete(b.sharedFiles, o.id)
+	if err := f.Close(); err != nil {
+		return err
+	}
+	return b.sys.FS().Unlink(objPath(o.id))
+}
 
-	case OpUnmap:
-		p := w.procs[op.Proc]
-		if err := p.Unmap(w.maps[op.Proc][op.Obj]); err != nil {
-			return err
-		}
-		delete(w.maps[op.Proc], op.Obj)
-		w.mapCount[op.Obj]--
-		if w.mapCount[op.Obj] > 0 {
-			return nil
-		}
-		delete(w.mapCount, op.Obj)
-		delete(w.objPages, op.Obj)
-		if f, ok := w.sharedFiles[op.Obj]; ok {
-			delete(w.sharedFiles, op.Obj)
-			if err := f.Close(); err != nil {
+func (b *coreBackend) writeByte(proc int, o *object, page uint64, v byte) error {
+	cp := b.maps[proc]
+	va, err := cp.maps[o.id].VAForOffset(page * pageSize)
+	if err != nil {
+		return err
+	}
+	return cp.p.WriteByteAt(va, v)
+}
+
+func (b *coreBackend) readByte(proc int, o *object, page uint64) (byte, error) {
+	cp := b.maps[proc]
+	va, err := cp.maps[o.id].VAForOffset(page * pageSize)
+	if err != nil {
+		return 0, err
+	}
+	return cp.p.ReadByteAt(va)
+}
+
+// fork builds a fresh process and inherits the parent's objects in one
+// ascending pass, so the simulated allocation layout is a pure function
+// of the trace: shared objects are mapped again, private ones allocated
+// and copied byte 0 of each page — the only bytes the harness observes.
+func (b *coreBackend) fork(parent, child int, objs []*object) error {
+	if err := b.newProcess(child); err != nil {
+		return err
+	}
+	for _, o := range objs {
+		if o.shared {
+			if err := b.share(child, o); err != nil {
 				return err
 			}
-			return w.sys.FS().Unlink(objPath(op.Obj))
+			continue
 		}
-		return nil
-
-	case OpWrite:
-		p := w.procs[op.Proc]
-		va, err := w.maps[op.Proc][op.Obj].VAForOffset(op.Page * pageSize)
-		if err != nil {
+		if err := b.allocPrivate(child, o); err != nil {
 			return err
 		}
-		return p.WriteByteAt(va, op.Val)
-
-	case OpFork:
-		parent := w.procs[op.Proc]
-		child, err := w.sys.NewProcess(w.mode)
-		if err != nil {
-			return err
-		}
-		w.procs[op.Child] = child
-		w.maps[op.Child] = make(map[int]*core.Mapping)
-		// Inherit objects in ID order so the simulated allocation layout
-		// is a pure function of the trace.
-		for _, obj := range sortedKeys(w.maps[op.Proc]) {
-			if f, isShared := w.sharedFiles[obj]; isShared {
-				m, err := child.MapFile(f, rwProt)
-				if err != nil {
-					return err
-				}
-				w.maps[op.Child][obj] = m
-			} else {
-				m, err := child.AllocVolatile(w.objPages[obj], rwProt)
-				if err != nil {
-					return err
-				}
-				if err := w.copyObject(parent, child, w.maps[op.Proc][obj], m, w.objPages[obj]); err != nil {
-					return err
-				}
-				w.maps[op.Child][obj] = m
+		for pg := uint64(0); pg < o.pages; pg++ {
+			v, err := b.readByte(parent, o, pg)
+			if err != nil {
+				return err
 			}
-			w.mapCount[obj]++
-		}
-		return nil
-
-	case OpShare:
-		p := w.procs[op.Proc]
-		m, err := p.MapFile(w.sharedFiles[op.Obj], rwProt)
-		if err != nil {
-			return err
-		}
-		w.maps[op.Proc][op.Obj] = m
-		w.mapCount[op.Obj]++
-		return nil
-
-	case OpReclaim:
-		// File-only memory reclaims whole discardable files; the harness
-		// holds references to everything it creates, so there is nothing
-		// to discard — by design, not by accident, which the differential
-		// content comparison confirms.
-		return nil
-
-	case OpMigrate:
-		w.procs[op.Proc].RunOn(w.m.CPU(op.CPU))
-		return nil
-
-	case OpFSCreate:
-		f, err := w.sys.FS().Create(fsPath(op.Path), memfs.CreateOptions{})
-		if err != nil {
-			return err
-		}
-		w.files[op.Path] = f
-		return nil
-
-	case OpFSWrite:
-		_, err := w.files[op.Path].WriteAt([]byte{op.Val}, op.Page*pageSize)
-		return err
-
-	case OpFSDelete:
-		if err := w.files[op.Path].Close(); err != nil {
-			return err
-		}
-		delete(w.files, op.Path)
-		return w.sys.FS().Unlink(fsPath(op.Path))
-	}
-	return fmt.Errorf("check: %s world cannot apply %s", w.name(), op.Kind)
-}
-
-// copyObject copies byte 0 of each page from src to dst through the
-// processes' mapped views — the only bytes the harness observes.
-func (w *coreWorld) copyObject(from, to *core.Process, src, dst *core.Mapping, pages uint64) error {
-	for p := uint64(0); p < pages; p++ {
-		sva, err := src.VAForOffset(p * pageSize)
-		if err != nil {
-			return err
-		}
-		b, err := from.ReadByteAt(sva)
-		if err != nil {
-			return err
-		}
-		dva, err := dst.VAForOffset(p * pageSize)
-		if err != nil {
-			return err
-		}
-		if err := to.WriteByteAt(dva, b); err != nil {
-			return err
+			if err := b.writeByte(child, o, pg, v); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
-func (w *coreWorld) readback(op Op) (byte, error) {
-	return w.objectByte(op.Obj, op.Proc, op.Page)
-}
-
-func (w *coreWorld) objectByte(obj, proc int, page uint64) (byte, error) {
-	p := w.procs[proc]
-	va, err := w.maps[proc][obj].VAForOffset(page * pageSize)
+func (b *coreBackend) share(proc int, o *object) error {
+	cp := b.maps[proc]
+	m, err := cp.p.MapFile(b.sharedFiles[o.id], rwProt)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	return p.ReadByteAt(va)
+	cp.maps[o.id] = m
+	return nil
 }
 
-func (w *coreWorld) fileByte(path string, page uint64) (byte, error) {
-	var b [1]byte
-	if _, err := w.files[path].ReadAt(b[:], page*pageSize); err != nil {
-		return 0, err
-	}
-	return b[0], nil
-}
+// reclaim does nothing: file-only memory reclaims whole discardable
+// files, and the harness holds references to everything it creates, so
+// there is nothing to discard — by design, not by accident, which the
+// differential content comparison confirms.
+func (b *coreBackend) reclaim(int, *sim.CPU) error { return nil }
 
-func (w *coreWorld) check() error { return w.m.CheckInvariants() }
+func (b *coreBackend) migrate(proc int, cpu *sim.CPU) { b.maps[proc].p.RunOn(cpu) }
 
-// tierStep runs the periodic hotness scan; promotions pump inside the
-// access paths of core processes.
-func (w *coreWorld) tierStep(i int) {
-	if w.sys.Tier() != nil && (i+1)%tierScanEvery == 0 {
-		w.sys.TierScan(w.m.Current(), tierScanBatch)
-	}
-}
-
-func (w *coreWorld) machine() *sim.Machine { return w.m }
-
-func (w *coreWorld) memory() *mem.Memory { return w.sys.Memory() }
-
-func (w *coreWorld) dirtyUnits(frames []mem.Frame) []ckpt.Unit {
-	return w.sys.DirtyUnits(frames)
+func (b *coreBackend) dirtyUnits(frames []mem.Frame) []ckpt.Unit {
+	return b.sys.DirtyUnits(frames)
 }

@@ -1,8 +1,6 @@
 package check
 
 import (
-	"fmt"
-
 	"repro/internal/ckpt"
 	"repro/internal/mem"
 	"repro/internal/memfs"
@@ -10,65 +8,58 @@ import (
 	"repro/internal/tier"
 )
 
-// fomWorld drives file-only memory through the syscall interface
+// fomBackend drives file-only memory through the syscall interface
 // alone: every object is an extent-based memfs file and every access
 // is a read/write at a byte offset. There are no translations, so
 // fork copies private objects eagerly (the harness's observable
 // surface is byte 0 of every page, which keeps the copy cheap),
 // reclaim and migration are no-ops, and the differential comparison
 // pins the mapped configurations to the same semantics.
-type fomWorld struct {
-	m   *sim.Machine
-	phy *mem.Memory
-	fs  *memfs.FS // Extent policy over NVM
-
-	procs  map[int]bool
+type fomBackend struct {
+	fs     *memfs.FS                   // Extent policy over NVM
 	priv   map[int]map[int]*memfs.File // proc -> obj -> private copy
 	shared map[int]*memfs.File
-	mapped map[int]map[int]bool // obj -> procs mapping it
-	pages  map[int]uint64
-
-	files map[string]*memfs.File
 }
 
-func newFOMWorld(cpus int, seed uint64, tiered bool) (*fomWorld, error) {
-	machine, params, memory, err := newWorldMachine(cpus, seed)
-	if err != nil {
-		return nil, err
-	}
-	fs, err := memfs.New("fom", memfs.Extent, machine.Clock(), params, memory,
+func buildFOM(w *world, params *sim.Params, tiered bool) error {
+	fs, err := memfs.New("fom", memfs.Extent, w.m.Clock(), params, w.mem,
 		mem.Frame(dramFrames), nvmFrames)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if tiered {
 		// DRAM is otherwise unused here; its bottom becomes the fast
 		// tier. The FS itself is the backend: single-page extent-split
 		// migration.
-		eng := tier.New(params, memory, tier.Smart, tierFastCapFOM)
-		if err := fs.AttachTier(eng, 0, tierFastRegionFOM); err != nil {
-			return nil, err
+		if err := attachFileTier(w, fs, params); err != nil {
+			return err
 		}
 	}
-	return &fomWorld{
-		m:      machine,
-		phy:    memory,
+	w.fs = fs
+	w.b = &fomBackend{
 		fs:     fs,
-		procs:  map[int]bool{0: true},
 		priv:   map[int]map[int]*memfs.File{0: {}},
 		shared: make(map[int]*memfs.File),
-		mapped: make(map[int]map[int]bool),
-		pages:  make(map[int]uint64),
-		files:  make(map[string]*memfs.File),
-	}, nil
+	}
+	return nil
 }
 
-func (w *fomWorld) name() string { return "fom" }
+// attachFileTier gives an extent file store a fast tier at the bottom
+// of DRAM. The store's read/write paths have no CPU handle, so the
+// world pumps its engine after every operation.
+func attachFileTier(w *world, fs *memfs.FS, params *sim.Params) error {
+	eng := tier.New(params, w.mem, tier.Smart, tierFastCapFOM)
+	if err := fs.AttachTier(eng, 0, tierFastRegionFOM); err != nil {
+		return err
+	}
+	w.pump, w.scan = eng, eng.Scan
+	return nil
+}
 
 // newObjectFile allocates one single-extent anonymous file sized for
 // an object — the O(1) allocation path.
-func (w *fomWorld) newObjectFile(pages uint64) (*memfs.File, error) {
-	f, err := w.fs.CreateTemp("obj", memfs.CreateOptions{})
+func (b *fomBackend) newObjectFile(pages uint64) (*memfs.File, error) {
+	f, err := b.fs.CreateTemp("obj", memfs.CreateOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -78,173 +69,90 @@ func (w *fomWorld) newObjectFile(pages uint64) (*memfs.File, error) {
 	return f, nil
 }
 
-func (w *fomWorld) apply(op Op) error {
-	switch op.Kind {
-	case OpMap:
-		f, err := w.newObjectFile(op.Pages)
-		if err != nil {
-			return err
-		}
-		if op.Shared {
-			w.shared[op.Obj] = f
-		} else {
-			w.priv[op.Proc][op.Obj] = f
-		}
-		w.mapped[op.Obj] = map[int]bool{op.Proc: true}
-		w.pages[op.Obj] = op.Pages
-		return nil
-
-	case OpUnmap:
-		if f, ok := w.priv[op.Proc][op.Obj]; ok {
-			delete(w.priv[op.Proc], op.Obj)
-			if err := f.Close(); err != nil {
-				return err
-			}
-		}
-		delete(w.mapped[op.Obj], op.Proc)
-		if len(w.mapped[op.Obj]) == 0 {
-			delete(w.mapped, op.Obj)
-			delete(w.pages, op.Obj)
-			if f, ok := w.shared[op.Obj]; ok {
-				delete(w.shared, op.Obj)
-				return f.Close()
-			}
-		}
-		return nil
-
-	case OpWrite:
-		f, err := w.objectFile(op.Obj, op.Proc)
-		if err != nil {
-			return err
-		}
-		_, err = f.WriteAt([]byte{op.Val}, op.Page*pageSize)
+func (b *fomBackend) mapNew(proc int, o *object) error {
+	f, err := b.newObjectFile(o.pages)
+	if err != nil {
 		return err
-
-	case OpFork:
-		w.procs[op.Child] = true
-		w.priv[op.Child] = make(map[int]*memfs.File)
-		// Copy private objects in ID order: map iteration order would
-		// otherwise make the simulated allocation layout (and thus the
-		// replay) non-deterministic.
-		for _, obj := range sortedKeys(w.priv[op.Proc]) {
-			parent := w.priv[op.Proc][obj]
-			cp, err := w.newObjectFile(w.pages[obj])
-			if err != nil {
-				return err
-			}
-			if err := copyPageBytes(parent, cp, w.pages[obj]); err != nil {
-				return err
-			}
-			w.priv[op.Child][obj] = cp
-			w.mapped[obj][op.Child] = true
-		}
-		for obj, ps := range w.mapped {
-			if _, isShared := w.shared[obj]; isShared && ps[op.Proc] {
-				ps[op.Child] = true
-			}
-		}
-		return nil
-
-	case OpShare:
-		w.mapped[op.Obj][op.Proc] = true
-		return nil
-
-	case OpReclaim, OpMigrate:
-		return nil // no pages to reclaim, no per-CPU translation state
-
-	case OpFSCreate:
-		f, err := w.fs.Create(fsPath(op.Path), memfs.CreateOptions{})
-		if err != nil {
-			return err
-		}
-		w.files[op.Path] = f
-		return nil
-
-	case OpFSWrite:
-		_, err := w.files[op.Path].WriteAt([]byte{op.Val}, op.Page*pageSize)
-		return err
-
-	case OpFSDelete:
-		if err := w.files[op.Path].Close(); err != nil {
-			return err
-		}
-		delete(w.files, op.Path)
-		return w.fs.Unlink(fsPath(op.Path))
 	}
-	return fmt.Errorf("check: %s world cannot apply %s", w.name(), op.Kind)
-}
-
-// objectFile resolves the file holding the object's content as seen by
-// proc.
-func (w *fomWorld) objectFile(obj, proc int) (*memfs.File, error) {
-	if f, ok := w.shared[obj]; ok {
-		return f, nil
-	}
-	if f, ok := w.priv[proc][obj]; ok {
-		return f, nil
-	}
-	return nil, fmt.Errorf("check: fom world has no file for obj %d proc %d", obj, proc)
-}
-
-// copyPageBytes copies byte 0 of each page from src to dst — the only
-// bytes the harness ever writes, so dst becomes observably identical.
-func copyPageBytes(src, dst *memfs.File, pages uint64) error {
-	var b [1]byte
-	for p := uint64(0); p < pages; p++ {
-		if _, err := src.ReadAt(b[:], p*pageSize); err != nil {
-			return err
-		}
-		if _, err := dst.WriteAt(b[:], p*pageSize); err != nil {
-			return err
-		}
+	if o.shared {
+		b.shared[o.id] = f
+	} else {
+		b.priv[proc][o.id] = f
 	}
 	return nil
 }
 
-func (w *fomWorld) readback(op Op) (byte, error) {
-	return w.objectByte(op.Obj, op.Proc, op.Page)
+func (b *fomBackend) unmap(proc int, o *object, last bool) error {
+	if !o.shared {
+		f := b.priv[proc][o.id]
+		delete(b.priv[proc], o.id)
+		return f.Close()
+	}
+	if !last {
+		return nil
+	}
+	f := b.shared[o.id]
+	delete(b.shared, o.id)
+	return f.Close()
 }
 
-func (w *fomWorld) objectByte(obj, proc int, page uint64) (byte, error) {
-	f, err := w.objectFile(obj, proc)
-	if err != nil {
+// file resolves the file holding the object's content as seen by proc.
+func (b *fomBackend) file(proc int, o *object) *memfs.File {
+	if o.shared {
+		return b.shared[o.id]
+	}
+	return b.priv[proc][o.id]
+}
+
+func (b *fomBackend) writeByte(proc int, o *object, page uint64, v byte) error {
+	_, err := b.file(proc, o).WriteAt([]byte{v}, page*pageSize)
+	return err
+}
+
+func (b *fomBackend) readByte(proc int, o *object, page uint64) (byte, error) {
+	var buf [1]byte
+	if _, err := b.file(proc, o).ReadAt(buf[:], page*pageSize); err != nil {
 		return 0, err
 	}
-	var b [1]byte
-	if _, err := f.ReadAt(b[:], page*pageSize); err != nil {
-		return 0, err
-	}
-	return b[0], nil
+	return buf[0], nil
 }
 
-func (w *fomWorld) fileByte(path string, page uint64) (byte, error) {
-	var b [1]byte
-	if _, err := w.files[path].ReadAt(b[:], page*pageSize); err != nil {
-		return 0, err
+// fork copies the private objects into fresh files, byte 0 of each
+// page — the only bytes the harness ever writes, so each copy becomes
+// observably identical. Shared objects need no work.
+func (b *fomBackend) fork(parent, child int, objs []*object) error {
+	b.priv[child] = make(map[int]*memfs.File)
+	var buf [1]byte
+	for _, o := range objs {
+		if o.shared {
+			continue
+		}
+		src := b.priv[parent][o.id]
+		dst, err := b.newObjectFile(o.pages)
+		if err != nil {
+			return err
+		}
+		for pg := uint64(0); pg < o.pages; pg++ {
+			if _, err := src.ReadAt(buf[:], pg*pageSize); err != nil {
+				return err
+			}
+			if _, err := dst.WriteAt(buf[:], pg*pageSize); err != nil {
+				return err
+			}
+		}
+		b.priv[child][o.id] = dst
 	}
-	return b[0], nil
+	return nil
 }
 
-func (w *fomWorld) check() error { return w.m.CheckInvariants() }
+func (b *fomBackend) share(int, *object) error { return nil }
 
-// tierStep pumps promotions (the file store's read/write paths have no
-// CPU handle, so the harness pumps for them) and runs the periodic
-// hotness scan, both charged to the machine's current CPU.
-func (w *fomWorld) tierStep(i int) {
-	eng := w.fs.Tier()
-	if eng == nil {
-		return
-	}
-	eng.Pump(w.m.Current())
-	if (i+1)%tierScanEvery == 0 {
-		eng.Scan(w.m.Current(), tierScanBatch)
-	}
-}
+// reclaim and migrate are no-ops: no pages to reclaim, no per-CPU
+// translation state.
+func (b *fomBackend) reclaim(int, *sim.CPU) error { return nil }
 
-func (w *fomWorld) machine() *sim.Machine { return w.m }
+func (b *fomBackend) migrate(int, *sim.CPU) {}
 
-func (w *fomWorld) memory() *mem.Memory { return w.phy }
-
-func (w *fomWorld) dirtyUnits(frames []mem.Frame) []ckpt.Unit {
-	return w.fs.DirtyUnits(frames)
+func (b *fomBackend) dirtyUnits(frames []mem.Frame) []ckpt.Unit {
+	return b.fs.DirtyUnits(frames)
 }

@@ -1,18 +1,15 @@
 package check
 
 import (
-	"fmt"
-
 	"repro/internal/ckpt"
 	"repro/internal/heap"
 	"repro/internal/mem"
 	"repro/internal/memfs"
 	"repro/internal/sim"
-	"repro/internal/tier"
 	"repro/internal/usermode"
 )
 
-// usermodeWorld drives the fifth configuration: user-mode
+// usermodeBackend drives the fifth configuration: user-mode
 // software-managed physical memory. Every process owns batches of
 // granted extents and runs a heap.Heap over them (so the user-level
 // allocator itself sits on the differential fast path); addresses are
@@ -20,22 +17,15 @@ import (
 // page walks. Shared objects are refcounted shared segments at a
 // single identity address. Like fom, fork copies private objects
 // eagerly and named files live in an extent-based memfs store; unlike
-// every other world, OpReclaim does observable-free real work — it
-// trims the heap's reserve arenas and revokes wholly-free grants back
-// to the kernel pool.
-type usermodeWorld struct {
-	m   *sim.Machine
-	phy *mem.Memory
-	gt  *usermode.GrantTable
-	fs  *memfs.FS // named files, Extent policy over NVM
-
+// every other configuration, OpReclaim does observable-free real work —
+// it trims the heap's reserve arenas and revokes wholly-free grants
+// back to the kernel pool.
+type usermodeBackend struct {
+	gt     *usermode.GrantTable
+	fs     *memfs.FS // named files, Extent policy over NVM
 	procs  map[int]*umProc
 	priv   map[int]map[int]mem.VirtAddr // proc -> obj -> heap payload
 	shared map[int]*usermode.SharedSeg
-	mapped map[int]map[int]bool // obj -> procs mapping it
-	pages  map[int]uint64
-
-	files map[string]*memfs.File
 }
 
 // umProc pairs a usermode process with its private heap.
@@ -48,240 +38,155 @@ type umProc struct {
 // tiered file store uses as its fast region (tierFastRegionFOM).
 const usermodePoolBase = 1024
 
-func newUsermodeWorld(cpus int, seed uint64, tiered bool) (*usermodeWorld, error) {
-	machine, params, memory, err := newWorldMachine(cpus, seed)
-	if err != nil {
-		return nil, err
-	}
-	fs, err := memfs.New("usermode", memfs.Extent, machine.Clock(), params, memory,
+func buildUsermode(w *world, params *sim.Params, tiered bool) error {
+	fs, err := memfs.New("usermode", memfs.Extent, w.m.Clock(), params, w.mem,
 		mem.Frame(dramFrames), nvmFrames)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if tiered {
 		// The grant extents have no translation layer to update, so the
 		// engine migrates file extents (as in fom); grants stay put.
-		eng := tier.New(params, memory, tier.Smart, tierFastCapFOM)
-		if err := fs.AttachTier(eng, 0, tierFastRegionFOM); err != nil {
-			return nil, err
+		if err := attachFileTier(w, fs, params); err != nil {
+			return err
 		}
 	}
-	gt, err := usermode.NewGrantTable(machine.Clock(), params, memory, usermode.Config{
+	gt, err := usermode.NewGrantTable(w.m.Clock(), params, w.mem, usermode.Config{
 		PoolBase:   usermodePoolBase,
 		PoolFrames: dramFrames - usermodePoolBase,
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	p0, err := gt.NewProcessOn(machine.BootCPU())
+	p0, err := gt.NewProcessOn(w.m.BootCPU())
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return &usermodeWorld{
-		m:      machine,
-		phy:    memory,
+	w.fs = fs
+	w.b = &usermodeBackend{
 		gt:     gt,
 		fs:     fs,
 		procs:  map[int]*umProc{0: {p: p0, h: heap.NewOn(p0)}},
 		priv:   map[int]map[int]mem.VirtAddr{0: {}},
 		shared: make(map[int]*usermode.SharedSeg),
-		mapped: make(map[int]map[int]bool),
-		pages:  make(map[int]uint64),
-		files:  make(map[string]*memfs.File),
-	}, nil
+	}
+	return nil
 }
 
-func (w *usermodeWorld) name() string { return "usermode" }
-
-func (w *usermodeWorld) apply(op Op) error {
-	switch op.Kind {
-	case OpMap:
-		u := w.procs[op.Proc]
-		if op.Shared {
-			seg, err := w.gt.NewShared(u.p, op.Pages)
-			if err != nil {
-				return err
-			}
-			w.shared[op.Obj] = seg
-		} else {
-			addr, err := u.h.Alloc(op.Pages * pageSize)
-			if err != nil {
-				return err
-			}
-			w.priv[op.Proc][op.Obj] = addr
-		}
-		w.mapped[op.Obj] = map[int]bool{op.Proc: true}
-		w.pages[op.Obj] = op.Pages
-		return nil
-
-	case OpUnmap:
-		u := w.procs[op.Proc]
-		if addr, ok := w.priv[op.Proc][op.Obj]; ok {
-			delete(w.priv[op.Proc], op.Obj)
-			if err := u.h.Free(addr); err != nil {
-				return err
-			}
-		} else if seg, ok := w.shared[op.Obj]; ok {
-			if err := u.p.UnmapShared(seg); err != nil {
-				return err
-			}
-		}
-		delete(w.mapped[op.Obj], op.Proc)
-		if len(w.mapped[op.Obj]) == 0 {
-			delete(w.mapped, op.Obj)
-			delete(w.pages, op.Obj)
-			delete(w.shared, op.Obj)
-		}
-		return nil
-
-	case OpWrite:
-		u := w.procs[op.Proc]
-		addr, err := w.objectAddr(op.Obj, op.Proc)
+func (b *usermodeBackend) mapNew(proc int, o *object) error {
+	u := b.procs[proc]
+	if o.shared {
+		seg, err := b.gt.NewShared(u.p, o.pages)
 		if err != nil {
 			return err
 		}
-		return u.p.WriteBuf(addr+mem.VirtAddr(op.Page*pageSize), []byte{op.Val})
-
-	case OpFork:
-		parent := w.procs[op.Proc]
-		child, err := w.gt.NewProcessOn(parent.p.CPU())
-		if err != nil {
-			return err
-		}
-		u := &umProc{p: child, h: heap.NewOn(child)}
-		w.procs[op.Child] = u
-		w.priv[op.Child] = make(map[int]mem.VirtAddr)
-		// Join the parent's shared segments, then copy private objects,
-		// both in object-ID order for a deterministic layout.
-		for _, obj := range sortedKeys(w.shared) {
-			if w.mapped[obj][op.Proc] {
-				if err := child.MapShared(w.shared[obj]); err != nil {
-					return err
-				}
-				w.mapped[obj][op.Child] = true
-			}
-		}
-		for _, obj := range sortedKeys(w.priv[op.Proc]) {
-			src := w.priv[op.Proc][obj]
-			dst, err := u.h.Alloc(w.pages[obj] * pageSize)
-			if err != nil {
-				return err
-			}
-			var b [1]byte
-			for pg := uint64(0); pg < w.pages[obj]; pg++ {
-				if err := parent.p.ReadBuf(src+mem.VirtAddr(pg*pageSize), b[:]); err != nil {
-					return err
-				}
-				if err := child.WriteBuf(dst+mem.VirtAddr(pg*pageSize), b[:]); err != nil {
-					return err
-				}
-			}
-			w.priv[op.Child][obj] = dst
-			w.mapped[obj][op.Child] = true
-		}
+		b.shared[o.id] = seg
 		return nil
-
-	case OpShare:
-		if err := w.procs[op.Proc].p.MapShared(w.shared[op.Obj]); err != nil {
-			return err
-		}
-		w.mapped[op.Obj][op.Proc] = true
-		return nil
-
-	case OpReclaim:
-		// Observably a no-op, but real work here: release the heap's
-		// cached empty arenas, then revoke every wholly-free grant.
-		u := w.procs[op.Proc]
-		if err := u.h.TrimReserves(); err != nil {
-			return err
-		}
-		_, err := u.p.Reclaim()
-		return err
-
-	case OpMigrate:
-		w.procs[op.Proc].p.RunOn(w.m.CPU(op.CPU))
-		return nil
-
-	case OpFSCreate:
-		f, err := w.fs.Create(fsPath(op.Path), memfs.CreateOptions{})
-		if err != nil {
-			return err
-		}
-		w.files[op.Path] = f
-		return nil
-
-	case OpFSWrite:
-		_, err := w.files[op.Path].WriteAt([]byte{op.Val}, op.Page*pageSize)
-		return err
-
-	case OpFSDelete:
-		if err := w.files[op.Path].Close(); err != nil {
-			return err
-		}
-		delete(w.files, op.Path)
-		return w.fs.Unlink(fsPath(op.Path))
 	}
-	return fmt.Errorf("check: %s world cannot apply %s", w.name(), op.Kind)
-}
-
-// objectAddr resolves the identity address of the object's content as
-// seen by proc.
-func (w *usermodeWorld) objectAddr(obj, proc int) (mem.VirtAddr, error) {
-	if seg, ok := w.shared[obj]; ok {
-		return seg.Base(), nil
-	}
-	if addr, ok := w.priv[proc][obj]; ok {
-		return addr, nil
-	}
-	return 0, fmt.Errorf("check: usermode world has no extent for obj %d proc %d", obj, proc)
-}
-
-func (w *usermodeWorld) readback(op Op) (byte, error) {
-	return w.objectByte(op.Obj, op.Proc, op.Page)
-}
-
-func (w *usermodeWorld) objectByte(obj, proc int, page uint64) (byte, error) {
-	addr, err := w.objectAddr(obj, proc)
+	addr, err := u.h.Alloc(o.pages * pageSize)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	var b [1]byte
-	if err := w.procs[proc].p.ReadBuf(addr+mem.VirtAddr(page*pageSize), b[:]); err != nil {
-		return 0, err
-	}
-	return b[0], nil
+	b.priv[proc][o.id] = addr
+	return nil
 }
 
-func (w *usermodeWorld) fileByte(path string, page uint64) (byte, error) {
-	var b [1]byte
-	if _, err := w.files[path].ReadAt(b[:], page*pageSize); err != nil {
+func (b *usermodeBackend) unmap(proc int, o *object, last bool) error {
+	u := b.procs[proc]
+	if !o.shared {
+		addr := b.priv[proc][o.id]
+		delete(b.priv[proc], o.id)
+		return u.h.Free(addr)
+	}
+	seg := b.shared[o.id]
+	if last {
+		delete(b.shared, o.id)
+	}
+	return u.p.UnmapShared(seg)
+}
+
+// addr resolves the identity address of page of the object's content
+// as seen by proc.
+func (b *usermodeBackend) addr(proc int, o *object, page uint64) mem.VirtAddr {
+	base := b.priv[proc][o.id]
+	if o.shared {
+		base = b.shared[o.id].Base()
+	}
+	return base + mem.VirtAddr(page*pageSize)
+}
+
+func (b *usermodeBackend) writeByte(proc int, o *object, page uint64, v byte) error {
+	return b.procs[proc].p.WriteBuf(b.addr(proc, o, page), []byte{v})
+}
+
+func (b *usermodeBackend) readByte(proc int, o *object, page uint64) (byte, error) {
+	var buf [1]byte
+	if err := b.procs[proc].p.ReadBuf(b.addr(proc, o, page), buf[:]); err != nil {
 		return 0, err
 	}
-	return b[0], nil
+	return buf[0], nil
 }
 
-func (w *usermodeWorld) check() error { return w.m.CheckInvariants() }
-
-// tierStep drives the file store's engine exactly as fom does; grant
-// extents are immovable in this world (no relocation callback), so the
-// trace migrates file extents underneath the named files.
-func (w *usermodeWorld) tierStep(i int) {
-	eng := w.fs.Tier()
-	if eng == nil {
-		return
+// fork joins the parent's shared segments, then copies its private
+// objects, both in object-ID order for a deterministic layout.
+func (b *usermodeBackend) fork(parent, child int, objs []*object) error {
+	pp := b.procs[parent].p
+	cp, err := b.gt.NewProcessOn(pp.CPU())
+	if err != nil {
+		return err
 	}
-	eng.Pump(w.m.Current())
-	if (i+1)%tierScanEvery == 0 {
-		eng.Scan(w.m.Current(), tierScanBatch)
+	u := &umProc{p: cp, h: heap.NewOn(cp)}
+	b.procs[child] = u
+	b.priv[child] = make(map[int]mem.VirtAddr)
+	for _, o := range objs {
+		if o.shared {
+			if err := cp.MapShared(b.shared[o.id]); err != nil {
+				return err
+			}
+		}
 	}
+	var buf [1]byte
+	for _, o := range objs {
+		if o.shared {
+			continue
+		}
+		src := b.priv[parent][o.id]
+		dst, err := u.h.Alloc(o.pages * pageSize)
+		if err != nil {
+			return err
+		}
+		for pg := uint64(0); pg < o.pages; pg++ {
+			if err := pp.ReadBuf(src+mem.VirtAddr(pg*pageSize), buf[:]); err != nil {
+				return err
+			}
+			if err := cp.WriteBuf(dst+mem.VirtAddr(pg*pageSize), buf[:]); err != nil {
+				return err
+			}
+		}
+		b.priv[child][o.id] = dst
+	}
+	return nil
 }
 
-func (w *usermodeWorld) machine() *sim.Machine { return w.m }
+func (b *usermodeBackend) share(proc int, o *object) error {
+	return b.procs[proc].p.MapShared(b.shared[o.id])
+}
 
-func (w *usermodeWorld) memory() *mem.Memory { return w.phy }
+// reclaim is observably a no-op, but real work here: release the heap's
+// cached empty arenas, then revoke every wholly-free grant.
+func (b *usermodeBackend) reclaim(proc int, _ *sim.CPU) error {
+	u := b.procs[proc]
+	if err := u.h.TrimReserves(); err != nil {
+		return err
+	}
+	_, err := u.p.Reclaim()
+	return err
+}
 
-func (w *usermodeWorld) dirtyUnits(frames []mem.Frame) []ckpt.Unit {
+func (b *usermodeBackend) migrate(proc int, cpu *sim.CPU) { b.procs[proc].p.RunOn(cpu) }
+
+func (b *usermodeBackend) dirtyUnits(frames []mem.Frame) []ckpt.Unit {
 	// Grants and shared segments claim the DRAM pool; the file store
 	// claims its NVM extents.
-	return append(w.gt.DirtyUnits(frames), w.fs.DirtyUnits(frames)...)
+	return append(b.gt.DirtyUnits(frames), b.fs.DirtyUnits(frames)...)
 }

@@ -1,8 +1,6 @@
 package check
 
 import (
-	"fmt"
-
 	"repro/internal/ckpt"
 	"repro/internal/mem"
 	"repro/internal/memfs"
@@ -11,30 +9,25 @@ import (
 	"repro/internal/vm"
 )
 
-// vmWorld drives the baseline virtual-memory system: anonymous-private
+// vmBackend drives the baseline virtual-memory system: anonymous-private
 // objects are demand-faulted anon mappings (fork is a real COW fork),
 // shared objects are MAP_SHARED mappings of tmpfs files, and OpReclaim
 // runs the page-out scanner against an unlimited swap device.
-type vmWorld struct {
-	m  *sim.Machine
-	k  *vm.Kernel
-	fs *memfs.FS // PerPage (tmpfs) over NVM: shared objects + named files
-
-	procs map[int]*vm.AddressSpace
-	vas   map[int]map[int]mem.VirtAddr // proc -> obj -> mapping base
-
+type vmBackend struct {
+	k        *vm.Kernel
+	fs       *memfs.FS           // PerPage (tmpfs) over NVM: shared objects + named files
+	vas      map[int]*vmProc     // proc -> its address space
 	objFiles map[int]*memfs.File // shared objects' backing files
-	objPages map[int]uint64
-	mapCount map[int]int // live mappings per object (all procs)
-
-	files map[string]*memfs.File
 }
 
-func newVMWorld(cpus int, seed uint64, tiered bool) (*vmWorld, error) {
-	machine, params, memory, err := newWorldMachine(cpus, seed)
-	if err != nil {
-		return nil, err
-	}
+// vmProc is one process's address space and the base of each object
+// it maps.
+type vmProc struct {
+	as   *vm.AddressSpace
+	base map[int]mem.VirtAddr
+}
+
+func buildVM(w *world, params *sim.Params, tiered bool) error {
 	cfg := vm.Config{
 		PoolBase:   0,
 		PoolFrames: dramFrames,
@@ -46,189 +39,121 @@ func newVMWorld(cpus int, seed uint64, tiered bool) (*vmWorld, error) {
 		cfg.SlowPoolBase = mem.Frame(dramFrames + fsFrames)
 		cfg.SlowPoolFrames = tierSlowFramesVM
 	}
-	k, err := vm.NewKernel(machine.Clock(), params, memory, cfg)
+	k, err := vm.NewKernel(w.m.Clock(), params, w.mem, cfg)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if tiered {
-		k.AttachTier(tier.New(params, memory, tier.Smart, tierFastCapVM))
+		// Promotions pump inside the kernel's own access paths; the
+		// harness only scans.
+		k.AttachTier(tier.New(params, w.mem, tier.Smart, tierFastCapVM))
+		w.scan = k.TierScan
 	}
-	fs, err := memfs.New("tmpfs", memfs.PerPage, machine.Clock(), params, memory,
+	fs, err := memfs.New("tmpfs", memfs.PerPage, w.m.Clock(), params, w.mem,
 		mem.Frame(dramFrames), fsFrames)
 	if err != nil {
-		return nil, err
-	}
-	w := &vmWorld{
-		m:        machine,
-		k:        k,
-		fs:       fs,
-		procs:    make(map[int]*vm.AddressSpace),
-		vas:      make(map[int]map[int]mem.VirtAddr),
-		objFiles: make(map[int]*memfs.File),
-		objPages: make(map[int]uint64),
-		mapCount: make(map[int]int),
-		files:    make(map[string]*memfs.File),
+		return err
 	}
 	as, err := k.NewAddressSpace()
 	if err != nil {
-		return nil, err
-	}
-	w.procs[0] = as
-	w.vas[0] = make(map[int]mem.VirtAddr)
-	return w, nil
-}
-
-func (w *vmWorld) name() string { return "baseline" }
-
-func (w *vmWorld) apply(op Op) error {
-	switch op.Kind {
-	case OpMap:
-		as := w.procs[op.Proc]
-		req := vm.MmapRequest{Pages: op.Pages, Prot: rwProt, Anon: true}
-		if op.Shared {
-			f, err := w.fs.Create(objPath(op.Obj), memfs.CreateOptions{})
-			if err != nil {
-				return err
-			}
-			if err := f.Truncate(op.Pages * pageSize); err != nil {
-				return err
-			}
-			w.objFiles[op.Obj] = f
-			req = vm.MmapRequest{Pages: op.Pages, Prot: rwProt, File: f}
-		}
-		va, err := as.Mmap(req)
-		if err != nil {
-			return err
-		}
-		w.vas[op.Proc][op.Obj] = va
-		w.objPages[op.Obj] = op.Pages
-		w.mapCount[op.Obj] = 1
-		return nil
-
-	case OpUnmap:
-		as := w.procs[op.Proc]
-		if err := as.Munmap(w.vas[op.Proc][op.Obj], w.objPages[op.Obj]); err != nil {
-			return err
-		}
-		delete(w.vas[op.Proc], op.Obj)
-		return w.objectUnmapped(op.Obj)
-
-	case OpWrite:
-		as := w.procs[op.Proc]
-		return as.WriteByteAt(w.vas[op.Proc][op.Obj]+mem.VirtAddr(op.Page*pageSize), op.Val)
-
-	case OpFork:
-		child, err := w.procs[op.Proc].Fork()
-		if err != nil {
-			return err
-		}
-		w.procs[op.Child] = child
-		inherited := make(map[int]mem.VirtAddr, len(w.vas[op.Proc]))
-		for obj, va := range w.vas[op.Proc] {
-			inherited[obj] = va
-			w.mapCount[obj]++
-		}
-		w.vas[op.Child] = inherited
-		return nil
-
-	case OpShare:
-		as := w.procs[op.Proc]
-		va, err := as.Mmap(vm.MmapRequest{
-			Pages: w.objPages[op.Obj],
-			Prot:  rwProt,
-			File:  w.objFiles[op.Obj],
-		})
-		if err != nil {
-			return err
-		}
-		w.vas[op.Proc][op.Obj] = va
-		w.mapCount[op.Obj]++
-		return nil
-
-	case OpReclaim:
-		_, err := w.k.ReclaimPages(w.m.Current(), reclaimWant)
 		return err
-
-	case OpMigrate:
-		w.procs[op.Proc].RunOn(w.m.CPU(op.CPU))
-		return nil
-
-	case OpFSCreate:
-		f, err := w.fs.Create(fsPath(op.Path), memfs.CreateOptions{})
-		if err != nil {
-			return err
-		}
-		w.files[op.Path] = f
-		return nil
-
-	case OpFSWrite:
-		_, err := w.files[op.Path].WriteAt([]byte{op.Val}, op.Page*pageSize)
-		return err
-
-	case OpFSDelete:
-		if err := w.files[op.Path].Close(); err != nil {
-			return err
-		}
-		delete(w.files, op.Path)
-		return w.fs.Unlink(fsPath(op.Path))
 	}
-	return fmt.Errorf("check: %s world cannot apply %s", w.name(), op.Kind)
-}
-
-// objectUnmapped drops the object's bookkeeping once its last mapping
-// is gone; for shared objects that also releases the backing file.
-func (w *vmWorld) objectUnmapped(obj int) error {
-	w.mapCount[obj]--
-	if w.mapCount[obj] > 0 {
-		return nil
-	}
-	delete(w.mapCount, obj)
-	delete(w.objPages, obj)
-	if f, ok := w.objFiles[obj]; ok {
-		delete(w.objFiles, obj)
-		if err := f.Close(); err != nil {
-			return err
-		}
-		return w.fs.Unlink(objPath(obj))
+	w.fs = fs
+	w.b = &vmBackend{
+		k:        k,
+		fs:       fs,
+		vas:      map[int]*vmProc{0: {as: as, base: make(map[int]mem.VirtAddr)}},
+		objFiles: make(map[int]*memfs.File),
 	}
 	return nil
 }
 
-func (w *vmWorld) readback(op Op) (byte, error) {
-	return w.objectByte(op.Obj, op.Proc, op.Page)
-}
-
-func (w *vmWorld) objectByte(obj, proc int, page uint64) (byte, error) {
-	as := w.procs[proc]
-	return as.ReadByteAt(w.vas[proc][obj] + mem.VirtAddr(page*pageSize))
-}
-
-func (w *vmWorld) fileByte(path string, page uint64) (byte, error) {
-	var buf [1]byte
-	if _, err := w.files[path].ReadAt(buf[:], page*pageSize); err != nil {
-		return 0, err
+func (b *vmBackend) mapNew(proc int, o *object) error {
+	req := vm.MmapRequest{Pages: o.pages, Prot: rwProt, Anon: true}
+	if o.shared {
+		f, err := b.fs.Create(objPath(o.id), memfs.CreateOptions{})
+		if err != nil {
+			return err
+		}
+		if err := f.Truncate(o.pages * pageSize); err != nil {
+			return err
+		}
+		b.objFiles[o.id] = f
+		req = vm.MmapRequest{Pages: o.pages, Prot: rwProt, File: f}
 	}
-	return buf[0], nil
+	return b.mmap(proc, o, req)
 }
 
-func (w *vmWorld) check() error { return w.m.CheckInvariants() }
-
-// tierStep runs the periodic hotness scan; promotions pump inside the
-// kernel's own access paths.
-func (w *vmWorld) tierStep(i int) {
-	if w.k.Tier() != nil && (i+1)%tierScanEvery == 0 {
-		w.k.TierScan(w.m.Current(), tierScanBatch)
+func (b *vmBackend) mmap(proc int, o *object, req vm.MmapRequest) error {
+	p := b.vas[proc]
+	va, err := p.as.Mmap(req)
+	if err != nil {
+		return err
 	}
+	p.base[o.id] = va
+	return nil
 }
 
-func (w *vmWorld) machine() *sim.Machine { return w.m }
+func (b *vmBackend) unmap(proc int, o *object, last bool) error {
+	p := b.vas[proc]
+	if err := p.as.Munmap(p.base[o.id], o.pages); err != nil {
+		return err
+	}
+	delete(p.base, o.id)
+	f, ok := b.objFiles[o.id]
+	if !last || !ok {
+		return nil
+	}
+	delete(b.objFiles, o.id)
+	if err := f.Close(); err != nil {
+		return err
+	}
+	return b.fs.Unlink(objPath(o.id))
+}
 
-func (w *vmWorld) memory() *mem.Memory { return w.k.Memory }
+func (b *vmBackend) addr(proc int, o *object, page uint64) mem.VirtAddr {
+	return b.vas[proc].base[o.id] + mem.VirtAddr(page*pageSize)
+}
 
-func (w *vmWorld) dirtyUnits(frames []mem.Frame) []ckpt.Unit {
+func (b *vmBackend) writeByte(proc int, o *object, page uint64, v byte) error {
+	return b.vas[proc].as.WriteByteAt(b.addr(proc, o, page), v)
+}
+
+func (b *vmBackend) readByte(proc int, o *object, page uint64) (byte, error) {
+	return b.vas[proc].as.ReadByteAt(b.addr(proc, o, page))
+}
+
+// fork is a real COW fork: the child inherits every mapping at the
+// parent's addresses.
+func (b *vmBackend) fork(parent, child int, objs []*object) error {
+	p := b.vas[parent]
+	as, err := p.as.Fork()
+	if err != nil {
+		return err
+	}
+	base := make(map[int]mem.VirtAddr, len(objs))
+	for _, o := range objs {
+		base[o.id] = p.base[o.id]
+	}
+	b.vas[child] = &vmProc{as: as, base: base}
+	return nil
+}
+
+func (b *vmBackend) share(proc int, o *object) error {
+	return b.mmap(proc, o, vm.MmapRequest{Pages: o.pages, Prot: rwProt, File: b.objFiles[o.id]})
+}
+
+func (b *vmBackend) reclaim(_ int, cur *sim.CPU) error {
+	_, err := b.k.ReclaimPages(cur, reclaimWant)
+	return err
+}
+
+func (b *vmBackend) migrate(proc int, cpu *sim.CPU) { b.vas[proc].as.RunOn(cpu) }
+
+func (b *vmBackend) dirtyUnits(frames []mem.Frame) []ckpt.Unit {
 	// Anonymous pool pages are page-granular; tmpfs frames coalesce
 	// into the store's (per-page policy) extents.
-	return append(w.k.DirtyUnits(frames), w.fs.DirtyUnits(frames)...)
+	return append(b.k.DirtyUnits(frames), b.fs.DirtyUnits(frames)...)
 }
 
 // reclaimWant is how many frames one OpReclaim asks the baseline

@@ -9,26 +9,25 @@ import (
 // CPUSet is a set of CPU ids, 0..63, as a bitmask. The parallel-phase
 // scheduler uses it for sync domains (the CPUs a sync point can
 // observe or mutate) and sync groups (the partition of CPUs that are
-// allowed to interact at all). Machines with more than 64 CPUs fall
-// back to the legacy global-quiescence protocol, which never builds a
-// CPUSet.
+// allowed to interact at all), which is why a machine has at most
+// MaxCPUs CPUs.
 type CPUSet uint64
 
-// maxSetCPUs is the largest machine size the sync-domain protocol
-// supports; larger machines run the legacy protocol.
-const maxSetCPUs = 64
+// MaxCPUs is the largest machine NewMachine builds: every CPU id must
+// fit in a CPUSet.
+const MaxCPUs = 64
 
 // Add inserts CPU id into the set.
 func (s *CPUSet) Add(id int) {
-	if id < 0 || id >= maxSetCPUs {
-		panic(fmt.Sprintf("sim: CPU id %d outside CPUSet range [0,%d)", id, maxSetCPUs))
+	if id < 0 || id >= MaxCPUs {
+		panic(fmt.Sprintf("sim: CPU id %d outside CPUSet range [0,%d)", id, MaxCPUs))
 	}
 	*s |= 1 << uint(id)
 }
 
 // Has reports whether CPU id is in the set.
 func (s CPUSet) Has(id int) bool {
-	if id < 0 || id >= maxSetCPUs {
+	if id < 0 || id >= MaxCPUs {
 		return false
 	}
 	return s&(1<<uint(id)) != 0
@@ -48,7 +47,7 @@ func (s CPUSet) String() string {
 	var b strings.Builder
 	b.WriteByte('{')
 	first := true
-	for id := 0; id < maxSetCPUs; id++ {
+	for id := 0; id < MaxCPUs; id++ {
 		if !s.Has(id) {
 			continue
 		}
@@ -62,12 +61,8 @@ func (s CPUSet) String() string {
 	return b.String()
 }
 
-// fullCPUSet returns the set of all n CPUs (saturating at the CPUSet
-// capacity; callers guard n > maxSetCPUs by forcing the legacy
-// protocol).
+// fullCPUSet returns the set of all n CPUs, n <= MaxCPUs (at n = 64
+// the shift yields 0, and 0 - 1 is the full mask).
 func fullCPUSet(n int) CPUSet {
-	if n >= maxSetCPUs {
-		return ^CPUSet(0)
-	}
 	return CPUSet(1)<<uint(n) - 1
 }

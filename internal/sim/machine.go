@@ -17,6 +17,9 @@ type CPU struct {
 	clock *Clock
 	rng   *RNG
 	stats *metrics.Set
+	// ipiLog holds the deliveries this CPU received, once the machine's
+	// IPI log is enabled (see Machine.EnableIPILog).
+	ipiLog []IPIDelivery
 }
 
 // ID returns the CPU number, 0..NumCPUs-1.
@@ -73,15 +76,14 @@ type Machine struct {
 	// parked. pubs mirrors each CPU's clock during a phase so the
 	// sync-domain gate can lower-bound free-running CPUs without
 	// stopping them.
-	hostpar    bool
-	syncLegacy bool
-	phase      *phase
-	phaseFlag  atomic.Bool
-	exclFlag   atomic.Bool
-	pubs       []atomic.Int64
-	groupOf    []CPUSet // per-CPU sync group; nil = one machine-wide group
-	ipiLog     []IPIDelivery
-	grantLog   []GrantRecord
+	hostpar   bool
+	phase     *phase
+	phaseFlag atomic.Bool
+	exclFlag  atomic.Bool
+	pubs      []atomic.Int64
+	groupOf   []CPUSet // per-CPU sync group; nil = one machine-wide group
+	ipiLogOn  bool     // record deliveries in each target's CPU.ipiLog
+	grantLog  []GrantRecord
 }
 
 // invariantCheck is one registered consistency check. Checks run in
@@ -92,12 +94,12 @@ type invariantCheck struct {
 	fn   func() error
 }
 
-// NewMachine builds a machine with n CPUs (n >= 1). All CPU clocks
+// NewMachine builds a machine with n CPUs, 1 <= n <= MaxCPUs. All CPU clocks
 // start at zero; CPU 0 is the boot CPU and is current. Each CPU's RNG
 // stream is derived deterministically from seed and the CPU number.
 func NewMachine(params *Params, n int, seed uint64) *Machine {
-	if n < 1 {
-		panic(fmt.Sprintf("sim: machine needs at least one CPU, got %d", n))
+	if n < 1 || n > MaxCPUs {
+		panic(fmt.Sprintf("sim: machine needs 1 to %d CPUs, got %d", MaxCPUs, n))
 	}
 	m := &Machine{params: params}
 	m.kclock = &Clock{mach: m, fwd: true}
@@ -280,7 +282,9 @@ func (m *Machine) deliverIPI(from *CPU, targets []*CPU, handler func(*CPU), send
 			}
 			handler(t)
 		}
-		m.ipiRecord(IPIDelivery{From: from.id, To: t.id, Send: send, Arrive: t.Now()})
+		if m.ipiLogOn {
+			t.ipiLog = append(t.ipiLog, IPIDelivery{From: from.id, To: t.id, Send: send, Arrive: t.Now()})
+		}
 		if t.Now() > end {
 			end = t.Now()
 		}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -43,6 +44,42 @@ func TestNewMachineRejectsZeroCPUs(t *testing.T) {
 	}()
 	params := DefaultParams()
 	NewMachine(&params, 0, 0)
+}
+
+func TestNewMachineRejectsMoreThanMaxCPUs(t *testing.T) {
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("65-CPU machine accepted")
+		}
+		if msg := fmt.Sprint(r); !strings.Contains(msg, "1 to 64 CPUs, got 65") {
+			t.Fatalf("unclear panic: %s", msg)
+		}
+	}()
+	params := DefaultParams()
+	NewMachine(&params, MaxCPUs+1, 0)
+}
+
+// TestMaxCPUMachineRunsInPhaseIPIs drives the widest machine through a
+// parallel phase in which the highest CPU id sends IPIs: every sync
+// domain, up to the full machine, must fit in a CPUSet.
+func TestMaxCPUMachineRunsInPhaseIPIs(t *testing.T) {
+	params := DefaultParams()
+	m := NewMachine(&params, MaxCPUs, 1)
+	m.EnableIPILog()
+	err := m.RunParallel(func(c *CPU) error {
+		if c.ID() == MaxCPUs-1 {
+			m.IPI(c, []*CPU{m.CPU(0)}, nil)
+			m.Broadcast(c, nil)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := len(m.IPILog()), MaxCPUs; got != want {
+		t.Fatalf("%d deliveries logged, want %d", got, want)
+	}
 }
 
 func TestKernelClockForwardsToCurrentCPU(t *testing.T) {

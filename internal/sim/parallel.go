@@ -54,13 +54,8 @@ import (
 // waiter's own group, so disjoint tenants pinned to disjoint groups
 // never barrier against each other at all.
 //
-// The legacy PR-6 protocol — every section global, granted one at a
-// time at full quiescence — is kept behind SetSyncLegacy (and is
-// forced by EnableIPILog, whose unsynchronized log relies on serial
-// delivery, and on >64-CPU machines, which exceed the CPUSet width).
-// Both protocols produce identical simulated state: they order
-// intersecting sections by the same key and differ only in how much
-// provably-commuting overlap they allow.
+// Sync domains are CPUSet bitmasks, so a machine has at most 64 CPUs
+// (NewMachine enforces it).
 
 // cpuState is one CPU's scheduler state during a parallel phase.
 type cpuState uint8
@@ -79,10 +74,8 @@ type phase struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	legacy bool // PR-6 global-quiescence protocol
-	slots  int  // max CPUs executing at once (1 = serial mode)
-	active int  // CPUs holding a run slot (running or granted)
-	readyN int  // CPUs that have not started their task yet
+	slots  int // max CPUs executing at once (1 = serial mode)
+	active int // CPUs holding a run slot (running or granted)
 
 	state   []cpuState    // by CPU id
 	waiting []*syncWaiter // by CPU id; non-nil while parked or granted
@@ -115,19 +108,6 @@ func (m *Machine) SetHostParallel(on bool) { m.hostpar = on }
 // HostParallel reports whether RunParallel uses all host cores.
 func (m *Machine) HostParallel() bool { return m.hostpar }
 
-// SetSyncLegacy selects the legacy global-quiescence protocol for
-// subsequent RunParallel calls: every sync point is treated as a
-// machine-wide section and granted one at a time with every CPU
-// stopped, exactly as before sync domains existed. Simulated state is
-// identical to the sharded protocol; only host-side overlap (and thus
-// wall-clock) differs. It serves as the reference the sharded protocol
-// is tested against, and RunParallel forces it for machines with an
-// IPI log or more than 64 CPUs.
-func (m *Machine) SetSyncLegacy(on bool) { m.syncLegacy = on }
-
-// SyncLegacy reports whether the legacy protocol is selected.
-func (m *Machine) SyncLegacy() bool { return m.syncLegacy }
-
 // SetSyncGroups declares a partition of the machine's CPUs into
 // disjoint sync groups: a promise that no sync domain (IPI sender plus
 // targets, ordered-section peers) will ever span two groups, checked
@@ -145,9 +125,6 @@ func (m *Machine) SetSyncGroups(groups [][]int) {
 		return
 	}
 	n := len(m.cpus)
-	if n > maxSetCPUs {
-		panic(fmt.Sprintf("sim: sync groups unsupported beyond %d CPUs", maxSetCPUs))
-	}
 	groupOf := make([]CPUSet, n)
 	var seen CPUSet
 	for _, g := range groups {
@@ -213,9 +190,7 @@ func (m *Machine) RunParallel(task func(*CPU) error) error {
 	n := len(m.cpus)
 	p := &phase{
 		m:       m,
-		legacy:  m.syncLegacy || n > maxSetCPUs,
 		slots:   1,
-		readyN:  n,
 		state:   make([]cpuState, n),
 		waiting: make([]*syncWaiter, n),
 		errs:    make([]error, n),
@@ -275,7 +250,6 @@ func (p *phase) runCPU(c *CPU, task func(*CPU) error) {
 	for p.active >= p.slots {
 		p.cond.Wait()
 	}
-	p.readyN--
 	p.active++
 	p.state[c.id] = cpuRunning
 	p.mu.Unlock()
@@ -308,9 +282,7 @@ func (p *phase) syncPoint(c *CPU, at Time, dom CPUSet, fn func()) {
 		p.mu.Unlock()
 		panic("sim: nested sync point inside an ordered section")
 	}
-	if p.legacy {
-		dom = full
-	} else if grp := p.m.groupMask(c.id); !dom.SubsetOf(grp) {
+	if grp := p.m.groupMask(c.id); !dom.SubsetOf(grp) {
 		p.mu.Unlock()
 		panic(fmt.Sprintf("sim: sync domain %s of CPU %d crosses its sync group %s", dom, c.id, grp))
 	}
@@ -353,27 +325,6 @@ func (p *phase) syncPoint(c *CPU, at Time, dom CPUSet, fn func()) {
 // order. Called with p.mu held after every transition that could make
 // a waiter grantable: a CPU parking, finishing, or leaving a section.
 func (p *phase) checkGateLocked() {
-	if p.legacy {
-		// Legacy global quiescence: one grant at a time, minimum key
-		// first, only when no CPU is running, starting, or in a
-		// section (active covers running and granted CPUs).
-		if p.active > 0 || p.readyN > 0 {
-			return
-		}
-		var best *syncWaiter
-		for _, w := range p.waiting {
-			if w == nil || w.granted {
-				continue
-			}
-			if best == nil || w.at < best.at || (w.at == best.at && w.cpu < best.cpu) {
-				best = w
-			}
-		}
-		if best != nil {
-			p.grantLocked(best)
-		}
-		return
-	}
 	if p.active >= p.slots {
 		return
 	}
@@ -543,26 +494,32 @@ type IPIDelivery struct {
 }
 
 // EnableIPILog starts recording every IPI delivery. Test-only: the log
-// grows without bound. It forces the legacy global-quiescence protocol
-// so that deliveries are serialized and the log order is the global
-// Lamport order (under sync domains, disjoint deliveries overlap and
-// have no global order to record).
-func (m *Machine) EnableIPILog() {
-	m.ipiLog = make([]IPIDelivery, 0, 64)
-	m.syncLegacy = true
-}
+// grows without bound. Each delivery is recorded in its target CPU's
+// own log, so recording needs no protocol of its own: a delivery runs
+// inside a section whose domain holds the target, and sections over
+// intersecting domains are serialized.
+func (m *Machine) EnableIPILog() { m.ipiLogOn = true }
 
-// IPILog returns the recorded deliveries.
-func (m *Machine) IPILog() []IPIDelivery { return m.ipiLog }
-
-// ipiRecord appends to the delivery log if enabled. Only called from
-// deliverIPI, which runs serially (out of phase) or under the
-// exclusive grant (the log forces the legacy protocol), so no locking
-// is needed.
-func (m *Machine) ipiRecord(r IPIDelivery) {
-	if m.ipiLog != nil {
-		m.ipiLog = append(m.ipiLog, r)
+// IPILog returns the recorded deliveries, merged from the per-target
+// logs in (send time, sender, target) order — the serial Lamport
+// order, which disjoint deliveries overlapping on the host cannot
+// change.
+func (m *Machine) IPILog() []IPIDelivery {
+	var log []IPIDelivery
+	for _, c := range m.cpus {
+		log = append(log, c.ipiLog...)
 	}
+	sort.SliceStable(log, func(i, j int) bool {
+		a, b := log[i], log[j]
+		if a.Send != b.Send {
+			return a.Send < b.Send
+		}
+		if a.From != b.From {
+			return a.From < b.From
+		}
+		return a.To < b.To
+	})
+	return log
 }
 
 // mustNotFreePhase panics if shared machine state is touched while

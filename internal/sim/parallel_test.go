@@ -102,6 +102,18 @@ func TestIPIDeliveryIsLamportOrdered(t *testing.T) {
 				t.Fatalf("hostpar=%v: delivery %v arrives before send+IPIReceive", hostpar, d)
 			}
 		}
+		// Each target records its own deliveries as they run; sections
+		// over a shared target are serialized in key order, so every
+		// per-target log is already in (send, sender) order.
+		for _, c := range m.cpus {
+			for i := 1; i < len(c.ipiLog); i++ {
+				a, b := c.ipiLog[i-1], c.ipiLog[i]
+				if b.Send < a.Send || (b.Send == a.Send && b.From < a.From) {
+					t.Fatalf("hostpar=%v: CPU %d's own log out of (send, sender) order at %d: %v then %v",
+						hostpar, c.id, i, a, b)
+				}
+			}
+		}
 	}
 }
 
@@ -295,14 +307,13 @@ func shardedWorkload(ops int, seed uint64) func(*CPU) error {
 	}
 }
 
-// runSharded executes the pairwise workload under an explicit protocol
-// selection and returns the machine.
-func runSharded(t *testing.T, cpus int, hostpar, legacy bool, ops int, seed uint64, groups [][]int) *Machine {
+// runSharded executes the pairwise workload with the given run-slot
+// and sync-group settings and returns the machine.
+func runSharded(t *testing.T, cpus int, hostpar bool, ops int, seed uint64, groups [][]int) *Machine {
 	t.Helper()
 	params := DefaultParams()
 	m := NewMachine(&params, cpus, seed)
 	m.SetHostParallel(hostpar)
-	m.SetSyncLegacy(legacy)
 	if groups != nil {
 		m.SetSyncGroups(groups)
 	}
@@ -321,29 +332,26 @@ func pairGroups(cpus int) [][]int {
 	return groups
 }
 
-// TestShardedMatchesSerialAndLegacy is the sharded protocol's
-// byte-identity matrix: for the same seeded workload, the legacy
-// (global-quiescence) protocol and the sharded sync-domain protocol,
-// each both serial and host-parallel, and the sharded protocol with
-// explicit pair sync groups, must all produce identical machine state.
-func TestShardedMatchesSerialAndLegacy(t *testing.T) {
+// TestShardedMatchesSerial is the sharded protocol's byte-identity
+// matrix: for the same seeded workload, serial execution (one run slot)
+// is the reference, and host-parallel execution, with and without
+// explicit pair sync groups, must produce identical machine state.
+func TestShardedMatchesSerial(t *testing.T) {
 	for _, cpus := range []int{1, 2, 4, 8} {
 		for seed := uint64(1); seed <= 5; seed++ {
-			ref := runSharded(t, cpus, false, true, 400, seed, nil)
+			ref := runSharded(t, cpus, false, 400, seed, nil)
 			for _, run := range []struct {
 				name    string
 				hostpar bool
-				legacy  bool
 				groups  [][]int
 			}{
-				{"legacy-hostpar", true, true, nil},
-				{"sharded-serial", false, false, nil},
-				{"sharded-hostpar", true, false, nil},
-				{"sharded-hostpar-groups", true, false, pairGroups(cpus)},
+				{"sharded-hostpar", true, nil},
+				{"sharded-serial-groups", false, pairGroups(cpus)},
+				{"sharded-hostpar-groups", true, pairGroups(cpus)},
 			} {
-				m := runSharded(t, cpus, run.hostpar, run.legacy, 400, seed, run.groups)
+				m := runSharded(t, cpus, run.hostpar, 400, seed, run.groups)
 				if d := ref.CaptureState().Diff(m.CaptureState()); d != "" {
-					t.Fatalf("cpus=%d seed=%d: %s diverged from legacy-serial:\n%s", cpus, seed, run.name, d)
+					t.Fatalf("cpus=%d seed=%d: %s diverged from serial:\n%s", cpus, seed, run.name, d)
 				}
 			}
 		}

@@ -25,7 +25,7 @@ var telemetry struct {
 type SyncTelemetry struct {
 	// SyncPoints is the number of sync-point sections granted during
 	// parallel phases; GlobalSections counts the subset whose domain
-	// was the whole machine (legacy-protocol grants are always global).
+	// was the whole machine.
 	SyncPoints     uint64
 	GlobalSections uint64
 

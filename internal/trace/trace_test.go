@@ -177,6 +177,23 @@ func TestReplayRejectsInvalidTrace(t *testing.T) {
 	}
 }
 
+// TestReplayRejectsHugeAlloc: an alloc whose byte length wraps 64 bits
+// fails at op 0 with an error on every backend, instead of creating a
+// region that only the next touch finds missing.
+func TestReplayRejectsHugeAlloc(t *testing.T) {
+	tr := &Trace{Ops: []Op{
+		{Kind: OpAlloc, ID: 1, Pages: 1 << 62},
+		{Kind: OpTouch, ID: 1, Page: 0, Write: true},
+	}}
+	clock, as, p := replayMachine(t)
+	for _, target := range []Target{NewVMTarget(as, false), NewVMTarget(as, true), NewFOMTarget(p)} {
+		_, err := Replay(tr, target, clock)
+		if err == nil || !strings.Contains(err.Error(), "op 0 (alloc") {
+			t.Errorf("%s: err = %v, want a failure at op 0", target.Name(), err)
+		}
+	}
+}
+
 // Property: generated traces always validate and always replay cleanly
 // on file-only memory, leaving no leaked frames.
 func TestGenerateReplayQuickProperty(t *testing.T) {

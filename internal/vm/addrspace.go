@@ -367,6 +367,17 @@ func (a *AddressSpace) findAlignedGap(pages, alignPages uint64) (mem.VirtAddr, e
 	return cur, nil
 }
 
+// checkPages rejects a page count whose byte length does not fit below
+// the top of the address space; pages*FrameSize would otherwise wrap
+// and yield a region whose end precedes (or equals) its start. It
+// charges nothing, so valid calls cost exactly what they did.
+func (a *AddressSpace) checkPages(pages uint64) error {
+	if max := uint64(a.pt.MaxVirt()); pages >= max/mem.FrameSize {
+		return fmt.Errorf("vm: %d pages do not fit below the %#x-byte address space", pages, max)
+	}
+	return nil
+}
+
 // MmapRequest describes a mapping request.
 type MmapRequest struct {
 	// Addr is the fixed placement address (0 = kernel chooses).
@@ -405,6 +416,9 @@ func (a *AddressSpace) Mmap(req MmapRequest) (mem.VirtAddr, error) {
 	a.cpu.Advance(k.Params.SyscallOverhead + k.Params.MmapFixed)
 	if req.Pages == 0 {
 		return 0, fmt.Errorf("vm: empty mapping")
+	}
+	if err := a.checkPages(req.Pages); err != nil {
+		return 0, err
 	}
 	if !req.Anon && req.File == nil {
 		return 0, fmt.Errorf("vm: file mapping without file")
@@ -598,6 +612,9 @@ func (a *AddressSpace) Munmap(addr mem.VirtAddr, pages uint64) error {
 	k := a.kernel
 	a.run()
 	a.cpu.Advance(k.Params.SyscallOverhead)
+	if err := a.checkPages(pages); err != nil {
+		return err
+	}
 	end := addr + mem.VirtAddr(pages*mem.FrameSize)
 	var kept []*VMA
 	var dropped []*VMA
@@ -725,6 +742,9 @@ func (a *AddressSpace) Mprotect(addr mem.VirtAddr, pages uint64, prot pagetable.
 	k := a.kernel
 	a.run()
 	a.cpu.Advance(k.Params.SyscallOverhead)
+	if err := a.checkPages(pages); err != nil {
+		return err
+	}
 	v, ok := a.findVMA(addr)
 	if !ok || addr+mem.VirtAddr(pages*mem.FrameSize) > v.End {
 		return fmt.Errorf("vm: mprotect range not within one VMA")
@@ -762,6 +782,9 @@ func (a *AddressSpace) MadviseDontneed(addr mem.VirtAddr, pages uint64) error {
 	k := a.kernel
 	a.run()
 	a.cpu.Advance(k.Params.SyscallOverhead)
+	if err := a.checkPages(pages); err != nil {
+		return err
+	}
 	v, ok := a.findVMA(addr)
 	if !ok || addr+mem.VirtAddr(pages*mem.FrameSize) > v.End {
 		return fmt.Errorf("vm: madvise range not within one VMA")

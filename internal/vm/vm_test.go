@@ -503,6 +503,44 @@ func TestMmapValidation(t *testing.T) {
 	}
 }
 
+// TestPageCountOverflowRejected: a page count whose byte length wraps
+// 64 bits (2^62 pages is 2^74 bytes, which wraps to 0) must be an
+// error from every call that takes one, not a VMA whose end wrapped
+// onto its start.
+func TestPageCountOverflowRejected(t *testing.T) {
+	m := newMachine(t, 1024)
+	as, _ := m.kernel.NewAddressSpace()
+	va, err := as.Mmap(MmapRequest{Pages: 4, Prot: rw, Anon: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const huge = uint64(1) << 62
+	if _, err := as.Mmap(MmapRequest{Pages: huge, Prot: rw, Anon: true}); err == nil {
+		t.Error("Mmap of 2^62 pages accepted")
+	}
+	if err := as.Munmap(va, huge); err == nil {
+		t.Error("Munmap of 2^62 pages accepted")
+	}
+	if err := as.Mprotect(va, huge, rw); err == nil {
+		t.Error("Mprotect of 2^62 pages accepted")
+	}
+	if err := as.MadviseDontneed(va, huge); err == nil {
+		t.Error("MadviseDontneed of 2^62 pages accepted")
+	}
+	// The first count that reaches the top of the address space is
+	// rejected; the mapping made above is untouched.
+	top := uint64(as.pt.MaxVirt()) / mem.FrameSize
+	if _, err := as.Mmap(MmapRequest{Pages: top, Prot: rw, Anon: true}); err == nil {
+		t.Error("Mmap of the whole address space accepted")
+	}
+	if err := as.Touch(va+3*mem.FrameSize, true); err != nil {
+		t.Fatalf("original mapping damaged: %v", err)
+	}
+	if err := as.Munmap(va, 4); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestMappingPinsFile(t *testing.T) {
 	m := newMachine(t, 1024)
 	as, _ := m.kernel.NewAddressSpace()
