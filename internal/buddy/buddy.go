@@ -11,9 +11,7 @@
 package buddy
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"repro/internal/mem"
 	"repro/internal/metrics"
@@ -34,49 +32,82 @@ type Allocator struct {
 	base mem.Frame
 	size uint64
 
-	// heads[o] is the first free block of order o, or noFrame.
-	// Free blocks form doubly linked lists threaded through nodes.
-	heads [MaxOrder + 1]mem.Frame
-	nodes map[mem.Frame]listNode // membership: free blocks only
-	order map[mem.Frame]int      // order of free blocks (for buddy checks)
+	// heads[o] is the offset from base of the first free block of
+	// order o, or none. Free blocks form doubly linked lists threaded
+	// through their table entries.
+	heads [MaxOrder + 1]uint32
+	// table holds one entry per block head, free or allocated; every
+	// other frame's entry is zero.
+	table mem.FrameTable[entry]
 
-	allocated map[mem.Frame]int // order of allocated blocks
+	nFree     [MaxOrder + 1]int // free blocks per order
+	nAlloc    int               // allocated blocks
 	freeCount uint64
 
 	stats *metrics.Set
 	// Cached counters for the per-block hot paths.
-	cAllocs, cFrees, cSplits, cCoalesces *metrics.Counter
+	cAllocs, cFrees, cSplits, cCoalesces, cAllocRuns *metrics.Counter
 }
 
-type listNode struct {
-	prev, next mem.Frame
+// entry is one block head's state: the free-list links (offsets from
+// base; zero unless the block is free) and whether the block is free
+// or allocated, at which order.
+type entry struct {
+	prev, next uint32
+	state      uint8
 }
 
-// noFrame marks list ends; it is an impossible frame number.
-const noFrame = mem.Frame(^uint64(0))
+// Entry states: stateFree or stateAlloc, or'ed with the block's order.
+// The zero state means the frame heads no block.
+const (
+	stateFree  = 0x40
+	stateAlloc = 0x80
+	orderMask  = 0x3f
+)
+
+func (e entry) order() int  { return int(e.state & orderMask) }
+func (e entry) free() bool  { return e.state&stateFree != 0 }
+func (e entry) alloc() bool { return e.state&stateAlloc != 0 }
+
+func (e entry) String() string {
+	switch {
+	case e.free():
+		return fmt.Sprintf("free order %d", e.order())
+	case e.alloc():
+		return fmt.Sprintf("allocated order %d", e.order())
+	}
+	return "no-block"
+}
+
+// none marks list ends; no managed offset reaches it.
+const none = ^uint32(0)
 
 // New creates an allocator over [base, base+size). All frames start
-// free.
+// free. Ranges of more than mem.MaxTableFrames frames are rejected:
+// list links are 32-bit offsets.
 func New(clock *sim.Clock, params *sim.Params, base mem.Frame, size uint64) (*Allocator, error) {
 	if size == 0 {
 		return nil, fmt.Errorf("buddy: empty range")
 	}
+	table, err := mem.NewFrameTable[entry](base, size)
+	if err != nil {
+		return nil, fmt.Errorf("buddy: %w", err)
+	}
 	a := &Allocator{
-		clock:     clock,
-		params:    params,
-		base:      base,
-		size:      size,
-		nodes:     make(map[mem.Frame]listNode),
-		order:     make(map[mem.Frame]int),
-		allocated: make(map[mem.Frame]int),
-		stats:     metrics.NewSet(),
+		clock:  clock,
+		params: params,
+		base:   base,
+		size:   size,
+		table:  table,
+		stats:  metrics.NewSet(),
 	}
 	a.cAllocs = a.stats.Counter("allocs")
 	a.cFrees = a.stats.Counter("frees")
 	a.cSplits = a.stats.Counter("splits")
 	a.cCoalesces = a.stats.Counter("coalesces")
+	a.cAllocRuns = a.stats.Counter("alloc_runs")
 	for i := range a.heads {
-		a.heads[i] = noFrame
+		a.heads[i] = none
 	}
 	// Seed the free lists with maximal aligned blocks covering the
 	// range, without charging virtual time (boot-time initialization).
@@ -139,37 +170,48 @@ func OrderFor(n uint64) (int, error) {
 	return 0, fmt.Errorf("buddy: %d frames exceeds max order %d block", n, MaxOrder)
 }
 
-// list helpers; each push/pop/remove charges one BuddyOp.
+// list helpers; callers charge one BuddyOp per push/pop/remove.
+
+// frame converts a list offset to its frame.
+func (a *Allocator) frame(off uint32) mem.Frame { return a.base + mem.Frame(off) }
 
 func (a *Allocator) pushFree(f mem.Frame, o int) {
-	n := listNode{prev: noFrame, next: a.heads[o]}
-	if a.heads[o] != noFrame {
-		h := a.nodes[a.heads[o]]
-		h.prev = f
-		a.nodes[a.heads[o]] = h
+	off := uint32(f - a.base)
+	h := a.heads[o]
+	if h != none {
+		a.table.Ptr(a.frame(h)).prev = off
 	}
-	a.heads[o] = f
-	a.nodes[f] = n
-	a.order[f] = o
+	*a.table.Ptr(f) = entry{prev: none, next: h, state: stateFree | uint8(o)}
+	a.heads[o] = off
+	a.nFree[o]++
 }
 
+// removeFree unlinks the free block at f and clears its entry.
 func (a *Allocator) removeFree(f mem.Frame) {
-	n := a.nodes[f]
-	o := a.order[f]
-	if n.prev != noFrame {
-		p := a.nodes[n.prev]
-		p.next = n.next
-		a.nodes[n.prev] = p
+	e := a.table.Ptr(f)
+	o := e.order()
+	if e.prev != none {
+		a.table.Ptr(a.frame(e.prev)).next = e.next
 	} else {
-		a.heads[o] = n.next
+		a.heads[o] = e.next
 	}
-	if n.next != noFrame {
-		x := a.nodes[n.next]
-		x.prev = n.prev
-		a.nodes[n.next] = x
+	if e.next != none {
+		a.table.Ptr(a.frame(e.next)).prev = e.prev
 	}
-	delete(a.nodes, f)
-	delete(a.order, f)
+	*e = entry{}
+	a.nFree[o]--
+}
+
+// setAllocated records an allocated block of the given order at f.
+func (a *Allocator) setAllocated(f mem.Frame, o int) {
+	*a.table.Ptr(f) = entry{state: stateAlloc | uint8(o)}
+	a.nAlloc++
+}
+
+// clearAllocated drops the allocated block at f.
+func (a *Allocator) clearAllocated(f mem.Frame) {
+	a.table.Set(f, entry{})
+	a.nAlloc--
 }
 
 func (a *Allocator) charge(ops int) {
@@ -184,13 +226,13 @@ func (a *Allocator) Alloc(order int) (mem.Frame, error) {
 		return 0, fmt.Errorf("buddy: invalid order %d", order)
 	}
 	o := order
-	for o <= MaxOrder && a.heads[o] == noFrame {
+	for o <= MaxOrder && a.heads[o] == none {
 		o++
 	}
 	if o > MaxOrder {
 		return 0, fmt.Errorf("buddy: out of memory for order-%d block (%d frames free)", order, a.freeCount)
 	}
-	f := a.heads[o]
+	f := a.frame(a.heads[o])
 	a.removeFree(f)
 	a.charge(1)
 	// Split down to the requested order, freeing the upper buddy at
@@ -202,7 +244,7 @@ func (a *Allocator) Alloc(order int) (mem.Frame, error) {
 		a.charge(1)
 		a.cSplits.Inc()
 	}
-	a.allocated[f] = order
+	a.setAllocated(f, order)
 	a.freeCount -= uint64(1) << order
 	a.cAllocs.Inc()
 	return f, nil
@@ -216,18 +258,18 @@ func (a *Allocator) AllocFrame() (mem.Frame, error) {
 // Free returns a previously allocated block to the allocator,
 // coalescing with free buddies as far as possible.
 func (a *Allocator) Free(f mem.Frame) error {
-	order, ok := a.allocated[f]
-	if !ok {
+	e := a.table.Get(f)
+	if !e.alloc() {
 		return fmt.Errorf("buddy: free of unallocated frame %d", f)
 	}
-	delete(a.allocated, f)
+	order := e.order()
+	a.clearAllocated(f)
 	a.freeCount += uint64(1) << order
 	a.cFrees.Inc()
 
 	for order < MaxOrder {
 		buddy := a.buddyOf(f, order)
-		bo, free := a.order[buddy]
-		if !free || bo != order || !a.Contains(buddy, uint64(1)<<order) {
+		if a.table.Get(buddy).state != stateFree|uint8(order) || !a.Contains(buddy, uint64(1)<<order) {
 			break
 		}
 		a.removeFree(buddy)
@@ -274,7 +316,7 @@ func (a *Allocator) AllocRun(count uint64) (Run, error) {
 	total := uint64(1) << order
 	if total > count {
 		// Temporarily account the block, then carve.
-		delete(a.allocated, f)
+		a.clearAllocated(f)
 		a.freeCount += total
 		cur := f + mem.Frame(count)
 		remaining := total - count
@@ -289,7 +331,7 @@ func (a *Allocator) AllocRun(count uint64) (Run, error) {
 		a.freeCount -= count
 		a.runAllocated(f, count)
 	}
-	a.stats.Counter("alloc_runs").Inc()
+	a.cAllocRuns.Inc()
 	return Run{Start: f, Count: count}, nil
 }
 
@@ -300,7 +342,7 @@ func (a *Allocator) runAllocated(f mem.Frame, count uint64) {
 	remaining := count
 	for remaining > 0 {
 		o := maxOrderFor(cur, remaining)
-		a.allocated[cur] = o
+		a.setAllocated(cur, o)
 		cur += mem.Frame(uint64(1) << o)
 		remaining -= uint64(1) << o
 	}
@@ -316,9 +358,9 @@ func (a *Allocator) FreeRun(r Run) error {
 func (a *Allocator) containingAllocatedBlock(f mem.Frame) (mem.Frame, int, error) {
 	for o := 0; o <= MaxOrder; o++ {
 		cand := f &^ mem.Frame(uint64(1)<<o-1)
-		if ord, ok := a.allocated[cand]; ok {
-			if cand+mem.Frame(uint64(1)<<ord) > f {
-				return cand, ord, nil
+		if e := a.table.Get(cand); e.alloc() {
+			if cand+mem.Frame(uint64(1)<<e.order()) > f {
+				return cand, e.order(), nil
 			}
 		}
 	}
@@ -346,7 +388,7 @@ func (a *Allocator) FreeRange(start mem.Frame, count uint64) error {
 		}
 		// Dissolve the covering block, re-recording the retained head
 		// and tail as allocated runs.
-		delete(a.allocated, blk)
+		a.clearAllocated(blk)
 		a.freeCount += uint64(1) << order
 		if blk < cur {
 			n := uint64(cur - blk)
@@ -368,8 +410,7 @@ func (a *Allocator) FreeRange(start mem.Frame, count uint64) error {
 		a.freeCount -= n
 		c := cur
 		for c < segEnd {
-			o := a.allocated[c]
-			next := c + mem.Frame(uint64(1)<<o)
+			next := c + mem.Frame(uint64(1)<<a.table.Get(c).order())
 			if err := a.Free(c); err != nil {
 				return err
 			}
@@ -384,7 +425,7 @@ func (a *Allocator) FreeRange(start mem.Frame, count uint64) error {
 // if no memory is free. It is a fragmentation diagnostic.
 func (a *Allocator) LargestFreeBlock() int {
 	for o := MaxOrder; o >= 0; o-- {
-		if a.heads[o] != noFrame {
+		if a.heads[o] != none {
 			return o
 		}
 	}
@@ -392,15 +433,7 @@ func (a *Allocator) LargestFreeBlock() int {
 }
 
 // FreeBlocksByOrder returns the number of free blocks at each order.
-func (a *Allocator) FreeBlocksByOrder() [MaxOrder + 1]int {
-	var out [MaxOrder + 1]int
-	for o := 0; o <= MaxOrder; o++ {
-		for f := a.heads[o]; f != noFrame; f = a.nodes[f].next {
-			out[o]++
-		}
-	}
-	return out
-}
+func (a *Allocator) FreeBlocksByOrder() [MaxOrder + 1]int { return a.nFree }
 
 // VisitFree calls fn for every free block (start frame, frame count)
 // threaded on the free lists, in order-then-list order. It charges no
@@ -408,93 +441,119 @@ func (a *Allocator) FreeBlocksByOrder() [MaxOrder + 1]int {
 // disjoint from mapped frames.
 func (a *Allocator) VisitFree(fn func(start mem.Frame, count uint64)) {
 	for o := 0; o <= MaxOrder; o++ {
-		for f := a.heads[o]; f != noFrame; f = a.nodes[f].next {
-			fn(f, uint64(1)<<o)
+		for off := a.heads[o]; off != none; off = a.table.Get(a.frame(off)).next {
+			fn(a.frame(off), uint64(1)<<o)
 		}
 	}
 }
 
 // VisitAllocated calls fn for every allocated block (start frame, frame
-// count). Iteration order is unspecified (map order); callers that need
-// determinism must collect and sort. No simulated cost is charged.
+// count) in ascending frame order. No simulated cost is charged.
 func (a *Allocator) VisitAllocated(fn func(start mem.Frame, count uint64)) {
-	for f, o := range a.allocated {
-		fn(f, uint64(1)<<o)
-	}
-}
-
-// block is one free or allocated block, as CheckInvariants sees it.
-type block struct {
-	start mem.Frame
-	order int
-	free  bool
-}
-
-func (b block) what() string {
-	if b.free {
-		return "free"
-	}
-	return "allocated"
-}
-
-// CheckInvariants validates internal consistency: free and allocated
-// accounting must exactly tile the managed range with no overlap, every
-// listed block must carry its list's order, the list metadata must hold
-// no entry for a block that is not listed, and freeCount must equal the
-// listed frames. It is exercised by tests and failure-injection
-// harnesses and charges no simulated time.
-//
-// The cost is O(B log B) in the number of blocks B, independent of the
-// managed size: the blocks are sorted by start frame, and a range is
-// tiled exactly when every block lies inside it, no block overlaps its
-// predecessor, and the block sizes sum to the range size.
-func (a *Allocator) CheckInvariants() error {
-	blocks := make([]block, 0, len(a.nodes)+len(a.allocated))
-	var freeSeen uint64
-	for o := 0; o <= MaxOrder; o++ {
-		for f := a.heads[o]; f != noFrame; f = a.nodes[f].next {
-			if _, ok := a.nodes[f]; !ok {
-				return fmt.Errorf("buddy: free block %d on list %d has no list node", f, o)
-			}
-			if len(blocks) == len(a.nodes) {
-				return fmt.Errorf("buddy: free lists hold more blocks than their %d list nodes (cycle?)", len(a.nodes))
-			}
-			if got := a.order[f]; got != o {
-				return fmt.Errorf("buddy: free block %d on list %d but order map says %d", f, o, got)
-			}
-			blocks = append(blocks, block{start: f, order: o, free: true})
-			freeSeen += uint64(1) << o
+	a.table.Visit(func(f mem.Frame, e entry) bool {
+		if e.alloc() {
+			fn(f, uint64(1)<<e.order())
 		}
+		return true
+	})
+}
+
+// CheckInvariants validates internal consistency: every listed block
+// must carry a free entry of its list's order, the per-order and free
+// frame counts must match the lists, the block heads must exactly tile
+// the managed range, the free heads in the tiling must be exactly the
+// listed ones, and no frame that heads no block may carry state (stale
+// metadata). It is exercised by tests and failure-injection harnesses
+// and charges no simulated time.
+//
+// The cost is O(B) in the number of blocks B plus the table's levels
+// (a directory entry per 4,096 frames and the allocated nodes below
+// it): the tiling is proven by a walk from base that must find a block
+// head at every position and jumps by that block's size, and the
+// stale-metadata property by counting the entries that carry state.
+func (a *Allocator) CheckInvariants() error {
+	var freeSeen uint64
+	listed := 0
+	for o := 0; o <= MaxOrder; o++ {
+		n := 0
+		for off := a.heads[o]; off != none; n++ {
+			if uint64(off) >= a.size {
+				return fmt.Errorf("buddy: free list %d links to offset %d past the managed range", o, off)
+			}
+			if n == a.nFree[o] {
+				return fmt.Errorf("buddy: free list %d holds more than its %d counted blocks (cycle?)", o, a.nFree[o])
+			}
+			f := a.frame(off)
+			e := a.table.Get(f)
+			if e.state != stateFree|uint8(o) {
+				return fmt.Errorf("buddy: free block %d on list %d but its entry says %s", f, o, e)
+			}
+			freeSeen += uint64(1) << o
+			off = e.next
+		}
+		if n != a.nFree[o] {
+			return fmt.Errorf("buddy: free list %d holds %d blocks, count says %d", o, n, a.nFree[o])
+		}
+		listed += n
 	}
 	if freeSeen != a.freeCount {
 		return fmt.Errorf("buddy: free count %d but lists hold %d frames", a.freeCount, freeSeen)
 	}
-	if len(a.nodes) != len(blocks) || len(a.order) != len(blocks) {
-		return fmt.Errorf("buddy: %d list nodes and %d order entries for %d listed free blocks (stale metadata)",
-			len(a.nodes), len(a.order), len(blocks))
-	}
-	for f, o := range a.allocated {
-		if o < 0 || o > MaxOrder {
-			return fmt.Errorf("buddy: allocated block %d has invalid order %d", f, o)
+
+	blocks, free := 0, 0
+	end := a.base + mem.Frame(a.size)
+	for f := a.base; f < end; blocks++ {
+		e := a.table.Get(f)
+		if e.state&(stateFree|stateAlloc) == 0 {
+			return fmt.Errorf("buddy: frame %d heads no block (gap in the tiling)", f)
 		}
-		blocks = append(blocks, block{start: f, order: o})
-	}
-	slices.SortFunc(blocks, func(x, y block) int { return cmp.Compare(x.start, y.start) })
-	var covered uint64
-	prevEnd := a.base
-	for i, b := range blocks {
-		n := uint64(1) << b.order
-		if !a.Contains(b.start, n) {
-			return fmt.Errorf("buddy: %s block [%d, order %d] leaves managed range", b.what(), b.start, b.order)
+		n := uint64(1) << e.order()
+		if e.order() > MaxOrder || !a.Contains(f, n) {
+			return fmt.Errorf("buddy: %s block at %d leaves managed range", e, f)
 		}
-		if i > 0 && b.start < prevEnd {
-			return fmt.Errorf("buddy: frame %d covered twice (%s block at %d order %d)", b.start, b.what(), b.start, b.order)
+		if e.free() {
+			free++
 		}
-		prevEnd = b.start + mem.Frame(n)
-		covered += n
+		f += mem.Frame(n)
 	}
-	if covered != a.size {
-		return fmt.Errorf("buddy: %d frames accounted, managed %d", covered, a.size)
+	if free != listed {
+		return fmt.Errorf("buddy: %d free blocks tile the range but the lists hold %d (stale metadata)", free, listed)
+	}
+	if blocks-free != a.nAlloc {
+		return fmt.Errorf("buddy: %d allocated blocks tile the range, count says %d", blocks-free, a.nAlloc)
+	}
+
+	stateful := 0
+	a.table.Visit(func(mem.Frame, entry) bool {
+		stateful++
+		return true
+	})
+	if stateful != blocks {
+		return a.staleEntry()
 	}
 	return nil
+}
+
+// staleEntry names the first frame whose entry carries state although
+// the tiling walk jumped over it. CheckInvariants calls it once it has
+// counted more state-bearing entries than blocks.
+func (a *Allocator) staleEntry() error {
+	var err error
+	var head mem.Frame
+	var headEntry entry
+	next := a.base
+	a.table.Visit(func(f mem.Frame, e entry) bool {
+		if f == next {
+			head, headEntry = f, e
+			next = f + mem.Frame(uint64(1)<<e.order())
+			return true
+		}
+		err = fmt.Errorf("buddy: frame %d covered twice: its %s entry lies inside the %s block at %d (stale metadata)",
+			f, e, headEntry, head)
+		return false
+	})
+	if err == nil {
+		err = fmt.Errorf("buddy: table holds more state-bearing entries than blocks (stale metadata)")
+	}
+	return err
 }

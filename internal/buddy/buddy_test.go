@@ -19,11 +19,15 @@ func newAlloc(t *testing.T, base mem.Frame, size uint64) (*Allocator, *sim.Clock
 	return a, clock
 }
 
+// TestNewRejectsEmptyRange also covers ranges too large for the 32-bit
+// free-list offsets: those are errors, not panics.
 func TestNewRejectsEmptyRange(t *testing.T) {
 	clock := &sim.Clock{}
 	params := sim.DefaultParams()
-	if _, err := New(clock, &params, 0, 0); err == nil {
-		t.Fatal("accepted empty range")
+	for _, size := range []uint64{0, mem.MaxTableFrames + 1, 1 << 32, 1 << 40} {
+		if _, err := New(clock, &params, 0, size); err == nil {
+			t.Fatalf("accepted a range of %d frames", size)
+		}
 	}
 }
 

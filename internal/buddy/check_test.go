@@ -3,7 +3,6 @@ package buddy
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 	"strings"
 	"testing"
 
@@ -12,9 +11,9 @@ import (
 )
 
 // checkPerFrame is the frame-by-frame form of CheckInvariants: it marks
-// every managed frame in a map. It is kept only as a test oracle for
-// the interval-tiling check, which must reject every state this one
-// rejects.
+// every frame of every listed and every allocated block in a map. It is
+// kept only as a test oracle for the tiling walk, which must reject
+// every state this one rejects.
 func checkPerFrame(a *Allocator) error {
 	covered := make(map[mem.Frame]bool, a.size)
 	mark := func(f mem.Frame, o int, what string) error {
@@ -32,9 +31,10 @@ func checkPerFrame(a *Allocator) error {
 	}
 	var freeSeen uint64
 	for o := 0; o <= MaxOrder; o++ {
-		for f := a.heads[o]; f != noFrame; f = a.nodes[f].next {
-			if got := a.order[f]; got != o {
-				return fmt.Errorf("buddy: free block %d on list %d but order map says %d", f, o, got)
+		for off := a.heads[o]; off != none; off = a.table.Get(a.frame(off)).next {
+			f := a.frame(off)
+			if got := a.table.Get(f); got.state != stateFree|uint8(o) {
+				return fmt.Errorf("buddy: free block %d on list %d but its entry says %s", f, o, got)
 			}
 			if err := mark(f, o, "free"); err != nil {
 				return err
@@ -45,10 +45,15 @@ func checkPerFrame(a *Allocator) error {
 	if freeSeen != a.freeCount {
 		return fmt.Errorf("buddy: free count %d but lists hold %d frames", a.freeCount, freeSeen)
 	}
-	for f, o := range a.allocated {
-		if err := mark(f, o, "allocated"); err != nil {
-			return err
+	var err error
+	a.VisitAllocated(func(f mem.Frame, n uint64) {
+		if err == nil {
+			o, _ := OrderFor(n)
+			err = mark(f, o, "allocated")
 		}
+	})
+	if err != nil {
+		return err
 	}
 	if uint64(len(covered)) != a.size {
 		return fmt.Errorf("buddy: %d frames accounted, managed %d", len(covered), a.size)
@@ -61,87 +66,102 @@ func freeBlocks(a *Allocator) []block {
 	var out []block
 	a.VisitFree(func(start mem.Frame, count uint64) {
 		o, _ := OrderFor(count)
-		out = append(out, block{start: start, order: o, free: true})
+		out = append(out, block{start: start, order: o})
 	})
 	return out
 }
 
-// allocatedStarts lists the allocated blocks' first frames, sorted.
-func allocatedStarts(a *Allocator) []mem.Frame {
-	out := make([]mem.Frame, 0, len(a.allocated))
-	for f := range a.allocated {
-		out = append(out, f)
-	}
-	slices.Sort(out)
+// allocatedBlocks lists the allocated blocks in ascending frame order.
+func allocatedBlocks(a *Allocator) []block {
+	var out []block
+	a.VisitAllocated(func(start mem.Frame, count uint64) {
+		o, _ := OrderFor(count)
+		out = append(out, block{start: start, order: o})
+	})
 	return out
 }
 
-// lowestAllocated returns the lowest-numbered allocated block.
-func lowestAllocated(a *Allocator) (mem.Frame, bool) {
-	starts := allocatedStarts(a)
-	if len(starts) == 0 {
-		return 0, false
+// block is one free or allocated block.
+type block struct {
+	start mem.Frame
+	order int
+}
+
+// firstAllocated returns the lowest allocated block of at least the
+// given order.
+func firstAllocated(a *Allocator, minOrder int) (block, bool) {
+	for _, b := range allocatedBlocks(a) {
+		if b.order >= minOrder {
+			return b, true
+		}
 	}
-	return starts[0], true
+	return block{}, false
 }
 
 // corruption damages an allocator's bookkeeping in one way. apply
 // reports false when the state offers nothing to corrupt that way.
 // perFrame says whether the per-frame oracle rejects the damage too;
-// the stale-metadata corruptions are caught by the tiling check alone.
+// the stale-metadata corruptions are caught by the tiling walk alone.
 type corruption struct {
 	name     string
-	want     string // substring of the tiling check's error
+	want     string // substring of the tiling walk's error
 	perFrame bool
 	apply    func(a *Allocator) bool
 }
 
 var corruptions = []corruption{
-	{"wrong order list", "order map says", true, func(a *Allocator) bool {
+	{"wrong order list", "its entry says", true, func(a *Allocator) bool {
 		for _, b := range freeBlocks(a) {
 			if b.order < MaxOrder {
 				a.removeFree(b.start)
 				a.pushFree(b.start, b.order+1)
-				a.order[b.start] = b.order
+				a.table.Ptr(b.start).state = stateFree | uint8(b.order)
 				return true
 			}
 		}
 		return false
 	}},
 	{"free block also allocated", "covered twice", true, func(a *Allocator) bool {
-		fb := freeBlocks(a)
-		if len(fb) == 0 {
-			return false
-		}
-		a.allocated[fb[0].start+mem.Frame(uint64(1)<<fb[0].order)-1] = 0
-		return true
-	}},
-	{"allocated blocks overlap", "covered twice", true, func(a *Allocator) bool {
-		for _, f := range allocatedStarts(a) {
-			if a.allocated[f] > 0 {
-				a.allocated[f+1] = 0
+		for _, b := range freeBlocks(a) {
+			if b.order > 0 {
+				a.table.Set(b.start+mem.Frame(uint64(1)<<b.order)-1, entry{state: stateAlloc})
 				return true
 			}
 		}
 		return false
 	}},
-	{"gap", "frames accounted", true, func(a *Allocator) bool {
-		f, ok := lowestAllocated(a)
-		if !ok {
+	{"allocated blocks overlap", "covered twice", true, func(a *Allocator) bool {
+		b, ok := firstAllocated(a, 1)
+		if ok {
+			a.table.Set(b.start+1, entry{state: stateAlloc})
+		}
+		return ok
+	}},
+	{"gap", "gap", true, func(a *Allocator) bool {
+		b, ok := firstAllocated(a, 0)
+		if ok {
+			a.table.Set(b.start, entry{})
+		}
+		return ok
+	}},
+	{"block overruns the range", "leaves managed range", true, func(a *Allocator) bool {
+		last := a.base
+		for f := a.base; f < a.base+mem.Frame(a.size); f += mem.Frame(uint64(1) << a.table.Get(f).order()) {
+			last = f
+		}
+		e := a.table.Get(last)
+		if e.order() == MaxOrder {
 			return false
 		}
-		delete(a.allocated, f)
-		return true
-	}},
-	{"block past the range", "leaves managed range", true, func(a *Allocator) bool {
-		a.allocated[a.base+mem.Frame(a.size)] = 0
-		return true
-	}},
-	{"block before the range", "leaves managed range", true, func(a *Allocator) bool {
-		if a.base == 0 {
-			return false
+		if e.free() {
+			// Re-list it one order up, and count the frames the list
+			// now claims, so only the tiling walk sees the damage.
+			a.removeFree(last)
+			a.pushFree(last, e.order()+1)
+			a.freeCount += uint64(1) << e.order()
+		} else {
+			a.table.Ptr(last).state++
 		}
-		a.allocated[a.base-1] = 0
 		return true
 	}},
 	{"free count", "free count", true, func(a *Allocator) bool {
@@ -153,26 +173,37 @@ var corruptions = []corruption{
 		if len(fb) == 0 {
 			return false
 		}
-		n := a.nodes[fb[0].start]
-		n.next = fb[0].start
-		a.nodes[fb[0].start] = n
+		a.table.Ptr(fb[0].start).next = uint32(fb[0].start - a.base)
 		return true
 	}},
-	{"stale list node", "stale metadata", false, func(a *Allocator) bool {
-		f, ok := lowestAllocated(a)
-		if !ok {
+	{"free-list link past the range", "past the managed range", true, func(a *Allocator) bool {
+		fb := freeBlocks(a)
+		if len(fb) == 0 {
 			return false
 		}
-		a.nodes[f] = listNode{prev: noFrame, next: noFrame}
+		a.table.Ptr(fb[0].start).next = uint32(a.size)
 		return true
+	}},
+	{"stale list node", "stale metadata", true, func(a *Allocator) bool {
+		b, ok := firstAllocated(a, 0)
+		if ok {
+			a.table.Set(b.start, entry{prev: none, next: none, state: stateFree | uint8(b.order)})
+		}
+		return ok
 	}},
 	{"stale order entry", "stale metadata", false, func(a *Allocator) bool {
-		f, ok := lowestAllocated(a)
-		if !ok {
-			return false
+		b, ok := firstAllocated(a, 1)
+		if ok {
+			a.table.Set(b.start+1, entry{state: stateFree})
 		}
-		a.order[f] = a.allocated[f]
-		return true
+		return ok
+	}},
+	{"stale links inside a block", "stale metadata", false, func(a *Allocator) bool {
+		b, ok := firstAllocated(a, 1)
+		if ok {
+			a.table.Set(b.start+1, entry{prev: none, next: none})
+		}
+		return ok
 	}},
 }
 
@@ -223,6 +254,36 @@ func TestCheckInvariantsRejectsCorruption(t *testing.T) {
 			}
 			if c.perFrame && checkPerFrame(a) == nil {
 				t.Fatal("per-frame oracle accepted the corrupted state")
+			}
+		})
+	}
+}
+
+// TestTableRejectsBlocksOutsideRange covers the corruptions the frame
+// table cannot express: it has no slot for a block before or past the
+// managed range, so such a write must be refused and leave the
+// allocator intact.
+func TestTableRejectsBlocksOutsideRange(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		at   func(a *Allocator) mem.Frame
+	}{
+		{"block past the range", func(a *Allocator) mem.Frame { return a.base + mem.Frame(a.size) }},
+		{"block before the range", func(a *Allocator) mem.Frame { return a.base - 1 }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			a := fragmented(t, 4096, 3000, 1)
+			f := c.at(a)
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("block at frame %d outside [%d, %d) accepted", f, a.base, a.base+mem.Frame(a.size))
+					}
+				}()
+				a.table.Set(f, entry{state: stateAlloc})
+			}()
+			if err := a.CheckInvariants(); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}

@@ -2,6 +2,9 @@ package vm
 
 import (
 	"testing"
+
+	"repro/internal/mem"
+	"repro/internal/sim"
 )
 
 // Touch with a warm TLB is the innermost loop of every "access one
@@ -59,5 +62,72 @@ func TestTouchWalkAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Touch via page walk allocates %v objects per access, want 0", allocs)
+	}
+}
+
+// TestFaultUnmapAllocFree pins the baseline's per-page fault and unmap
+// path at zero host allocations in steady state: demand-faulting every
+// page of a mapping (frame allocation, zeroing, struct-page and rmap
+// tracking, PTE install) and dropping them again with MADV_DONTNEED
+// reuses the frame table, the recycled PageInfo records and the
+// page-table nodes of the rounds before.
+func TestFaultUnmapAllocFree(t *testing.T) {
+	const pages = 256
+	m := newMachine(t, 4096)
+	as, err := m.kernel.NewAddressSpace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	va, err := as.Mmap(MmapRequest{Pages: pages, Prot: rw, Anon: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	round := func() {
+		for p := uint64(0); p < pages; p++ {
+			if err := as.Touch(va+mem.VirtAddr(p*mem.FrameSize), true); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := as.MadviseDontneed(va, pages); err != nil {
+			t.Fatal(err)
+		}
+	}
+	round()
+	if allocs := testing.AllocsPerRun(10, round); allocs != 0 {
+		t.Fatalf("fault+unmap of %d pages allocates %v objects per round, want 0", pages, allocs)
+	}
+	if err := m.kernel.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// BenchmarkPopulateMunmap maps 512 pages (2 MiB) with MAP_POPULATE and
+// unmaps them: the baseline's per-page install and teardown loops.
+func BenchmarkPopulateMunmap(b *testing.B) {
+	const pages = 512
+	clock := &sim.Clock{}
+	params := sim.DefaultParams()
+	memory, err := mem.New(clock, &params, mem.Config{DRAMFrames: 1 << 19})
+	if err != nil {
+		b.Fatal(err)
+	}
+	kernel, err := NewKernel(clock, &params, memory, Config{PoolFrames: 1 << 19})
+	if err != nil {
+		b.Fatal(err)
+	}
+	as, err := kernel.NewAddressSpace()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		va, err := as.Mmap(MmapRequest{Pages: pages, Prot: rw, Anon: true, Populate: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := as.Munmap(va, pages); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

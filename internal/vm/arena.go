@@ -10,15 +10,17 @@ import (
 	"repro/internal/sim"
 )
 
-// metaDomain is one frame-metadata domain: a struct-page map, the
+// metaDomain is one frame-metadata domain: a struct-page table, the
 // recycled-record pool, the page-table node pool of the domain's
 // allocator, and a pair of LRU lists. The kernel owns the
 // global domain; each carved per-CPU arena owns its own, so parallel
 // CPU contexts never share metadata structures — frames are routed to
 // a domain by number (Kernel.domainOf).
 type metaDomain struct {
-	// pages holds the struct-page analogue for tracked frames.
-	pages map[mem.Frame]*PageInfo
+	// pages holds the struct-page analogue for tracked frames, over
+	// the frames the domain owns; live counts its entries.
+	pages mem.FrameTable[*PageInfo]
+	live  int
 
 	// sparePages recycles PageInfo records, slab-style: fault-heavy
 	// experiments track and forget millions of frames, and a fresh host
@@ -38,13 +40,31 @@ type metaDomain struct {
 	inactive *pageList
 }
 
-func newMetaDomain(pool *buddy.Allocator) metaDomain {
+// newMetaDomain returns an empty domain for the frames [base,
+// base+count), drawing page-table nodes from pool.
+func newMetaDomain(pool *buddy.Allocator, base mem.Frame, count uint64) (metaDomain, error) {
+	pages, err := mem.NewFrameTable[*PageInfo](base, count)
+	if err != nil {
+		return metaDomain{}, fmt.Errorf("vm: metadata domain: %w", err)
+	}
 	return metaDomain{
-		pages:    make(map[mem.Frame]*PageInfo),
+		pages:    pages,
 		ptNodes:  pagetable.NewPool(pool),
 		active:   newPageList(),
 		inactive: newPageList(),
-	}
+	}, nil
+}
+
+// put files p as f's metadata; f must have none.
+func (d *metaDomain) put(f mem.Frame, p *PageInfo) {
+	d.pages.Set(f, p)
+	d.live++
+}
+
+// drop removes f's metadata.
+func (d *metaDomain) drop(f mem.Frame) {
+	d.pages.Set(f, nil)
+	d.live--
 }
 
 // Arena is one CPU's private frame arena: a contiguous run carved out
@@ -76,7 +96,7 @@ func (ar *Arena) FreeFrames() uint64 { return ar.pool.FreeFrames() }
 
 // TrackedPages returns the number of frames with live metadata in this
 // arena's domain.
-func (ar *Arena) TrackedPages() int { return len(ar.meta.pages) }
+func (ar *Arena) TrackedPages() int { return ar.meta.live }
 
 // CarveArenas splits off one arena of framesPerCPU frames per CPU from
 // the kernel's global pool. It must run outside any parallel phase
@@ -109,13 +129,18 @@ func (k *Kernel) CarveArenas(framesPerCPU uint64) error {
 			undo()
 			return fmt.Errorf("vm: cpu %d arena allocator: %w", cpu.ID(), err)
 		}
+		meta, err := newMetaDomain(pool, run.Start, run.Count)
+		if err != nil {
+			undo()
+			return err
+		}
 		arenas = append(arenas, &Arena{
 			kernel: k,
 			cpu:    cpu,
 			base:   run.Start,
 			frames: run.Count,
 			pool:   pool,
-			meta:   newMetaDomain(pool),
+			meta:   meta,
 		})
 	}
 	sort.Slice(arenas, func(i, j int) bool { return arenas[i].base < arenas[j].base })
@@ -133,7 +158,7 @@ func (k *Kernel) CarveArenas(framesPerCPU uint64) error {
 // release.
 func (k *Kernel) ReleaseArenas() error {
 	for _, ar := range k.arenas {
-		if n := len(ar.meta.pages); n != 0 {
+		if n := ar.meta.live; n != 0 {
 			return fmt.Errorf("vm: cpu %d arena still tracks %d pages", ar.cpu.ID(), n)
 		}
 		if free := ar.pool.FreeFrames(); free != ar.frames {

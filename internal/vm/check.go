@@ -61,34 +61,17 @@ func (k *Kernel) CheckInvariants() error {
 	// A frame filed in the wrong domain would fail here too: domainOf
 	// routes by frame number, so the walk would not find it.
 	err = k.domains(func(label string, d *metaDomain, pool *buddy.Allocator) error {
-		for frame, pi := range d.pages {
-			if k.domainOf(frame) != d {
-				return fmt.Errorf("vm: frame %d tracked in the wrong domain (%s)", frame, label)
-			}
-			if pi.Frame != frame {
-				return fmt.Errorf("vm: PageInfo for frame %d carries frame %d", frame, pi.Frame)
-			}
-			if pi.MapCount != len(pi.rmap) {
-				return fmt.Errorf("vm: frame %d MapCount %d but rmap holds %d entries", frame, pi.MapCount, len(pi.rmap))
-			}
-			if got := refs[frame]; got != len(pi.rmap) {
-				return fmt.Errorf("vm: frame %d has %d rmap entries but %d page-table mappings", frame, len(pi.rmap), got)
-			}
-			for _, e := range pi.rmap {
-				live, ok := k.space(e.as.asid)
-				if !ok || live != e.as {
-					return fmt.Errorf("vm: frame %d rmap references dead address space (asid %d)", frame, e.as.asid)
-				}
-				pa, _, ok := e.as.pt.Lookup(e.va)
-				if !ok {
-					return fmt.Errorf("vm: frame %d rmap says asid %d maps va %#x, but the page table does not", frame, e.as.asid, uint64(e.va))
-				}
-				if pa.Frame() != frame {
-					return fmt.Errorf("vm: frame %d rmap entry (asid %d, va %#x) resolves to frame %d", frame, e.as.asid, uint64(e.va), pa.Frame())
-				}
-			}
+		var err error
+		n := 0
+		d.pages.Visit(func(frame mem.Frame, pi *PageInfo) bool {
+			n++
+			err = k.checkTracked(label, d, frame, pi, refs[frame])
+			return err == nil
+		})
+		if err == nil && n != d.live {
+			err = fmt.Errorf("vm: %s domain holds %d pages, count says %d", label, n, d.live)
 		}
-		return nil
+		return err
 	})
 	if err != nil {
 		return err
@@ -170,17 +153,72 @@ func (k *Kernel) CheckInvariants() error {
 	return k.Memory.SpareScrubbed()
 }
 
+// checkTracked audits one tracked frame of domain d: it must be filed
+// in the domain its number routes to, and every rmap entry must point
+// at a live address space whose page table maps that va back to the
+// frame, as many times as the forward walk counted (refs).
+func (k *Kernel) checkTracked(label string, d *metaDomain, frame mem.Frame, pi *PageInfo, refs int) error {
+	if k.domainOf(frame) != d {
+		return fmt.Errorf("vm: frame %d tracked in the wrong domain (%s)", frame, label)
+	}
+	if pi.Frame != frame {
+		return fmt.Errorf("vm: PageInfo for frame %d carries frame %d", frame, pi.Frame)
+	}
+	if pi.MapCount != len(pi.rmap) {
+		return fmt.Errorf("vm: frame %d MapCount %d but rmap holds %d entries", frame, pi.MapCount, len(pi.rmap))
+	}
+	if refs != len(pi.rmap) {
+		return fmt.Errorf("vm: frame %d has %d rmap entries but %d page-table mappings", frame, len(pi.rmap), refs)
+	}
+	for _, e := range pi.rmap {
+		live, ok := k.space(e.as.asid)
+		if !ok || live != e.as {
+			return fmt.Errorf("vm: frame %d rmap references dead address space (asid %d)", frame, e.as.asid)
+		}
+		pa, _, ok := e.as.pt.Lookup(e.va)
+		if !ok {
+			return fmt.Errorf("vm: frame %d rmap says asid %d maps va %#x, but the page table does not", frame, e.as.asid, uint64(e.va))
+		}
+		if pa.Frame() != frame {
+			return fmt.Errorf("vm: frame %d rmap entry (asid %d, va %#x) resolves to frame %d", frame, e.as.asid, uint64(e.va), pa.Frame())
+		}
+	}
+	return nil
+}
+
+// visitTracked calls fn for every tracked page of every domain in
+// ascending frame order, stopping early when fn returns false. Each
+// domain's table visits its own frames in order, and an arena's frames
+// all lie between the global domain's frames below and above its run,
+// so the arenas (sorted by base) are spliced into the global walk.
+func (k *Kernel) visitTracked(fn func(f mem.Frame, pi *PageInfo) bool) {
+	arenas := k.arenas
+	ok := true
+	flush := func(below mem.Frame) {
+		for ok && len(arenas) > 0 && arenas[0].base < below {
+			arenas[0].meta.pages.Visit(func(f mem.Frame, pi *PageInfo) bool {
+				ok = fn(f, pi)
+				return ok
+			})
+			arenas = arenas[1:]
+		}
+	}
+	k.meta.pages.Visit(func(f mem.Frame, pi *PageInfo) bool {
+		flush(f)
+		ok = ok && fn(f, pi)
+		return ok
+	})
+	flush(^mem.Frame(0))
+}
+
 // trackedFrames returns every frame with PageInfo metadata, in all
-// domains, sorted.
+// domains, in ascending order.
 func (k *Kernel) trackedFrames() []mem.Frame {
 	frames := make([]mem.Frame, 0, k.TrackedPages())
-	_ = k.domains(func(label string, d *metaDomain, pool *buddy.Allocator) error {
-		for f := range d.pages {
-			frames = append(frames, f)
-		}
-		return nil
+	k.visitTracked(func(f mem.Frame, _ *PageInfo) bool {
+		frames = append(frames, f)
+		return true
 	})
-	slices.Sort(frames)
 	return frames
 }
 
@@ -310,16 +348,11 @@ func (k *Kernel) SpareScrubbed() error {
 // page existed.
 func (k *Kernel) TestOnlyCorruptRmap() bool {
 	var victim *PageInfo
-	_ = k.domains(func(label string, d *metaDomain, pool *buddy.Allocator) error {
-		for _, pi := range d.pages {
-			if len(pi.rmap) == 0 {
-				continue
-			}
-			if victim == nil || pi.Frame < victim.Frame {
-				victim = pi
-			}
+	k.visitTracked(func(_ mem.Frame, pi *PageInfo) bool {
+		if len(pi.rmap) != 0 {
+			victim = pi
 		}
-		return nil
+		return victim == nil
 	})
 	if victim == nil {
 		return false

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -12,8 +13,8 @@ import (
 
 // newPoolsKernel builds a two-CPU kernel with all three kinds of frame
 // pool: the global DRAM pool, a carved arena per CPU, and a slow pool
-// over NVM. One address space has populated pages, so the tracked set
-// is not empty.
+// over NVM. One address space has populated pages below and above the
+// arenas, so the tracked set is not empty.
 func newPoolsKernel(t *testing.T) *Kernel {
 	t.Helper()
 	params := sim.DefaultParams()
@@ -38,6 +39,11 @@ func newPoolsKernel(t *testing.T) *Kernel {
 		t.Fatal(err)
 	}
 	if err := kernel.CarveArenas(512); err != nil {
+		t.Fatal(err)
+	}
+	// Populate past the arenas too, so tracked global frames lie on
+	// both sides of them.
+	if _, err := as.Mmap(MmapRequest{Pages: 1024, Prot: rw, Anon: true, Populate: true}); err != nil {
 		t.Fatal(err)
 	}
 	if err := kernel.CheckInvariants(); err != nil {
@@ -85,7 +91,7 @@ func TestCheckInvariantsRejectsTrackedFreeFrame(t *testing.T) {
 				if last {
 					f = start + mem.Frame(count-1)
 				}
-				p.domain(k).pages[f] = &PageInfo{Frame: f}
+				p.domain(k).put(f, &PageInfo{Frame: f})
 				want := fmt.Sprintf("frame %d is on the %s free list but still tracked", f, p.label)
 				err := k.CheckInvariants()
 				if err == nil || !strings.Contains(err.Error(), want) {
@@ -102,11 +108,10 @@ func TestCheckInvariantsRejectsTrackedFreeFrame(t *testing.T) {
 func TestCheckInvariantsRejectsFreedMappedFrame(t *testing.T) {
 	k := newPoolsKernel(t)
 	var f mem.Frame
-	for g := range k.meta.pages {
-		if g > f {
-			f = g
-		}
-	}
+	k.meta.pages.Visit(func(g mem.Frame, _ *PageInfo) bool {
+		f = g
+		return true
+	})
 	if err := k.poolFor(f).FreeRange(f, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -124,11 +129,55 @@ func TestCheckInvariantsRejectsArenaReturnedEarly(t *testing.T) {
 	k := newPoolsKernel(t)
 	ar := k.arenaByCPU[0]
 	f := ar.base + 3
-	ar.meta.pages[f] = &PageInfo{Frame: f}
+	ar.meta.put(f, &PageInfo{Frame: f})
 	if err := k.pool.FreeRun(buddy.Run{Start: ar.base, Count: ar.frames}); err != nil {
 		t.Fatal(err)
 	}
 	want := fmt.Sprintf("frame %d is on the global buddy free list but still tracked", f)
+	if err := k.CheckInvariants(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("CheckInvariants = %v, want %q", err, want)
+	}
+}
+
+// TestTrackedFramesAscending: the use-after-free audit binary-searches
+// the tracked frames, so splicing the arena domains into the global
+// domain's walk must yield every tracked frame once, in ascending
+// order, with global frames on both sides of the arenas.
+func TestTrackedFramesAscending(t *testing.T) {
+	k := newPoolsKernel(t)
+	for _, cpu := range k.Machine.CPUs() {
+		as, err := k.NewAddressSpaceOn(cpu)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := as.Mmap(MmapRequest{Pages: 8, Prot: rw, Anon: true, Populate: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	frames := k.trackedFrames()
+	if len(frames) != k.TrackedPages() || !slices.IsSorted(frames) {
+		t.Fatalf("%d tracked frames (sorted: %v), TrackedPages() = %d", len(frames), slices.IsSorted(frames), k.TrackedPages())
+	}
+	for _, ar := range k.arenas {
+		end := ar.base + mem.Frame(ar.frames)
+		if ar.meta.live == 0 || frames[0] >= ar.base || frames[len(frames)-1] < end {
+			t.Fatalf("tracked frames [%d, %d] do not surround the arena [%d, %d) with %d pages",
+				frames[0], frames[len(frames)-1], ar.base, end, ar.meta.live)
+		}
+	}
+}
+
+// TestCheckInvariantsRejectsUncountedPage files a page in a domain's
+// table without counting it.
+func TestCheckInvariantsRejectsUncountedPage(t *testing.T) {
+	k := newPoolsKernel(t)
+	var f mem.Frame
+	k.meta.pages.Visit(func(g mem.Frame, _ *PageInfo) bool {
+		f = g
+		return true
+	})
+	k.meta.pages.Set(f+1, &PageInfo{Frame: f + 1})
+	want := "global domain holds"
 	if err := k.CheckInvariants(); err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("CheckInvariants = %v, want %q", err, want)
 	}

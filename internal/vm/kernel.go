@@ -56,7 +56,7 @@ type Kernel struct {
 	// tier is the attached migration engine (nil without tiering).
 	tier *tier.Engine
 
-	// meta is the global frame-metadata domain: struct-page map,
+	// meta is the global frame-metadata domain: struct-page table,
 	// recycled records, and the LRU lists the reclaim scanner walks.
 	// Frames inside a carved per-CPU arena live in that arena's domain
 	// instead (see arena.go); domainOf routes by frame number.
@@ -146,6 +146,14 @@ func NewKernel(clock *sim.Clock, params *sim.Params, memory *mem.Memory, cfg Con
 	default:
 		return nil, fmt.Errorf("vm: unsupported page-table depth %d", levels)
 	}
+	// The global domain tracks every frame outside the arenas: pool
+	// frames and the file pages memfs hands out anywhere in memory.
+	span := max(memory.TotalFrames(), uint64(cfg.PoolBase)+cfg.PoolFrames,
+		uint64(cfg.SlowPoolBase)+cfg.SlowPoolFrames)
+	meta, err := newMetaDomain(pool, 0, span)
+	if err != nil {
+		return nil, err
+	}
 	k := &Kernel{
 		Clock:    clock,
 		Params:   params,
@@ -154,7 +162,7 @@ func NewKernel(clock *sim.Clock, params *sim.Params, memory *mem.Memory, cfg Con
 		levels:   levels,
 		pool:     pool,
 		slowPool: slowPool,
-		meta:     newMetaDomain(pool),
+		meta:     meta,
 		shards:   make([]asidShard, machine.NumCPUs()),
 		swap:     newSwapDevice(cfg.SwapFrames),
 		lowWater: low,
@@ -247,9 +255,9 @@ func (k *Kernel) TablePool() *pagetable.Pool { return k.meta.ptNodes }
 // per-page bookkeeping footprint the paper wants to eliminate —
 // summed over the global domain and every arena.
 func (k *Kernel) TrackedPages() int {
-	n := len(k.meta.pages)
+	n := k.meta.live
 	for _, ar := range k.arenas {
-		n += len(ar.meta.pages)
+		n += ar.meta.live
 	}
 	return n
 }

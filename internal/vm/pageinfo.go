@@ -88,7 +88,7 @@ const maxSparePages = 65536
 // owning it. cur is the CPU performing the work.
 func (k *Kernel) trackPage(cur *sim.CPU, f mem.Frame, flags PageFlags) *PageInfo {
 	d := k.domainOf(f)
-	if p, ok := d.pages[f]; ok {
+	if p := d.pages.Get(f); p != nil {
 		return p
 	}
 	var p *PageInfo
@@ -101,7 +101,7 @@ func (k *Kernel) trackPage(cur *sim.CPU, f mem.Frame, flags PageFlags) *PageInfo
 	} else {
 		p = &PageInfo{Frame: f, Flags: flags}
 	}
-	d.pages[f] = p
+	d.put(f, p)
 	k.chargeMeta(cur, 1)
 	if k.tier != nil && flags&PGAnon != 0 {
 		k.tier.Track(f)
@@ -119,7 +119,7 @@ func (k *Kernel) forgetPage(cur *sim.CPU, p *PageInfo) {
 	if p.list != nil {
 		p.list.remove(p)
 	}
-	delete(d.pages, p.Frame)
+	d.drop(p.Frame)
 	k.chargeMeta(cur, 1)
 	if len(d.sparePages) < maxSparePages {
 		p.reset()
@@ -129,8 +129,8 @@ func (k *Kernel) forgetPage(cur *sim.CPU, p *PageInfo) {
 
 // page returns metadata for a tracked frame.
 func (k *Kernel) page(f mem.Frame) (*PageInfo, bool) {
-	p, ok := k.domainOf(f).pages[f]
-	return p, ok
+	p := k.domainOf(f).pages.Get(f)
+	return p, p != nil
 }
 
 // addRmap records a mapping of the frame.

@@ -112,7 +112,7 @@ func TestCarveArenasRoutesFrames(t *testing.T) {
 	if got := ar.TrackedPages(); got != 8 {
 		t.Fatalf("arena tracks %d pages, want 8", got)
 	}
-	if got := len(kernel.meta.pages); got != 0 {
+	if got := kernel.meta.live; got != 0 {
 		t.Fatalf("global domain tracks %d pages, want 0", got)
 	}
 	if got := kernel.TrackedPages(); got != 8 {

@@ -20,16 +20,17 @@ func TestRecycleScrubsPoisonedPageInfo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(kernel.meta.pages) == 0 {
+	if kernel.meta.live == 0 {
 		t.Fatal("populate tracked no pages")
 	}
 	// Poison: stale entries past the rmap's length, holding a live
 	// address-space pointer and a bogus va. A reset that only truncates
 	// the slice would retain both.
-	for _, pi := range kernel.meta.pages {
+	kernel.meta.pages.Visit(func(_ mem.Frame, pi *PageInfo) bool {
 		n := len(pi.rmap)
 		pi.rmap = append(pi.rmap, rmapEntry{as: as, va: 0xdead000})[:n]
-	}
+		return true
+	})
 	if err := as.Munmap(va, 4); err != nil {
 		t.Fatal(err)
 	}

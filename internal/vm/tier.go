@@ -32,16 +32,18 @@ func (k *Kernel) checkTier() error {
 	}
 	anon := 0
 	err := k.domains(func(label string, d *metaDomain, pool *buddy.Allocator) error {
-		for f, pi := range d.pages {
+		var err error
+		d.pages.Visit(func(f mem.Frame, pi *PageInfo) bool {
 			if pi.Flags&PGAnon == 0 {
-				continue
+				return true
 			}
 			anon++
 			if _, tracked := k.tier.TierOf(f); !tracked {
-				return fmt.Errorf("vm: anonymous frame %d (%s domain) not tier-tracked", f, label)
+				err = fmt.Errorf("vm: anonymous frame %d (%s domain) not tier-tracked", f, label)
 			}
-		}
-		return nil
+			return err == nil
+		})
+		return err
 	})
 	if err != nil {
 		return err
@@ -152,9 +154,9 @@ func (k *Kernel) MigrateFrame(cur *sim.CPU, f mem.Frame, to mem.RegionKind) (uin
 	// rmap, and LRU position. Crossing into a different metadata
 	// domain re-files the record (and its LRU membership) there.
 	od, nd := k.domainOf(f), k.domainOf(nf)
-	delete(od.pages, f)
+	od.drop(f)
 	pi.Frame = nf
-	nd.pages[nf] = pi
+	nd.put(nf, pi)
 	if od != nd && pi.list != nil {
 		if pi.Flags&PGActive != 0 {
 			nd.active.pushBack(pi)
