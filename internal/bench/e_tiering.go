@@ -279,7 +279,10 @@ func newTierCtxVM(c *sim.CPU, params *sim.Params, policy tier.Policy, fastCap ui
 	if err != nil {
 		return nil, err
 	}
-	eng := tier.New(params, cpuMem, policy, fastCap)
+	eng, err := tier.New(params, cpuMem, policy, fastCap)
+	if err != nil {
+		return nil, err
+	}
 	k.AttachTier(eng)
 	as, err := k.NewAddressSpaceOn(c)
 	if err != nil {
@@ -313,7 +316,10 @@ func newTierCtxFOM(c *sim.CPU, params *sim.Params, policy tier.Policy, fastCap u
 	if err != nil {
 		return nil, err
 	}
-	eng := tier.New(params, cpuMem, policy, fastCap)
+	eng, err := tier.New(params, cpuMem, policy, fastCap)
+	if err != nil {
+		return nil, err
+	}
 	if err := fs.AttachTier(eng, 0, e19FomFast); err != nil {
 		return nil, err
 	}
@@ -373,7 +379,10 @@ func newTierCtxUsermode(c *sim.CPU, params *sim.Params, policy tier.Policy, fast
 	if err != nil {
 		return nil, err
 	}
-	eng := tier.New(params, cpuMem, policy, fastCap)
+	eng, err := tier.New(params, cpuMem, policy, fastCap)
+	if err != nil {
+		return nil, err
+	}
 	gt.SetEngine(eng)
 	p, err := gt.NewProcessOn(c)
 	if err != nil {
@@ -431,7 +440,10 @@ func newTierCtxCore(c *sim.CPU, params *sim.Params, policy tier.Policy, fastCap 
 	if err != nil {
 		return nil, err
 	}
-	eng := tier.New(params, cpuMem, policy, fastCap)
+	eng, err := tier.New(params, cpuMem, policy, fastCap)
+	if err != nil {
+		return nil, err
+	}
 	if err := sys.AttachTier(eng, mem.Frame(e19PTPool), e19CoreFast); err != nil {
 		return nil, err
 	}

@@ -50,7 +50,10 @@ func buildCore(w *world, params *sim.Params, tiered bool) error {
 		if w.name == "ranges" {
 			fastCap, fastFrames = tierFastCapRanges, tierFastRegionRanges
 		}
-		eng := tier.New(params, w.mem, tier.Smart, fastCap)
+		eng, err := tier.New(params, w.mem, tier.Smart, fastCap)
+		if err != nil {
+			return err
+		}
 		if err := sys.AttachTier(eng, mem.Frame(dramFrames/2), fastFrames); err != nil {
 			return err
 		}

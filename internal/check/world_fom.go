@@ -48,7 +48,10 @@ func buildFOM(w *world, params *sim.Params, tiered bool) error {
 // of DRAM. The store's read/write paths have no CPU handle, so the
 // world pumps its engine after every operation.
 func attachFileTier(w *world, fs *memfs.FS, params *sim.Params) error {
-	eng := tier.New(params, w.mem, tier.Smart, tierFastCapFOM)
+	eng, err := tier.New(params, w.mem, tier.Smart, tierFastCapFOM)
+	if err != nil {
+		return err
+	}
 	if err := fs.AttachTier(eng, 0, tierFastRegionFOM); err != nil {
 		return err
 	}

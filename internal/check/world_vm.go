@@ -46,7 +46,11 @@ func buildVM(w *world, params *sim.Params, tiered bool) error {
 	if tiered {
 		// Promotions pump inside the kernel's own access paths; the
 		// harness only scans.
-		k.AttachTier(tier.New(params, w.mem, tier.Smart, tierFastCapVM))
+		eng, err := tier.New(params, w.mem, tier.Smart, tierFastCapVM)
+		if err != nil {
+			return err
+		}
+		k.AttachTier(eng)
 		w.scan = k.TierScan
 	}
 	fs, err := memfs.New("tmpfs", memfs.PerPage, w.m.Clock(), params, w.mem,

@@ -11,7 +11,7 @@ import (
 )
 
 // On-media chain format: magic, version, then CRC-protected sections
-// in the snapshot framing (snapshot.WriteSection). BASE holds a full
+// in the snapshot framing (snapshot.AppendSection). BASE holds a full
 // snapshot file verbatim; BIMG the base memory image; one DELT per
 // delta in order; JRNL the (possibly compacted) journal stream.
 const (
@@ -29,36 +29,53 @@ const (
 // magic.
 var ErrNotChain = errors.New("ckpt: not a checkpoint chain file")
 
-// Save writes the chain in the versioned binary format.
+// Save writes the chain in the versioned binary format. It sizes the
+// whole file first, encodes every section straight into one buffer of
+// exactly that size and writes it with a single Write; a *bytes.Buffer
+// destination lends its own spare capacity as that buffer. It refuses
+// a frame image list Load would reject: frames not strictly ascending,
+// or contents other than nil or one frame.
 func (c *Chain) Save(w io.Writer) error {
-	if _, err := io.WriteString(w, Magic); err != nil {
-		return err
-	}
-	var v [4]byte
-	putU32(v[:], chainVersion)
-	if _, err := w.Write(v[:]); err != nil {
-		return err
-	}
-	var base bytes.Buffer
-	if err := c.Base.Save(&base); err != nil {
-		return err
-	}
-	if err := snapshot.WriteSection(w, secBase, base.Bytes()); err != nil {
-		return err
-	}
-	if err := snapshot.WriteSection(w, secBImg, encodeFrames(c.BaseFrames)); err != nil {
-		return err
-	}
-	for _, d := range c.Deltas {
-		if err := snapshot.WriteSection(w, secDelta, encodeDelta(d)); err != nil {
-			return err
-		}
-	}
 	jnl := c.Journal
 	if jnl == nil {
 		jnl = &snapshot.Journal{}
 	}
-	return snapshot.WriteSection(w, secJrnl, jnl.Encode())
+	imgLen, err := framesLen(c.BaseFrames)
+	if err != nil {
+		return err
+	}
+	baseLen := c.Base.EncodedLen()
+	size := len(Magic) + 4 + snapshot.SectionOverhead + baseLen +
+		snapshot.SectionOverhead + imgLen + snapshot.SectionOverhead + jnl.EncodedLen()
+	for _, d := range c.Deltas {
+		n, err := deltaLen(d)
+		if err != nil {
+			return err
+		}
+		size += snapshot.SectionOverhead + n
+	}
+	var b []byte
+	if buf, ok := w.(*bytes.Buffer); ok {
+		buf.Grow(size)
+		b = buf.AvailableBuffer()
+	} else {
+		b = make([]byte, 0, size)
+	}
+	b = append(b, Magic...)
+	b = appendU32(b, chainVersion)
+	b = snapshot.AppendSectionFunc(b, secBase, baseLen, c.Base.AppendEncoded)
+	b = snapshot.AppendSectionFunc(b, secBImg, imgLen, func(b []byte) []byte {
+		return appendFrames(b, c.BaseFrames)
+	})
+	for _, d := range c.Deltas {
+		n, _ := deltaLen(d) // checked while sizing
+		b = snapshot.AppendSectionFunc(b, secDelta, n, func(b []byte) []byte {
+			return appendDelta(b, d)
+		})
+	}
+	b = snapshot.AppendSectionFunc(b, secJrnl, jnl.EncodedLen(), jnl.AppendEncoded)
+	_, err = w.Write(b)
+	return err
 }
 
 // Load reads a chain written by Save, verifying magic, version, and
@@ -134,8 +151,37 @@ func Load(r io.Reader) (*Chain, error) {
 	return c, nil
 }
 
-func encodeFrames(frames []FrameImage) []byte {
-	var b []byte
+// minFrameBytes is the encoded size of an all-zero frame image:
+// frame number and presence byte.
+const minFrameBytes = 9
+
+// framesLen returns the encoded size of a frame image list, checking
+// that it is one Load accepts.
+func framesLen(frames []FrameImage) (int, error) {
+	n := 4
+	for i, fi := range frames {
+		if i > 0 && fi.Frame <= frames[i-1].Frame {
+			return 0, fmt.Errorf("ckpt: frame image %d (frame %d) not above frame %d", i, fi.Frame, frames[i-1].Frame)
+		}
+		n += minFrameBytes
+		switch len(fi.Data) {
+		case 0:
+			if fi.Data != nil {
+				return 0, fmt.Errorf("ckpt: frame %d has empty, non-nil contents", fi.Frame)
+			}
+		case mem.FrameSize:
+			n += mem.FrameSize
+		default:
+			return 0, fmt.Errorf("ckpt: frame %d contents of %d bytes, want %d", fi.Frame, len(fi.Data), mem.FrameSize)
+		}
+	}
+	return n, nil
+}
+
+// appendFrames encodes a frame image list checked by framesLen: a u32
+// count, then per frame its u64 number, a presence byte (0: all zero,
+// 1: contents follow) and the contents.
+func appendFrames(b []byte, frames []FrameImage) []byte {
 	b = appendU32(b, uint32(len(frames)))
 	for _, fi := range frames {
 		b = appendU64(b, uint64(fi.Frame))
@@ -149,9 +195,9 @@ func encodeFrames(frames []FrameImage) []byte {
 	return b
 }
 
-// minFrameBytes is the encoded size of an all-zero frame image.
-const minFrameBytes = 9
-
+// decodeFrames parses an appendFrames encoding. Each image's Data is a
+// sub-slice of b capped at one frame, so the images share b's storage
+// and an append to one can never overwrite its neighbour.
 func decodeFrames(b []byte) ([]FrameImage, error) {
 	d := reader{b: b}
 	n := d.u32()
@@ -160,9 +206,15 @@ func decodeFrames(b []byte) ([]FrameImage, error) {
 	out := make([]FrameImage, 0, min(int(n), len(b)/minFrameBytes))
 	for i := uint32(0); i < n && d.err == nil; i++ {
 		fi := FrameImage{Frame: mem.Frame(d.u64())}
-		if d.u8() != 0 {
-			data := d.take(mem.FrameSize)
-			fi.Data = append([]byte(nil), data...)
+		if len(out) > 0 && fi.Frame <= out[len(out)-1].Frame {
+			return nil, &snapshot.ErrCorrupt{What: "frame image section: frames not ascending"}
+		}
+		switch d.u8() {
+		case 0:
+		case 1:
+			fi.Data = d.take(mem.FrameSize)
+		default:
+			return nil, &snapshot.ErrCorrupt{What: "frame image section: presence byte not 0 or 1"}
 		}
 		out = append(out, fi)
 	}
@@ -172,8 +224,17 @@ func decodeFrames(b []byte) ([]FrameImage, error) {
 	return out, nil
 }
 
-func encodeDelta(d *Delta) []byte {
-	var b []byte
+// deltaLen returns the encoded size of d, checking its frame images.
+func deltaLen(d *Delta) (int, error) {
+	fr, err := framesLen(d.Frames)
+	if err != nil {
+		return 0, fmt.Errorf("delta %d: %w", d.Epoch, err)
+	}
+	return 4 + 8 + 4 + 16*len(d.Units) + 4 + fr + 4 + snapshot.MachineStateLen(d.Machine) + 8, nil
+}
+
+// appendDelta encodes a delta checked by deltaLen.
+func appendDelta(b []byte, d *Delta) []byte {
 	b = appendU32(b, uint32(d.Epoch))
 	b = appendU64(b, uint64(d.UpTo))
 	b = appendU32(b, uint32(len(d.Units)))
@@ -181,14 +242,12 @@ func encodeDelta(d *Delta) []byte {
 		b = appendU64(b, uint64(u.Start))
 		b = appendU64(b, u.Count)
 	}
-	fr := encodeFrames(d.Frames)
-	b = appendU32(b, uint32(len(fr)))
-	b = append(b, fr...)
-	ms := snapshot.EncodeMachineState(d.Machine)
-	b = appendU32(b, uint32(len(ms)))
-	b = append(b, ms...)
-	b = appendU64(b, d.MemChecksum)
-	return b
+	fr, _ := framesLen(d.Frames) // checked by deltaLen
+	b = appendU32(b, uint32(fr))
+	b = appendFrames(b, d.Frames)
+	b = appendU32(b, uint32(snapshot.MachineStateLen(d.Machine)))
+	b = snapshot.AppendMachineState(b, d.Machine)
+	return appendU64(b, d.MemChecksum)
 }
 
 func decodeDelta(b []byte) (*Delta, error) {
@@ -234,7 +293,7 @@ func (r *reader) take(n int) []byte {
 		r.err = &snapshot.ErrCorrupt{What: "truncated chain field"}
 		return nil
 	}
-	out := r.b[r.off : r.off+n]
+	out := r.b[r.off : r.off+n : r.off+n]
 	r.off += n
 	return out
 }
@@ -269,10 +328,6 @@ func appendU32(b []byte, v uint32) []byte {
 
 func appendU64(b []byte, v uint64) []byte {
 	return appendU32(appendU32(b, uint32(v)), uint32(v>>32))
-}
-
-func putU32(b []byte, v uint32) {
-	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
 }
 
 func getU32(b []byte) uint32 {

@@ -189,10 +189,10 @@ type FS struct {
 	// Tiering (nil/empty unless AttachTier ran): fastBud is a second
 	// block region over the fast tier, tier the migration engine, and
 	// owners an index from block frame to owning inode so backends can
-	// resolve migration candidates.
+	// resolve migration candidates, over both block regions.
 	tier    *tier.Engine
 	fastBud *buddy.Allocator
-	owners  map[mem.Frame]*Inode
+	owners  mem.FrameTable[*Inode]
 
 	root    *Inode
 	inodes  map[uint64]*Inode

@@ -36,9 +36,15 @@ func (fs *FS) AttachTier(eng *tier.Engine, fastBase mem.Frame, fastFrames uint64
 	if err != nil {
 		return fmt.Errorf("memfs %s: fast region: %w", fs.name, err)
 	}
+	lo := min(fs.bud.Base(), fastBase)
+	hi := max(fs.bud.Base()+mem.Frame(fs.bud.Size()), fastBase+mem.Frame(fastFrames))
+	owners, err := mem.NewFrameTable[*Inode](lo, uint64(hi-lo))
+	if err != nil {
+		return fmt.Errorf("memfs %s: owner index: %w", fs.name, err)
+	}
 	fs.tier = eng
 	fs.fastBud = fastBud
-	fs.owners = make(map[mem.Frame]*Inode)
+	fs.owners = owners
 	eng.SetBackend(fs)
 	m := sim.MachineOf(fs.clock, fs.params)
 	m.RegisterInvariants("memfs-tier:"+fs.name, fs.checkTier)
@@ -52,7 +58,7 @@ func (fs *FS) Tier() *tier.Engine { return fs.tier }
 // Owner resolves a block frame to the inode whose extent covers it
 // (nil when untracked or tiering is off).
 func (fs *FS) Owner(f mem.Frame) *Inode {
-	return fs.owners[f]
+	return fs.owners.Get(f)
 }
 
 // budFor routes a frame to the buddy allocator owning it.
@@ -119,7 +125,7 @@ func (fs *FS) trackRun(ino *Inode, start mem.Frame, count uint64) {
 	}
 	for i := uint64(0); i < count; i++ {
 		f := start + mem.Frame(i)
-		fs.owners[f] = ino
+		fs.owners.Set(f, ino)
 		fs.tier.Track(f)
 	}
 }
@@ -131,7 +137,7 @@ func (fs *FS) untrackRun(start mem.Frame, count uint64) {
 	}
 	for i := uint64(0); i < count; i++ {
 		f := start + mem.Frame(i)
-		delete(fs.owners, f)
+		fs.owners.Set(f, nil)
 		fs.tier.Untrack(f)
 	}
 }
@@ -149,7 +155,7 @@ func (fs *FS) record(f mem.Frame, write bool) {
 // addresses pages individually, so a move costs O(page) plus an
 // extent-map split, never a whole-extent copy.
 func (fs *FS) MigrateFrame(cur *sim.CPU, f mem.Frame, to mem.RegionKind) (uint64, bool) {
-	ino := fs.owners[f]
+	ino := fs.owners.Get(f)
 	if ino == nil || fs.memory.Kind(f) == to {
 		return 0, false
 	}
@@ -180,7 +186,7 @@ func (fs *FS) MigrateFrame(cur *sim.CPU, f mem.Frame, to mem.RegionKind) (uint64
 	// insertExtent's trackRun hook indexed nf, but the engine must see
 	// a move, not a fresh allocation: undo the owner entry and re-key.
 	fs.tier.Moved(f, nf)
-	delete(fs.owners, f)
+	fs.owners.Set(f, nil)
 
 	// Scrub the migrated-away frame before its buddy recycles it.
 	fs.memory.ZeroFramesOn(cur, f, 1)
@@ -220,12 +226,12 @@ func (fs *FS) MigrateExtent(cur *sim.CPU, ino *Inode, e ExtentRun, to mem.Region
 	fs.memory.CopyFramesOn(cur, run.Start, e.Start, e.Count)
 	fs.clock.Advance(fs.params.ExtentOp)
 	ino.extents[idx].Start = run.Start
-	for i := uint64(0); i < e.Count; i++ {
-		old, new := e.Start+mem.Frame(i), run.Start+mem.Frame(i)
-		if fs.tier != nil {
+	if fs.tier != nil {
+		for i := uint64(0); i < e.Count; i++ {
+			old, new := e.Start+mem.Frame(i), run.Start+mem.Frame(i)
 			fs.tier.Moved(old, new)
-			delete(fs.owners, old)
-			fs.owners[new] = ino
+			fs.owners.Set(old, nil)
+			fs.owners.Set(new, ino)
 		}
 	}
 	// Scrub and free the migrated-away run.
@@ -297,7 +303,7 @@ func (fs *FS) checkTier() error {
 		for _, e := range ino.extents {
 			for f := e.Start; f < e.Start+mem.Frame(e.Count); f++ {
 				want++
-				if fs.owners[f] != ino {
+				if fs.owners.Get(f) != ino {
 					return fmt.Errorf("memfs %s: frame %d belongs to inode %d but owner index disagrees", fs.name, f, ino.ino)
 				}
 				if _, tracked := fs.tier.TierOf(f); !tracked {
@@ -306,8 +312,13 @@ func (fs *FS) checkTier() error {
 			}
 		}
 	}
-	if want != len(fs.owners) {
-		return fmt.Errorf("memfs %s: owner index holds %d frames, extents describe %d", fs.name, len(fs.owners), want)
+	entries := 0
+	fs.owners.Visit(func(mem.Frame, *Inode) bool {
+		entries++
+		return true
+	})
+	if want != entries {
+		return fmt.Errorf("memfs %s: owner index holds %d frames, extents describe %d", fs.name, entries, want)
 	}
 	if fs.fastBud != nil {
 		if err := fs.fastBud.CheckInvariants(); err != nil {

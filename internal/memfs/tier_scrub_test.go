@@ -23,7 +23,10 @@ func newTieredFS(t *testing.T, policy tier.Policy, fastCap, fastFrames uint64) (
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := tier.New(&params, m, policy, fastCap)
+	eng, err := tier.New(&params, m, policy, fastCap)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := fs.AttachTier(eng, 0, fastFrames); err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,7 @@ type Cache struct {
 	partial []*slabT
 	full    []*slabT
 
-	byFrame map[mem.Frame]*slabT // slab lookup for Free
+	byFrame mem.FrameTable[*slabT] // slab lookup for Free, over the pool's frames
 
 	stats *metrics.Set
 }
@@ -65,6 +65,10 @@ func NewCache(name string, objSize uint64, clock *sim.Clock, params *sim.Params,
 	for frames*mem.FrameSize/objSize < minObjectsPerSlab {
 		frames *= 2
 	}
+	byFrame, err := mem.NewFrameTable[*slabT](bud.Base(), bud.Size())
+	if err != nil {
+		return nil, fmt.Errorf("slab %s: %w", name, err)
+	}
 	return &Cache{
 		name:    name,
 		objSize: objSize,
@@ -73,7 +77,7 @@ func NewCache(name string, objSize uint64, clock *sim.Clock, params *sim.Params,
 		clock:   clock,
 		params:  params,
 		bud:     bud,
-		byFrame: make(map[mem.Frame]*slabT),
+		byFrame: byFrame,
 		stats:   metrics.NewSet(),
 	}, nil
 }
@@ -135,7 +139,7 @@ func (c *Cache) Free(addr mem.PhysAddr) error {
 	if s.inUse == 0 {
 		c.removeFrom(&c.partial, s)
 		for i := uint64(0); i < s.frames; i++ {
-			delete(c.byFrame, s.start+mem.Frame(i))
+			c.byFrame.Set(s.start+mem.Frame(i), nil)
 		}
 		if err := c.bud.FreeRun(buddy.Run{Start: s.start, Count: s.frames}); err != nil {
 			return fmt.Errorf("slab %s: returning empty slab: %w", c.name, err)
@@ -147,8 +151,8 @@ func (c *Cache) Free(addr mem.PhysAddr) error {
 }
 
 func (c *Cache) locate(addr mem.PhysAddr) (*slabT, int, error) {
-	s, ok := c.byFrame[addr.Frame()]
-	if !ok {
+	s := c.byFrame.Get(addr.Frame())
+	if s == nil {
 		return nil, 0, fmt.Errorf("slab %s: address %#x not from this cache", c.name, uint64(addr))
 	}
 	off := uint64(addr) - uint64(s.start.Addr())
@@ -177,7 +181,7 @@ func (c *Cache) grow() error {
 		s.free = append(s.free, i)
 	}
 	for i := uint64(0); i < s.frames; i++ {
-		c.byFrame[run.Start+mem.Frame(i)] = s
+		c.byFrame.Set(run.Start+mem.Frame(i), s)
 	}
 	c.partial = append(c.partial, s)
 	c.stats.Counter("slabs_created").Inc()

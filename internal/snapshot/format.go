@@ -129,24 +129,36 @@ func (d *dec) str() string {
 
 func (d *dec) done() bool { return d.err == nil && d.off == len(d.b) }
 
-// writeSection emits one tagged, CRC-protected section.
-func writeSection(w io.Writer, tag string, payload []byte) error {
+// SectionOverhead is the framing a section adds around its payload:
+// the 4-byte tag, the u32 length and the CRC32.
+const SectionOverhead = 12
+
+// AppendSection appends one tagged, CRC-protected section holding
+// payload to b. It is the on-media framing primitive shared with
+// layered formats (the incremental-checkpoint chains of
+// internal/ckpt): 4-byte tag, u32 little-endian payload length,
+// payload, CRC32 (IEEE) of the payload.
+func AppendSection(b []byte, tag string, payload []byte) []byte {
+	return AppendSectionFunc(b, tag, len(payload), func(b []byte) []byte { return append(b, payload...) })
+}
+
+// AppendSectionFunc appends a section whose n-byte payload fill
+// appends in place, so a payload is encoded straight into its file
+// buffer. It panics when fill appends other than n bytes: the length
+// field would lie.
+func AppendSectionFunc(b []byte, tag string, n int, fill func([]byte) []byte) []byte {
 	if len(tag) != 4 {
 		panic("snapshot: section tag must be 4 bytes")
 	}
-	var h enc
-	h.b = append(h.b, tag...)
-	h.u32(uint32(len(payload)))
-	if _, err := w.Write(h.b); err != nil {
-		return err
+	e := enc{b: append(b, tag...)}
+	e.u32(uint32(n))
+	start := len(e.b)
+	e.b = fill(e.b)
+	if got := len(e.b) - start; got != n {
+		panic(fmt.Sprintf("snapshot: section %q payload of %d bytes, declared %d", tag, got, n))
 	}
-	if _, err := w.Write(payload); err != nil {
-		return err
-	}
-	var c enc
-	c.u32(crc32.ChecksumIEEE(payload))
-	_, err := w.Write(c.b)
-	return err
+	e.u32(crc32.ChecksumIEEE(e.b[start:]))
+	return e.b
 }
 
 // readSection reads one section, verifying its CRC.
@@ -179,15 +191,7 @@ func readSection(r io.Reader) (tag string, payload []byte, err error) {
 // provoke a giant allocation (64 MiB is far above any real snapshot).
 const maxSectionBytes = 64 << 20
 
-// WriteSection emits one tagged, CRC-protected section. It is the
-// on-media framing primitive shared with layered formats (the
-// incremental-checkpoint chains of internal/ckpt): 4-byte tag, u32
-// little-endian payload length, payload, CRC32 (IEEE) of the payload.
-func WriteSection(w io.Writer, tag string, payload []byte) error {
-	return writeSection(w, tag, payload)
-}
-
-// ReadSection reads one section written by WriteSection, verifying its
+// ReadSection reads one section written by AppendSection, verifying its
 // CRC. It returns io.EOF at a clean end of stream.
 func ReadSection(r io.Reader) (tag string, payload []byte, err error) {
 	return readSection(r)

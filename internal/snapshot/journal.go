@@ -80,14 +80,34 @@ func (j *Journal) Compact(upTo uint64) error {
 // journal (non-zero watermark) starts with the reserved watermark
 // record.
 func (j *Journal) Encode() []byte {
-	var e enc
+	return j.AppendEncoded(make([]byte, 0, j.EncodedLen()))
+}
+
+// recordOverhead is the framing a record adds: u32 length and CRC32.
+const recordOverhead = 8
+
+// EncodedLen returns the exact size of the stream Encode produces.
+func (j *Journal) EncodedLen() int {
+	n := 0
+	if j.watermark != 0 {
+		n += recordOverhead + len(watermarkTag) + 8
+	}
+	for _, rec := range j.recs {
+		n += recordOverhead + len(rec)
+	}
+	return n
+}
+
+// AppendEncoded appends the stream Encode produces to b.
+func (j *Journal) AppendEncoded(b []byte) []byte {
+	e := enc{b: b}
 	emit := func(rec []byte) {
 		e.u32(uint32(len(rec)))
 		e.b = append(e.b, rec...)
 		e.u32(crc32.ChecksumIEEE(rec))
 	}
 	if j.watermark != 0 {
-		var w enc
+		w := enc{b: make([]byte, 0, len(watermarkTag)+8)}
 		w.b = append(w.b, watermarkTag...)
 		w.u64(j.watermark)
 		emit(w.b)

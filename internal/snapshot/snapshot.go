@@ -39,39 +39,51 @@ type Snapshot struct {
 	MemChecksum uint64
 }
 
-// Save writes the snapshot in the versioned binary format.
+// Save writes the snapshot in the versioned binary format, in one
+// Write.
 func (s *Snapshot) Save(w io.Writer) error {
-	if _, err := io.WriteString(w, magic); err != nil {
-		return err
-	}
-	var v enc
-	v.u32(version)
-	if _, err := w.Write(v.b); err != nil {
-		return err
-	}
-	var m enc
-	m.str(s.Meta.Config)
-	m.u32(uint32(s.Meta.CPUs))
-	m.u64(s.Meta.Seed)
-	m.u64(uint64(s.Meta.SnapAt))
-	m.u64(uint64(s.Meta.TraceOps))
-	tier := byte(0)
-	if s.Meta.Tier {
-		tier = 1
-	}
-	m.u8(tier)
-	if err := writeSection(w, secMeta, m.b); err != nil {
-		return err
-	}
-	if err := writeSection(w, secMach, encodeMachineState(s.Machine)); err != nil {
-		return err
-	}
-	if err := writeSection(w, secTrace, s.Trace); err != nil {
-		return err
-	}
-	var c enc
-	c.u64(s.MemChecksum)
-	return writeSection(w, secSums, c.b)
+	_, err := w.Write(s.AppendEncoded(make([]byte, 0, s.EncodedLen())))
+	return err
+}
+
+// metaLen is the size of the META payload.
+func (s *Snapshot) metaLen() int { return 4 + len(s.Meta.Config) + 4 + 3*8 + 1 }
+
+// EncodedLen returns the exact size of the file Save writes, so
+// layered formats (internal/ckpt chains) can size a buffer holding it
+// before encoding.
+func (s *Snapshot) EncodedLen() int {
+	return len(magic) + 4 + 4*SectionOverhead +
+		s.metaLen() + MachineStateLen(s.Machine) + len(s.Trace) + 8
+}
+
+// AppendEncoded appends the file Save writes to b.
+func (s *Snapshot) AppendEncoded(b []byte) []byte {
+	e := enc{b: append(b, magic...)}
+	e.u32(version)
+	e.b = AppendSectionFunc(e.b, secMeta, s.metaLen(), func(b []byte) []byte {
+		m := enc{b: b}
+		m.str(s.Meta.Config)
+		m.u32(uint32(s.Meta.CPUs))
+		m.u64(s.Meta.Seed)
+		m.u64(uint64(s.Meta.SnapAt))
+		m.u64(uint64(s.Meta.TraceOps))
+		tier := byte(0)
+		if s.Meta.Tier {
+			tier = 1
+		}
+		m.u8(tier)
+		return m.b
+	})
+	e.b = AppendSectionFunc(e.b, secMach, MachineStateLen(s.Machine), func(b []byte) []byte {
+		return AppendMachineState(b, s.Machine)
+	})
+	e.b = AppendSection(e.b, secTrace, s.Trace)
+	return AppendSectionFunc(e.b, secSums, 8, func(b []byte) []byte {
+		c := enc{b: b}
+		c.u64(s.MemChecksum)
+		return c.b
+	})
 }
 
 // Load reads a snapshot written by Save, verifying magic, version, and
@@ -143,20 +155,24 @@ func Load(r io.Reader) (*Snapshot, error) {
 	return s, nil
 }
 
-// EncodeMachineState serializes a sim.MachineState capture in the
-// snapshot wire format, for layered formats (internal/ckpt deltas).
-func EncodeMachineState(st *sim.MachineState) []byte {
-	return encodeMachineState(st)
+// MachineStateLen returns the size of st in the snapshot wire format.
+func MachineStateLen(st *sim.MachineState) int {
+	n := 4 + 4
+	for _, c := range st.CPUs {
+		n += 4 + 8 + 8 + countersLen(c.Counters)
+	}
+	n += 4
+	for _, s := range st.Stats {
+		n += 4 + len(s.Name) + countersLen(s.Counters)
+	}
+	return n
 }
 
-// DecodeMachineState parses an EncodeMachineState payload.
-func DecodeMachineState(b []byte) (*sim.MachineState, error) {
-	return decodeMachineState(b)
-}
-
-// encodeMachineState serializes a sim.MachineState capture.
-func encodeMachineState(st *sim.MachineState) []byte {
-	var e enc
+// AppendMachineState appends a sim.MachineState capture in the
+// snapshot wire format to b, for layered formats (internal/ckpt
+// deltas). It appends MachineStateLen(st) bytes.
+func AppendMachineState(b []byte, st *sim.MachineState) []byte {
+	e := enc{b: b}
 	e.u32(uint32(st.Current))
 	e.u32(uint32(len(st.CPUs)))
 	for _, c := range st.CPUs {
@@ -173,6 +189,24 @@ func encodeMachineState(st *sim.MachineState) []byte {
 	return e.b
 }
 
+// EncodeMachineState returns st in the snapshot wire format.
+func EncodeMachineState(st *sim.MachineState) []byte {
+	return AppendMachineState(make([]byte, 0, MachineStateLen(st)), st)
+}
+
+// DecodeMachineState parses an AppendMachineState encoding.
+func DecodeMachineState(b []byte) (*sim.MachineState, error) {
+	return decodeMachineState(b)
+}
+
+func countersLen(cs []sim.CounterValue) int {
+	n := 4
+	for _, c := range cs {
+		n += 4 + len(c.Name) + 8
+	}
+	return n
+}
+
 func encodeCounters(e *enc, cs []sim.CounterValue) {
 	e.u32(uint32(len(cs)))
 	for _, c := range cs {
@@ -181,7 +215,7 @@ func encodeCounters(e *enc, cs []sim.CounterValue) {
 	}
 }
 
-// decodeMachineState parses an encodeMachineState payload.
+// decodeMachineState parses an AppendMachineState encoding.
 func decodeMachineState(b []byte) (*sim.MachineState, error) {
 	d := &dec{b: b}
 	st := &sim.MachineState{Current: int(d.u32())}

@@ -93,11 +93,14 @@ type Backend interface {
 	MigrateFrame(cur *sim.CPU, f mem.Frame, to mem.RegionKind) (pages uint64, ok bool)
 }
 
-// frameState is the engine's per-tracked-frame record.
+// frameState is one clock-ring slot: the tracked frame and its
+// hotness state, held by value so the per-frame paths touch no heap
+// object of their own.
 type frameState struct {
-	idx      int   // position in the clock ring
-	hot      uint8 // aged access history; bit 7 = most recent scan epoch
-	accessed bool  // access bit since the last scan
+	f        mem.Frame // ringDead marks a tombstone
+	hot      uint8     // aged access history; bit 7 = most recent scan epoch
+	accessed bool      // access bit since the last scan
+	pending  bool      // queued for promotion in pending
 }
 
 // Engine tracks frame hotness and drives migrations. It is not
@@ -117,10 +120,14 @@ type Engine struct {
 	highWater uint64
 	lowWater  uint64
 
-	frames map[mem.Frame]*frameState
-	ring   []mem.Frame // clock order; ringDead marks tombstones
-	dead   int         // tombstone count, triggers compaction
-	hand   int
+	// slot maps every frame of memory to its clock-ring slot plus one
+	// (0: untracked), so a frame's state is one table read away and a
+	// move re-points two entries.
+	slot    mem.FrameTable[uint32]
+	ring    []frameState // clock order; tombstones have f == ringDead
+	tracked int          // live ring slots
+	dead    int          // tombstone count, triggers compaction
+	hand    int
 
 	fastUsed uint64
 	slowUsed uint64
@@ -128,8 +135,8 @@ type Engine struct {
 	// pending holds slow-tier frames queued for promotion by Record;
 	// they migrate in Pump, at a quiescent point of the faulting
 	// operation, so the backend never re-enters its own fault path.
-	pending    []mem.Frame
-	pendingSet map[mem.Frame]struct{}
+	// A frame is queued while its slot's pending flag is set.
+	pending []mem.Frame
 
 	// migrating suppresses Track/Untrack while a backend relocates
 	// frames: the backend reports the move via Moved instead, so
@@ -146,15 +153,20 @@ const maxPending = 1024
 
 // New creates an engine over m with the given policy and fast-tier
 // capacity (in frames). The backend may be attached later via
-// SetBackend (the vm/core constructors attach themselves).
-func New(params *sim.Params, m *mem.Memory, policy Policy, fastCap uint64) *Engine {
+// SetBackend (the vm/core constructors attach themselves). Memories of
+// more than mem.MaxTableFrames frames are rejected: the slot table
+// covers every frame.
+func New(params *sim.Params, m *mem.Memory, policy Policy, fastCap uint64) (*Engine, error) {
+	slot, err := mem.NewFrameTable[uint32](0, m.TotalFrames())
+	if err != nil {
+		return nil, fmt.Errorf("tier: %w", err)
+	}
 	e := &Engine{
-		params:     params,
-		memory:     m,
-		policy:     policy,
-		fastCap:    fastCap,
-		frames:     make(map[mem.Frame]*frameState),
-		pendingSet: make(map[mem.Frame]struct{}),
+		params:  params,
+		memory:  m,
+		policy:  policy,
+		fastCap: fastCap,
+		slot:    slot,
 	}
 	// Demotion hysteresis: start demoting at 7/8 of capacity, stop at
 	// 3/4, so the scanner works in bursts instead of one frame per op.
@@ -163,7 +175,7 @@ func New(params *sim.Params, m *mem.Memory, policy Policy, fastCap uint64) *Engi
 	if e.lowWater == 0 {
 		e.lowWater = 1
 	}
-	return e
+	return e, nil
 }
 
 // SetBackend attaches the translation layer that executes migrations.
@@ -180,6 +192,15 @@ func (e *Engine) FastCap() uint64 { return e.fastCap }
 // Allocators consult this for first-touch placement.
 func (e *Engine) PreferFast() bool { return e.fastUsed < e.fastCap }
 
+// state returns f's ring slot, or nil when f is untracked.
+func (e *Engine) state(f mem.Frame) *frameState {
+	s := e.slot.Get(f)
+	if s == 0 {
+		return nil
+	}
+	return &e.ring[s-1]
+}
+
 // Track registers a newly allocated frame with the engine. The tier is
 // inferred from the frame's region kind. No-op while a migration is in
 // flight (the backend reports relocations via Moved instead).
@@ -187,12 +208,12 @@ func (e *Engine) Track(f mem.Frame) {
 	if e.migrating {
 		return
 	}
-	if _, dup := e.frames[f]; dup {
+	if e.slot.Get(f) != 0 {
 		panic(fmt.Sprintf("tier: frame %d tracked twice", f))
 	}
-	st := &frameState{idx: len(e.ring)}
-	e.ring = append(e.ring, f)
-	e.frames[f] = st
+	e.ring = append(e.ring, frameState{f: f})
+	e.slot.Set(f, uint32(len(e.ring)))
+	e.tracked++
 	if e.memory.Kind(f) == mem.DRAM {
 		e.fastUsed++
 		gaugeMax(&telemetry.peakFast, e.fastUsed)
@@ -202,22 +223,21 @@ func (e *Engine) Track(f mem.Frame) {
 	}
 }
 
-// Untrack removes a freed frame from the engine. No-op for untracked
-// frames and while a migration is in flight.
+// Untrack removes a freed frame from the engine, dropping any queued
+// promotion of it. No-op for untracked frames and while a migration is
+// in flight.
 func (e *Engine) Untrack(f mem.Frame) {
 	if e.migrating {
 		return
 	}
-	st, ok := e.frames[f]
-	if !ok {
+	s := e.slot.Get(f)
+	if s == 0 {
 		return
 	}
-	e.ring[st.idx] = ringDead
+	e.ring[s-1] = frameState{f: ringDead}
+	e.slot.Set(f, 0)
+	e.tracked--
 	e.dead++
-	delete(e.frames, f)
-	if _, qd := e.pendingSet[f]; qd {
-		delete(e.pendingSet, f)
-	}
 	if e.memory.Kind(f) == mem.DRAM {
 		e.fastUsed--
 	} else {
@@ -228,22 +248,21 @@ func (e *Engine) Untrack(f mem.Frame) {
 
 // Moved re-keys a tracked frame after the backend relocated its
 // contents from old to new, carrying hotness state and occupancy
-// accounting across the move. Backends call it once per relocated
-// frame inside MigrateFrame.
+// accounting across the move. A queued promotion of old is dropped.
+// Backends call it once per relocated frame inside MigrateFrame.
 func (e *Engine) Moved(old, new mem.Frame) {
-	st, ok := e.frames[old]
-	if !ok {
+	s := e.slot.Get(old)
+	if s == 0 {
 		return // frame was never tracked (e.g. file padding); nothing follows it
 	}
-	if _, dup := e.frames[new]; dup {
+	if e.slot.Get(new) != 0 {
 		panic(fmt.Sprintf("tier: Moved target frame %d already tracked", new))
 	}
-	delete(e.frames, old)
-	e.frames[new] = st
-	e.ring[st.idx] = new
-	if _, qd := e.pendingSet[old]; qd {
-		delete(e.pendingSet, old)
-	}
+	e.slot.Set(old, 0)
+	e.slot.Set(new, s)
+	st := &e.ring[s-1]
+	st.f = new
+	st.pending = false
 	oldFast := e.memory.Kind(old) == mem.DRAM
 	newFast := e.memory.Kind(new) == mem.DRAM
 	if oldFast != newFast {
@@ -265,8 +284,8 @@ func (e *Engine) Moved(old, new mem.Frame) {
 // charges no simulated time — it piggybacks on the access that is
 // already being charged.
 func (e *Engine) Record(f mem.Frame, write bool) {
-	st, ok := e.frames[f]
-	if !ok {
+	st := e.state(f)
+	if st == nil {
 		return
 	}
 	st.accessed = true
@@ -274,17 +293,14 @@ func (e *Engine) Record(f mem.Frame, write bool) {
 	if e.policy != Promote && e.policy != Smart {
 		return
 	}
-	if e.memory.Kind(f) == mem.DRAM {
-		return
-	}
-	if _, qd := e.pendingSet[f]; qd {
+	if e.memory.Kind(f) == mem.DRAM || st.pending {
 		return
 	}
 	if len(e.pending) >= maxPending {
 		telemetry.stalls.Add(1)
 		return
 	}
-	e.pendingSet[f] = struct{}{}
+	st.pending = true
 	e.pending = append(e.pending, f)
 }
 
@@ -299,11 +315,12 @@ func (e *Engine) Pump(cur *sim.CPU) {
 	work := e.pending
 	e.pending = e.pending[:0]
 	for _, f := range work {
-		if _, qd := e.pendingSet[f]; !qd {
+		st := e.state(f)
+		if st == nil || !st.pending {
 			continue // untracked or already moved since queueing
 		}
-		delete(e.pendingSet, f)
-		if _, ok := e.frames[f]; !ok || e.memory.Kind(f) == mem.DRAM {
+		st.pending = false
+		if e.memory.Kind(f) == mem.DRAM {
 			continue
 		}
 		cur.Clock().Advance(e.params.TierPolicyOp)
@@ -335,7 +352,7 @@ func (e *Engine) Pump(cur *sim.CPU) {
 // high-water mark the scan also demotes cold fast-tier frames until
 // occupancy falls to the low-water mark or the batch is exhausted.
 func (e *Engine) Scan(cur *sim.CPU, batch int) {
-	if len(e.frames) == 0 || e.migrating {
+	if e.tracked == 0 || e.migrating {
 		return
 	}
 	demoting := (e.policy == Demote || e.policy == Smart) && e.fastUsed > e.highWater
@@ -346,12 +363,14 @@ func (e *Engine) Scan(cur *sim.CPU, batch int) {
 		if e.hand >= len(e.ring) {
 			e.hand = 0
 		}
-		f := e.ring[e.hand]
+		// Migrations below re-key ring slots but never add, remove or
+		// move one (Track/Untrack are suppressed), so st stays valid.
+		st := &e.ring[e.hand]
 		e.hand++
+		f := st.f
 		if f == ringDead {
 			continue
 		}
-		st := e.frames[f]
 		visited++
 		telemetry.scans.Add(1)
 		cur.Clock().Advance(e.params.TierScanFrame)
@@ -377,7 +396,7 @@ func (e *Engine) Scan(cur *sim.CPU, batch int) {
 	// frames: demote the least-hot one seen so the scanner always makes
 	// progress under sustained pressure.
 	if demoting && e.fastUsed > e.highWater && coldestHot >= 0 {
-		if _, ok := e.frames[coldest]; ok && e.memory.Kind(coldest) == mem.DRAM {
+		if e.slot.Get(coldest) != 0 && e.memory.Kind(coldest) == mem.DRAM {
 			cur.Clock().Advance(e.params.TierPolicyOp)
 			e.migrate(cur, coldest, mem.NVM, &telemetry.demotions)
 		}
@@ -415,20 +434,16 @@ func (e *Engine) coldestFast() (mem.Frame, bool) {
 	bestHot := -1
 	n := len(e.ring)
 	for i := 0; i < n; i++ {
-		f := e.ring[(e.hand+i)%n]
-		if f == ringDead {
+		st := &e.ring[(e.hand+i)%n]
+		if st.f == ringDead || e.memory.Kind(st.f) != mem.DRAM {
 			continue
 		}
-		if e.memory.Kind(f) != mem.DRAM {
-			continue
-		}
-		st := e.frames[f]
 		h := int(st.hot)
 		if st.accessed {
 			h |= 0x100 // unscanned recent access outranks any aged history
 		}
 		if bestHot < 0 || h < bestHot {
-			best, bestHot = f, h
+			best, bestHot = st.f, h
 			if h == 0 {
 				break
 			}
@@ -438,23 +453,25 @@ func (e *Engine) coldestFast() (mem.Frame, bool) {
 }
 
 // maybeCompact rebuilds the ring when over half its slots are
-// tombstones, preserving clock order of the survivors.
+// tombstones, preserving clock order of the survivors and re-pointing
+// their slot entries.
 func (e *Engine) maybeCompact() {
 	if e.dead*2 <= len(e.ring) || len(e.ring) < 64 {
 		return
 	}
 	live := e.ring[:0]
 	newHand := 0
-	for i, f := range e.ring {
-		if f == ringDead {
+	for i, st := range e.ring {
+		if st.f == ringDead {
 			continue
 		}
 		if i < e.hand {
 			newHand++
 		}
-		e.frames[f].idx = len(live)
-		live = append(live, f)
+		live = append(live, st)
+		e.slot.Set(st.f, uint32(len(live)))
 	}
+	clear(e.ring[len(live):])
 	e.ring = live
 	e.hand = newHand
 	e.dead = 0
@@ -464,7 +481,7 @@ func (e *Engine) maybeCompact() {
 // is tracked. The checker compares this against mem.Kind to prove
 // translation ↔ placement agreement after migrations.
 func (e *Engine) TierOf(f mem.Frame) (mem.RegionKind, bool) {
-	if _, ok := e.frames[f]; !ok {
+	if e.slot.Get(f) == 0 {
 		return mem.DRAM, false
 	}
 	return e.memory.Kind(f), true
@@ -474,48 +491,57 @@ func (e *Engine) TierOf(f mem.Frame) (mem.RegionKind, bool) {
 func (e *Engine) Occupancy() (fast, slow uint64) { return e.fastUsed, e.slowUsed }
 
 // Tracked returns the number of tracked frames.
-func (e *Engine) Tracked() int { return len(e.frames) }
+func (e *Engine) Tracked() int { return e.tracked }
 
 // CheckInvariants audits the engine's accounting:
 //   - per-tier occupancy counters match a recount over tracked frames
 //   - no frame is in two tiers (each tracked frame maps to exactly one
-//     region kind; the frames map structurally prevents double entries,
-//     the recount proves the counters agree with placement)
-//   - the clock ring and the frames map are a bijection over live slots
-//   - every pending promotion candidate is still a tracked frame
+//     region kind; the slot table structurally prevents double
+//     entries, the recount proves the counters agree with placement)
+//   - the slot table and the live ring slots are a bijection, and the
+//     tracked and tombstone counts match the ring
+//   - only live slots are queued for promotion
 func (e *Engine) CheckInvariants() error {
 	var fast, slow uint64
-	for f, st := range e.frames {
-		if st.idx < 0 || st.idx >= len(e.ring) || e.ring[st.idx] != f {
-			return fmt.Errorf("tier: frame %d ring slot %d does not point back", f, st.idx)
+	entries := 0
+	var err error
+	e.slot.Visit(func(f mem.Frame, s uint32) bool {
+		if int(s) > len(e.ring) || e.ring[s-1].f != f {
+			err = fmt.Errorf("tier: frame %d ring slot %d does not point back", f, int(s)-1)
+			return false
 		}
+		entries++
 		if e.memory.Kind(f) == mem.DRAM {
 			fast++
 		} else {
 			slow++
 		}
+		return true
+	})
+	if err != nil {
+		return err
 	}
 	if fast != e.fastUsed || slow != e.slowUsed {
 		return fmt.Errorf("tier: occupancy counters fast=%d slow=%d, recount fast=%d slow=%d",
 			e.fastUsed, e.slowUsed, fast, slow)
 	}
-	live := 0
-	for _, f := range e.ring {
-		if f == ringDead {
+	live, dead := 0, 0
+	for i, st := range e.ring {
+		if st.f == ringDead {
+			if st != (frameState{f: ringDead}) {
+				return fmt.Errorf("tier: tombstone at ring slot %d keeps state %+v", i, st)
+			}
+			dead++
 			continue
 		}
 		live++
-		if _, ok := e.frames[f]; !ok {
-			return fmt.Errorf("tier: ring frame %d not tracked", f)
+		if s := e.slot.Get(st.f); int(s) != i+1 {
+			return fmt.Errorf("tier: ring frame %d at slot %d, slot table says %d", st.f, i, int(s)-1)
 		}
 	}
-	if live != len(e.frames) {
-		return fmt.Errorf("tier: ring has %d live slots for %d tracked frames", live, len(e.frames))
-	}
-	for f := range e.pendingSet {
-		if _, ok := e.frames[f]; !ok {
-			return fmt.Errorf("tier: pending frame %d not tracked", f)
-		}
+	if live != entries || live != e.tracked || dead != e.dead {
+		return fmt.Errorf("tier: ring has %d live and %d dead slots; slot table %d entries, counts tracked=%d dead=%d",
+			live, dead, entries, e.tracked, e.dead)
 	}
 	return nil
 }

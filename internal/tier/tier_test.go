@@ -46,7 +46,10 @@ func newTestRig(t *testing.T, policy Policy, fastCap uint64) (*Engine, *fakeBack
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := New(&params, memory, policy, fastCap)
+	eng, err := New(&params, memory, policy, fastCap)
+	if err != nil {
+		t.Fatal(err)
+	}
 	b := &fakeBackend{eng: eng, memory: memory, nextFast: 512, nextSlow: mem.Frame(1<<10 + 2048)}
 	eng.SetBackend(b)
 	return eng, b, machine.CPU(0)
@@ -297,5 +300,17 @@ func TestPendingDropsUntrackedFrame(t *testing.T) {
 	}
 	if err := eng.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestNewRejectsMemoryBeyondFrameTable(t *testing.T) {
+	params := sim.DefaultParams()
+	machine := sim.NewMachine(&params, 1, 1)
+	memory, err := mem.New(machine.Clock(), &params, mem.Config{DRAMFrames: 1 << 10, NVMFrames: mem.MaxTableFrames})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(&params, memory, Smart, 64); err == nil {
+		t.Fatalf("engine over %d frames created, want an error", memory.TotalFrames())
 	}
 }

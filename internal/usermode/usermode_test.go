@@ -269,7 +269,10 @@ func TestHeapOnUsermodeSpace(t *testing.T) {
 func TestMigrateFrameRelocatesWholeExtent(t *testing.T) {
 	machine, memory, gt := newTable(t, 1024, 256, 64)
 	params := machine.Params()
-	eng := tier.New(params, memory, tier.Smart, 128)
+	eng, err := tier.New(params, memory, tier.Smart, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
 	gt.SetEngine(eng)
 	p, err := gt.NewProcessOn(machine.BootCPU())
 	if err != nil {
@@ -331,7 +334,10 @@ func TestMigrateFrameRelocatesWholeExtent(t *testing.T) {
 
 func TestMigrateDeclinesPinnedAndCallbackless(t *testing.T) {
 	machine, memory, gt := newTable(t, 1024, 256, 64)
-	eng := tier.New(machine.Params(), memory, tier.Smart, 128)
+	eng, err := tier.New(machine.Params(), memory, tier.Smart, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
 	gt.SetEngine(eng)
 	p, err := gt.NewProcessOn(machine.BootCPU())
 	if err != nil {
