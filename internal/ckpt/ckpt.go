@@ -92,14 +92,9 @@ func (c *Chain) LastUpTo() int {
 // materialized frame with non-zero contents. Tooling only — advances
 // no simulated clock.
 func CaptureImage(m *mem.Memory) []FrameImage {
-	var out []FrameImage
-	buf := make([]byte, mem.FrameSize)
-	for _, f := range m.MaterializedFrameList() {
-		m.ReadAt(f.Addr(), buf)
-		if allZero(buf) {
-			continue
-		}
-		out = append(out, FrameImage{Frame: f, Data: append([]byte(nil), buf...)})
+	out := capture(m, m.MaterializedFrameList(), false)
+	if len(out) == 0 {
+		return nil
 	}
 	return out
 }
@@ -108,26 +103,49 @@ func CaptureImage(m *mem.Memory) []FrameImage {
 // (typically the dirty set), preserving became-zero entries as nil
 // Data. Frames must be sorted ascending, as mem.DirtyFrames returns.
 func CaptureFrames(m *mem.Memory, frames []mem.Frame) []FrameImage {
-	out := make([]FrameImage, 0, len(frames))
-	buf := make([]byte, mem.FrameSize)
+	return capture(m, frames, true)
+}
+
+// capture images the given frames with one exactly sized allocation
+// for all their contents: the non-zero frames are counted first, and
+// each one's Data is a cap-limited FrameSize sub-slice of a single
+// backing array, so appending to one image reallocates rather than
+// overwriting its neighbour. Zero frames get nil Data, or are left out
+// unless keepZero.
+func capture(m *mem.Memory, frames []mem.Frame, keepZero bool) []FrameImage {
+	n := m.NonZeroCount(frames)
+	size := n
+	if keepZero {
+		size = len(frames)
+	}
+	out := make([]FrameImage, 0, size)
+	backing := make([]byte, n*mem.FrameSize)
 	for _, f := range frames {
-		m.ReadAt(f.Addr(), buf)
 		img := FrameImage{Frame: f}
-		if !allZero(buf) {
-			img.Data = append([]byte(nil), buf...)
+		// Once every non-zero frame is captured the rest read as zero.
+		if len(backing) > 0 && m.ReadNonZeroFrame(f, backing) {
+			img.Data, backing = backing[:mem.FrameSize:mem.FrameSize], backing[mem.FrameSize:]
+		} else if !keepZero {
+			continue
 		}
 		out = append(out, img)
 	}
 	return out
 }
 
+// zeroFrame is the all-zero reference allZero compares against.
+var zeroFrame [mem.FrameSize]byte
+
+// allZero reports whether b is all zero, one memory comparison per
+// frame-sized chunk.
 func allZero(b []byte) bool {
-	for _, v := range b {
-		if v != 0 {
+	for len(b) > len(zeroFrame) {
+		if string(b[:len(zeroFrame)]) != string(zeroFrame[:]) {
 			return false
 		}
+		b = b[len(zeroFrame):]
 	}
-	return true
+	return string(b) == string(zeroFrame[:len(b)])
 }
 
 // AssembleImage overlays the deltas onto the base image, yielding the

@@ -10,7 +10,7 @@ import (
 	"repro/internal/snapshot"
 )
 
-func newTestMemory(t *testing.T) *mem.Memory {
+func newTestMemory(t testing.TB) *mem.Memory {
 	t.Helper()
 	clock := &sim.Clock{}
 	params := sim.DefaultParams()

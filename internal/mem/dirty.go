@@ -1,6 +1,6 @@
 package mem
 
-import "sort"
+import "slices"
 
 // Dirty tracking supports incremental checkpointing: with tracking on,
 // the memory records every frame whose observable contents may have
@@ -55,7 +55,7 @@ func (m *Memory) DirtyFrames() []Frame {
 	for f := range m.dirty {
 		out = append(out, f)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -77,6 +77,6 @@ func (m *Memory) MaterializedFrameList() []Frame {
 	for f := range m.data {
 		out = append(out, f)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }

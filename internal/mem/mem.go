@@ -14,8 +14,9 @@
 package mem
 
 import (
+	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/metrics"
@@ -496,32 +497,114 @@ func (m *Memory) MaterializedFrames() int {
 // absent frame also reads as zero — the digest is a function of what a
 // reader could observe, not of host-side materialization accidents.
 // Checksumming is tooling and advances no simulated clock.
+//
+// Zero bytes are not hashed one by one: FNV-1a maps a zero byte to
+// h·p, so a run of k zero words is one multiply by p^(8k) (see
+// zeroRunMul). The digest is the byte-at-a-time one, bit for bit.
 func (m *Memory) ContentChecksum() uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	zero := frameArray{}
 	frames := make([]Frame, 0, len(m.data))
-	for f, d := range m.data {
-		if *d != zero {
-			frames = append(frames, f)
-		}
+	for f := range m.data {
+		frames = append(frames, f)
 	}
-	sort.Slice(frames, func(i, j int) bool { return frames[i] < frames[j] })
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
+	slices.Sort(frames)
+	h := uint64(fnvOffset64)
 	for _, f := range frames {
-		for s := 0; s < 64; s += 8 {
-			h = (h ^ uint64(f>>s)&0xff) * prime64
-		}
-		d := m.data[f]
-		for _, b := range d {
-			h = (h ^ uint64(b)) * prime64
-		}
+		h = hashFrame(h, f, m.data[f])
 	}
 	return h
+}
+
+// FNV-1a 64-bit parameters.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// frameWords is the number of 8-byte words in a frame.
+const frameWords = FrameSize / 8
+
+// zeroRunMul[k] is fnvPrime64^(8k) mod 2^64: the effect on an FNV-1a
+// state of hashing k zero words, (h^0)·p applied 8k times.
+var zeroRunMul = func() (t [frameWords + 1]uint64) {
+	t[0] = 1
+	p8 := uint64(1)
+	for i := 0; i < 8; i++ {
+		p8 *= fnvPrime64
+	}
+	for k := 1; k <= frameWords; k++ {
+		t[k] = t[k-1] * p8
+	}
+	return t
+}()
+
+// hashFrame folds frame f and its contents into the FNV-1a state h, or
+// returns h unchanged when d is all zero. One pass over d's words both
+// decides that and hashes it: zero words only count a run, which is
+// applied as one multiply before the next non-zero word (and after the
+// frame number for the leading run), and only non-zero words are
+// hashed byte by byte, in address order.
+func hashFrame(h uint64, f Frame, d *frameArray) uint64 {
+	g := h
+	for s := 0; s < 64; s += 8 {
+		g = (g ^ uint64(f>>s)&0xff) * fnvPrime64
+	}
+	run, nonZero := 0, false
+	for i := 0; i < FrameSize; i += 8 {
+		w := binary.LittleEndian.Uint64(d[i:])
+		if w == 0 {
+			run++
+			continue
+		}
+		if run > 0 { // skip a multiply by 1 in the serial chain
+			g *= zeroRunMul[run]
+			run = 0
+		}
+		nonZero = true
+		for s := 0; s < 64; s += 8 {
+			g = (g ^ (w>>s)&0xff) * fnvPrime64
+		}
+	}
+	if !nonZero {
+		return h
+	}
+	return g * zeroRunMul[run]
+}
+
+// isZero reports whether the array reads as all zero (a memequal, not
+// a byte loop).
+func (d *frameArray) isZero() bool { return *d == frameArray{} }
+
+// NonZeroCount returns how many of the given frames read as non-zero.
+// Each backing array is tested in place under one lock; nothing is
+// copied.
+func (m *Memory) NonZeroCount(frames []Frame) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	n := 0
+	for _, f := range frames {
+		if d := m.data[f]; d != nil && !d.isZero() {
+			n++
+		}
+	}
+	return n
+}
+
+// ReadNonZeroFrame copies frame f's contents into dst and reports true
+// when f reads as non-zero; for a zero frame it copies nothing and
+// reports false. dst must hold at least FrameSize bytes. Like ReadAt,
+// it panics for a frame outside the address space.
+func (m *Memory) ReadNonZeroFrame(f Frame, dst []byte) bool {
+	m.checkRange(f.Addr(), FrameSize)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	d := m.data[f]
+	if d == nil || d.isZero() {
+		return false
+	}
+	copy(dst[:FrameSize], d[:])
+	return true
 }
 
 // SpareScrubbed verifies that every backing array on the recycled pool
@@ -530,9 +613,8 @@ func (m *Memory) ContentChecksum() uint64 {
 func (m *Memory) SpareScrubbed() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	zero := frameArray{}
 	for i, d := range m.spare {
-		if *d != zero {
+		if !d.isZero() {
 			return fmt.Errorf("mem: spare frame array %d not scrubbed", i)
 		}
 	}

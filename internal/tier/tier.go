@@ -120,6 +120,12 @@ type Engine struct {
 	highWater uint64
 	lowWater  uint64
 
+	// slow is memory's NVM region (Count 0 when it has none). Every
+	// other frame is fast tier: mem.Kind counts a frame outside every
+	// region as DRAM, and a Memory has at most one region per kind, so
+	// fast reduces Kind to one bounds test.
+	slow mem.Region
+
 	// slot maps every frame of memory to its clock-ring slot plus one
 	// (0: untracked), so a frame's state is one table read away and a
 	// move re-points two entries.
@@ -168,6 +174,7 @@ func New(params *sim.Params, m *mem.Memory, policy Policy, fastCap uint64) (*Eng
 		fastCap: fastCap,
 		slot:    slot,
 	}
+	e.slow, _ = m.Region(mem.NVM)
 	// Demotion hysteresis: start demoting at 7/8 of capacity, stop at
 	// 3/4, so the scanner works in bursts instead of one frame per op.
 	e.highWater = fastCap - fastCap/8
@@ -192,6 +199,10 @@ func (e *Engine) FastCap() uint64 { return e.fastCap }
 // Allocators consult this for first-touch placement.
 func (e *Engine) PreferFast() bool { return e.fastUsed < e.fastCap }
 
+// fast reports whether f lies in the fast (DRAM) tier:
+// e.memory.Kind(f) == mem.DRAM without the region scan.
+func (e *Engine) fast(f mem.Frame) bool { return f < e.slow.Start || f >= e.slow.End() }
+
 // state returns f's ring slot, or nil when f is untracked.
 func (e *Engine) state(f mem.Frame) *frameState {
 	s := e.slot.Get(f)
@@ -214,7 +225,7 @@ func (e *Engine) Track(f mem.Frame) {
 	e.ring = append(e.ring, frameState{f: f})
 	e.slot.Set(f, uint32(len(e.ring)))
 	e.tracked++
-	if e.memory.Kind(f) == mem.DRAM {
+	if e.fast(f) {
 		e.fastUsed++
 		gaugeMax(&telemetry.peakFast, e.fastUsed)
 	} else {
@@ -238,7 +249,7 @@ func (e *Engine) Untrack(f mem.Frame) {
 	e.slot.Set(f, 0)
 	e.tracked--
 	e.dead++
-	if e.memory.Kind(f) == mem.DRAM {
+	if e.fast(f) {
 		e.fastUsed--
 	} else {
 		e.slowUsed--
@@ -263,8 +274,8 @@ func (e *Engine) Moved(old, new mem.Frame) {
 	st := &e.ring[s-1]
 	st.f = new
 	st.pending = false
-	oldFast := e.memory.Kind(old) == mem.DRAM
-	newFast := e.memory.Kind(new) == mem.DRAM
+	oldFast := e.fast(old)
+	newFast := e.fast(new)
 	if oldFast != newFast {
 		if newFast {
 			e.fastUsed++
@@ -293,7 +304,7 @@ func (e *Engine) Record(f mem.Frame, write bool) {
 	if e.policy != Promote && e.policy != Smart {
 		return
 	}
-	if e.memory.Kind(f) == mem.DRAM || st.pending {
+	if e.fast(f) || st.pending {
 		return
 	}
 	if len(e.pending) >= maxPending {
@@ -320,7 +331,7 @@ func (e *Engine) Pump(cur *sim.CPU) {
 			continue // untracked or already moved since queueing
 		}
 		st.pending = false
-		if e.memory.Kind(f) == mem.DRAM {
+		if e.fast(f) {
 			continue
 		}
 		cur.Clock().Advance(e.params.TierPolicyOp)
@@ -379,7 +390,7 @@ func (e *Engine) Scan(cur *sim.CPU, batch int) {
 			st.hot |= 0x80
 			st.accessed = false
 		}
-		if !demoting || e.memory.Kind(f) != mem.DRAM {
+		if !demoting || !e.fast(f) {
 			continue
 		}
 		if st.hot == 0 {
@@ -396,7 +407,7 @@ func (e *Engine) Scan(cur *sim.CPU, batch int) {
 	// frames: demote the least-hot one seen so the scanner always makes
 	// progress under sustained pressure.
 	if demoting && e.fastUsed > e.highWater && coldestHot >= 0 {
-		if e.slot.Get(coldest) != 0 && e.memory.Kind(coldest) == mem.DRAM {
+		if e.slot.Get(coldest) != 0 && e.fast(coldest) {
 			cur.Clock().Advance(e.params.TierPolicyOp)
 			e.migrate(cur, coldest, mem.NVM, &telemetry.demotions)
 		}
@@ -432,20 +443,22 @@ func (e *Engine) migrate(cur *sim.CPU, f mem.Frame, to mem.RegionKind, counter *
 func (e *Engine) coldestFast() (mem.Frame, bool) {
 	var best mem.Frame
 	bestHot := -1
-	n := len(e.ring)
-	for i := 0; i < n; i++ {
-		st := &e.ring[(e.hand+i)%n]
-		if st.f == ringDead || e.memory.Kind(st.f) != mem.DRAM {
-			continue
-		}
-		h := int(st.hot)
-		if st.accessed {
-			h |= 0x100 // unscanned recent access outranks any aged history
-		}
-		if bestHot < 0 || h < bestHot {
-			best, bestHot = st.f, h
-			if h == 0 {
-				break
+	// Clock order from the hand: [hand, n), then [0, hand).
+	for _, part := range [2][]frameState{e.ring[e.hand:], e.ring[:e.hand]} {
+		for i := range part {
+			st := &part[i]
+			if st.f == ringDead || !e.fast(st.f) {
+				continue
+			}
+			h := int(st.hot)
+			if st.accessed {
+				h |= 0x100 // unscanned recent access outranks any aged history
+			}
+			if bestHot < 0 || h < bestHot {
+				best, bestHot = st.f, h
+				if h == 0 {
+					return best, true
+				}
 			}
 		}
 	}

@@ -314,3 +314,31 @@ func TestNewRejectsMemoryBeyondFrameTable(t *testing.T) {
 		t.Fatalf("engine over %d frames created, want an error", memory.TotalFrames())
 	}
 }
+
+// TestFastMatchesKind: the engine's hoisted fast-tier bounds agree with
+// mem.Kind on every frame near a region edge, including frames past
+// the end of memory (Kind counts those as DRAM), for machines with one
+// or both regions.
+func TestFastMatchesKind(t *testing.T) {
+	params := sim.DefaultParams()
+	for _, cfg := range []mem.Config{
+		{DRAMFrames: 64, NVMFrames: 128},
+		{DRAMFrames: 64},
+		{NVMFrames: 128},
+	} {
+		machine := sim.NewMachine(&params, 1, 1)
+		memory, err := mem.New(machine.Clock(), &params, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := New(&params, memory, Smart, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range []mem.Frame{0, 1, 63, 64, 65, 127, 128, 191, 192, 193, 1 << 40, ringDead - 1} {
+			if got, want := eng.fast(f), memory.Kind(f) == mem.DRAM; got != want {
+				t.Fatalf("%+v: fast(%d) = %v, Kind says DRAM = %v", cfg, f, got, want)
+			}
+		}
+	}
+}
