@@ -5,9 +5,10 @@
 // systems allocate block runs from it, and file-only memory allocates
 // whole extents from it.
 //
-// Every free-list operation (pop, push, split, coalesce) charges one
+// Every free-list operation (pop, push, split, coalesce) costs one
 // BuddyOp of virtual time, so allocation cost scales with the number of
-// list manipulations exactly as in a real kernel.
+// list manipulations exactly as in a real kernel. An operation sums its
+// list manipulations and advances the clock once.
 package buddy
 
 import (
@@ -170,7 +171,7 @@ func OrderFor(n uint64) (int, error) {
 	return 0, fmt.Errorf("buddy: %d frames exceeds max order %d block", n, MaxOrder)
 }
 
-// list helpers; callers charge one BuddyOp per push/pop/remove.
+// list helpers; callers count one BuddyOp per push/pop/remove.
 
 // frame converts a list offset to its frame.
 func (a *Allocator) frame(off uint32) mem.Frame { return a.base + mem.Frame(off) }
@@ -234,14 +235,14 @@ func (a *Allocator) Alloc(order int) (mem.Frame, error) {
 	}
 	f := a.frame(a.heads[o])
 	a.removeFree(f)
-	a.charge(1)
+	// One op for the pop, one per split; charged as one sum.
+	a.charge(1 + o - order)
 	// Split down to the requested order, freeing the upper buddy at
 	// each step.
 	for o > order {
 		o--
 		buddy := f + mem.Frame(uint64(1)<<o)
 		a.pushFree(buddy, o)
-		a.charge(1)
 		a.cSplits.Inc()
 	}
 	a.setAllocated(f, order)
@@ -267,13 +268,14 @@ func (a *Allocator) Free(f mem.Frame) error {
 	a.freeCount += uint64(1) << order
 	a.cFrees.Inc()
 
+	ops := 1 // the final push; plus one per coalesce, charged as one sum
 	for order < MaxOrder {
 		buddy := a.buddyOf(f, order)
 		if a.table.Get(buddy).state != stateFree|uint8(order) || !a.Contains(buddy, uint64(1)<<order) {
 			break
 		}
 		a.removeFree(buddy)
-		a.charge(1)
+		ops++
 		a.cCoalesces.Inc()
 		if buddy < f {
 			f = buddy
@@ -281,7 +283,7 @@ func (a *Allocator) Free(f mem.Frame) error {
 		order++
 	}
 	a.pushFree(f, order)
-	a.charge(1)
+	a.charge(ops)
 	return nil
 }
 
@@ -320,14 +322,16 @@ func (a *Allocator) AllocRun(count uint64) (Run, error) {
 		a.freeCount += total
 		cur := f + mem.Frame(count)
 		remaining := total - count
+		pushes := 0
 		for remaining > 0 {
 			o := maxOrderFor(cur, remaining)
 			// The trimmed pieces become free blocks directly.
 			a.pushFree(cur, o)
-			a.charge(1)
+			pushes++
 			cur += mem.Frame(uint64(1) << o)
 			remaining -= uint64(1) << o
 		}
+		a.charge(pushes)
 		a.freeCount -= count
 		a.runAllocated(f, count)
 	}

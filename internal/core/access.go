@@ -75,15 +75,16 @@ func (p *Process) translateSharedPT(va mem.VirtAddr, write bool) (mem.PhysAddr, 
 		p.chargeDataRef(pa, write)
 		return pa, nil
 	}
-	pa, flags, _, ok := p.pt.Walk(cur, va)
+	pa, flags, levels, ok := p.pt.Walk(cur, va)
 	if !ok {
 		return 0, &AccessError{VA: va, Write: write, Cause: "no page-table translation"}
 	}
 	if err := checkProt(flags, va, write); err != nil {
 		return 0, err
 	}
-	size, _ := tlb.SizeForFrames(p.pt.PageSize(va) / mem.FrameSize)
-	base := pa - mem.PhysAddr(uint64(va)%p.pt.PageSize(va))
+	pageBytes := p.pt.LeafBytes(levels)
+	size, _ := tlb.SizeForFrames(pageBytes / mem.FrameSize)
+	base := pa - mem.PhysAddr(uint64(va)%pageBytes)
 	ptlb.Insert(p.pid, va, tlb.Translation{Frame: base.Frame(), Size: size, Flags: flags})
 	p.chargeDataRef(pa, write)
 	return pa, nil

@@ -544,26 +544,40 @@ var zeroRunMul = func() (t [frameWords + 1]uint64) {
 // decides that and hashes it: zero words only count a run, which is
 // applied as one multiply before the next non-zero word (and after the
 // frame number for the leading run), and only non-zero words are
-// hashed byte by byte, in address order.
+// hashed byte by byte, in address order. Each 64-byte block is tested
+// with one OR of its eight words first, so a zero block costs no
+// per-word branch. The OR is written out: the compiler does not unroll
+// loops, and an eight-step loop there measured no faster than the
+// per-word scan.
 func hashFrame(h uint64, f Frame, d *frameArray) uint64 {
 	g := h
 	for s := 0; s < 64; s += 8 {
 		g = (g ^ uint64(f>>s)&0xff) * fnvPrime64
 	}
 	run, nonZero := 0, false
-	for i := 0; i < FrameSize; i += 8 {
-		w := binary.LittleEndian.Uint64(d[i:])
-		if w == 0 {
-			run++
+	for i := 0; i < FrameSize; i += 64 {
+		b := d[i : i+64 : i+64]
+		if binary.LittleEndian.Uint64(b[0:])|binary.LittleEndian.Uint64(b[8:])|
+			binary.LittleEndian.Uint64(b[16:])|binary.LittleEndian.Uint64(b[24:])|
+			binary.LittleEndian.Uint64(b[32:])|binary.LittleEndian.Uint64(b[40:])|
+			binary.LittleEndian.Uint64(b[48:])|binary.LittleEndian.Uint64(b[56:]) == 0 {
+			run += 8 // a zero block is a run of eight zero words
 			continue
 		}
-		if run > 0 { // skip a multiply by 1 in the serial chain
-			g *= zeroRunMul[run]
-			run = 0
-		}
-		nonZero = true
-		for s := 0; s < 64; s += 8 {
-			g = (g ^ (w>>s)&0xff) * fnvPrime64
+		for j := 0; j < 64; j += 8 {
+			w := binary.LittleEndian.Uint64(b[j:])
+			if w == 0 {
+				run++
+				continue
+			}
+			if run > 0 { // skip a multiply by 1 in the serial chain
+				g *= zeroRunMul[run]
+				run = 0
+			}
+			nonZero = true
+			for s := 0; s < 64; s += 8 {
+				g = (g ^ (w>>s)&0xff) * fnvPrime64
+			}
 		}
 	}
 	if !nonZero {

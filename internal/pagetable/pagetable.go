@@ -420,8 +420,9 @@ func (t *Table) MapRange(cpu *sim.CPU, va mem.VirtAddr, frame mem.Frame, count u
 
 // Walk performs a hardware page walk for va, charging one memory
 // reference per level traversed. It returns the translated physical
-// address, the mapping's flags, and the number of levels referenced.
-// ok is false if no translation exists.
+// address, the mapping's flags, and the number of levels referenced
+// (LeafBytes turns that into the page size of a found leaf). ok is
+// false if no translation exists.
 func (t *Table) Walk(cpu *sim.CPU, va mem.VirtAddr) (pa mem.PhysAddr, flags Flags, levels int, ok bool) {
 	t.cWalks.Inc()
 	n := t.root
@@ -442,6 +443,13 @@ func (t *Table) Walk(cpu *sim.CPU, va mem.VirtAddr) (pa mem.PhysAddr, flags Flag
 		}
 		n = e.child
 	}
+}
+
+// LeafBytes returns the size in bytes of the page mapped by a leaf
+// that a successful Walk reached after referencing levels levels: the
+// walk starts at the root and descends one level per reference.
+func (t *Table) LeafBytes(levels int) uint64 {
+	return span(t.levels-levels+1) * mem.FrameSize
 }
 
 // Lookup is Walk without charging virtual time or counters; it is the
@@ -532,27 +540,39 @@ func (t *Table) unmapRec(cpu *sim.CPU, n *node, va mem.VirtAddr) (mem.Frame, uin
 	return frame, pages, nil
 }
 
-// UnmapRange unmaps count pages starting at va, invoking fn (if
-// non-nil) with each unmapped frame and its span. Cost is linear in
-// the number of mappings removed.
-func (t *Table) UnmapRange(cpu *sim.CPU, va mem.VirtAddr, count uint64, fn func(mem.Frame, uint64)) error {
-	end := va + mem.VirtAddr(count*mem.FrameSize)
-	for va < end {
-		sz := t.PageSize(va)
-		if sz == 0 {
-			va += mem.FrameSize
-			continue
-		}
-		frame, pages, err := t.Unmap(cpu, va)
-		if err != nil {
-			return err
-		}
-		if fn != nil {
-			fn(frame, pages)
-		}
-		va += mem.VirtAddr(sz)
+// NextPresent returns the first address in [va, end) covered by a
+// present leaf, or end if there is none. va must be page aligned. An
+// absent entry is skipped as a whole, up to the next boundary of the
+// span it covers, so the host work is proportional to the entries
+// visited, not to the pages in the range. Like Lookup, it is not a
+// modelled operation and charges nothing.
+func (t *Table) NextPresent(va, end mem.VirtAddr) mem.VirtAddr {
+	if va >= end || va >= t.MaxVirt() {
+		return end
 	}
-	return nil
+	if got, ok := nextPresent(t.root, va, end); ok {
+		return got
+	}
+	return end
+}
+
+// nextPresent scans n's entries from the one covering va. Past the
+// first entry va sits on an entry boundary, so a descent into a child
+// starts at the child's first entry.
+func nextPresent(n *node, va, end mem.VirtAddr) (mem.VirtAddr, bool) {
+	step := mem.VirtAddr(span(n.level) * mem.FrameSize)
+	for i := indexAt(va, n.level); i < EntriesPerNode && va < end; i++ {
+		if e := &n.entries[i]; e.present {
+			if n.level == 1 || e.huge {
+				return va, true
+			}
+			if got, ok := nextPresent(e.child, va, end); ok {
+				return got, true
+			}
+		}
+		va = va&^(step-1) + step
+	}
+	return 0, false
 }
 
 // Protect rewrites the flags of the mapping covering va. It returns an

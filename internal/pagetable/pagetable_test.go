@@ -124,7 +124,7 @@ func TestUnmapUnmappedRejected(t *testing.T) {
 	}
 }
 
-func TestMapRangeAndUnmapRange(t *testing.T) {
+func TestMapRange(t *testing.T) {
 	tbl, _, cpu := newTable(t, Levels4)
 	const pages = 700 // crosses a leaf-node boundary
 	if err := tbl.MapRange(cpu, 0x100000, 5000, pages, FlagRead); err != nil {
@@ -139,13 +139,6 @@ func TestMapRangeAndUnmapRange(t *testing.T) {
 		if !ok || pa.Frame() != mem.Frame(5000+i) {
 			t.Fatalf("page %d: pa=%#x ok=%v", i, uint64(pa), ok)
 		}
-	}
-	var unmapped uint64
-	if err := tbl.UnmapRange(cpu, 0x100000, pages, func(f mem.Frame, n uint64) { unmapped += n }); err != nil {
-		t.Fatalf("UnmapRange: %v", err)
-	}
-	if unmapped != pages || tbl.MappedPages() != 0 {
-		t.Fatalf("unmapped=%d mapped=%d", unmapped, tbl.MappedPages())
 	}
 }
 
@@ -431,5 +424,31 @@ func TestMapLookupQuickProperty(t *testing.T) {
 	}
 	if err := tbl.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLeafBytesMatchesPageSize: the page size Walk's level count
+// implies equals PageSize for 4 KiB, 2 MiB and 1 GiB leaves on 4- and
+// 5-level tables.
+func TestLeafBytesMatchesPageSize(t *testing.T) {
+	for _, levels := range []int{Levels4, Levels5} {
+		tbl, _, cpu := newTable(t, levels)
+		maps := []struct {
+			va  mem.VirtAddr
+			put func(mem.VirtAddr) error
+		}{
+			{0x5000, func(va mem.VirtAddr) error { return tbl.Map(cpu, va, 9, FlagRead) }},
+			{4 << 20, func(va mem.VirtAddr) error { return tbl.Map2M(cpu, va, 512, FlagRead) }},
+			{2 << 30, func(va mem.VirtAddr) error { return tbl.Map1G(cpu, va, 0, FlagRead) }},
+		}
+		for _, m := range maps {
+			if err := m.put(m.va); err != nil {
+				t.Fatal(err)
+			}
+			_, _, n, ok := tbl.Walk(cpu, m.va+0x123)
+			if got, want := tbl.LeafBytes(n), tbl.PageSize(m.va); !ok || got != want {
+				t.Fatalf("levels=%d va=%#x: LeafBytes(%d) = %d, want %d (ok=%v)", levels, uint64(m.va), n, got, want, ok)
+			}
+		}
 	}
 }

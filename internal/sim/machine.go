@@ -73,17 +73,31 @@ type Machine struct {
 	// Current, and SetCurrent can read them from any CPU goroutine;
 	// exclFlag's value is stable for every possible reader because a
 	// machine-wide section is granted only with every other CPU
-	// parked. pubs mirrors each CPU's clock during a phase so the
-	// sync-domain gate can lower-bound free-running CPUs without
-	// stopping them.
-	hostpar   bool
-	phase     *phase
-	phaseFlag atomic.Bool
-	exclFlag  atomic.Bool
-	pubs      []atomic.Int64
-	groupOf   []CPUSet // per-CPU sync group; nil = one machine-wide group
-	ipiLogOn  bool     // record deliveries in each target's CPU.ipiLog
-	grantLog  []GrantRecord
+	// parked. pubs mirrors each CPU's clock so the sync-domain gate
+	// can lower-bound free-running CPUs without stopping them; each
+	// slot has its own cache line, because in a host-parallel phase
+	// every charge stores to it. publishing is true only while a phase
+	// with more than one run slot is active: only then can the gate
+	// read the slot of an executing CPU (DESIGN.md §11). It is a plain
+	// bool, written before RunParallel starts the task goroutines and
+	// after they have all returned, so goroutine start and the
+	// WaitGroup order every read.
+	hostpar    bool
+	phase      *phase
+	phaseFlag  atomic.Bool
+	exclFlag   atomic.Bool
+	publishing bool
+	pubs       []pubSlot
+	groupOf    []CPUSet // per-CPU sync group; nil = one machine-wide group
+	ipiLogOn   bool     // record deliveries in each target's CPU.ipiLog
+	grantLog   []GrantRecord
+}
+
+// pubSlot is one CPU's published clock, padded to a 64-byte cache line
+// so that CPUs publishing concurrently never share a line.
+type pubSlot struct {
+	t atomic.Int64
+	_ [56]byte
 }
 
 // invariantCheck is one registered consistency check. Checks run in
@@ -103,7 +117,7 @@ func NewMachine(params *Params, n int, seed uint64) *Machine {
 	}
 	m := &Machine{params: params}
 	m.kclock = &Clock{mach: m, fwd: true}
-	m.pubs = make([]atomic.Int64, n)
+	m.pubs = make([]pubSlot, n)
 	for i := 0; i < n; i++ {
 		m.cpus = append(m.cpus, &CPU{
 			id:    i,
@@ -130,7 +144,7 @@ func MachineOf(clock *Clock, params *Params) *Machine {
 	}
 	m := &Machine{params: params}
 	m.kclock = &Clock{mach: m, fwd: true}
-	m.pubs = make([]atomic.Int64, 1)
+	m.pubs = make([]pubSlot, 1)
 	cpu := &CPU{id: 0, mach: m, clock: clock, rng: NewRNG(0), stats: metrics.NewSet()}
 	clock.mach = m
 	m.cpus = []*CPU{cpu}

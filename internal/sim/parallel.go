@@ -83,6 +83,12 @@ type phase struct {
 
 	errs   []error // per-CPU task results
 	panics []any   // per-CPU recovered panic values
+
+	// protoErr is the first protocol violation the gate detected. The
+	// gate runs under mu, and runCPU's deferred recover takes mu again,
+	// so the gate records the violation instead of panicking and
+	// RunParallel raises it once every task goroutine has returned.
+	protoErr error
 }
 
 // syncWaiter is one CPU blocked at (or executing) a sync point.
@@ -201,13 +207,17 @@ func (m *Machine) RunParallel(task func(*CPU) error) error {
 		p.slots = n
 	}
 	// Seed the published clocks so the gate's lower bounds are valid
-	// from the first grant.
+	// from the first grant. In serial mode the seeds are all the gate
+	// ever reads: it reads a slot only for a CPU that is not executing,
+	// and a ready CPU's clock cannot move before its task starts
+	// (condition 1 keeps it out of every granted domain).
 	for i, c := range m.cpus {
-		m.pubs[i].Store(int64(c.clock.now))
+		m.pubs[i].t.Store(int64(c.clock.now))
 	}
 	prev := m.cur
 	m.phase = p
 	m.phaseFlag.Store(true)
+	m.publishing = p.slots > 1
 
 	var wg sync.WaitGroup
 	wg.Add(n)
@@ -225,10 +235,14 @@ func (m *Machine) RunParallel(task func(*CPU) error) error {
 	}
 	wg.Wait()
 
+	m.publishing = false
 	m.phaseFlag.Store(false)
 	m.phase = nil
 	m.cur = prev
 
+	if p.protoErr != nil {
+		panic(p.protoErr)
+	}
 	for _, r := range p.panics {
 		if r != nil {
 			panic(r)
@@ -418,8 +432,19 @@ func (p *phase) grantableLocked(w *syncWaiter) bool {
 // key exceeds w's key: a CPU can sync no earlier than its current
 // time, so (pub_j, j) lexicographically after (w.at, w.cpu) suffices.
 // Published values only lag the true clock, which is conservative.
+//
+// An executing CPU's slot is only kept current while the machine
+// publishes (more than one run slot). Reading it otherwise would trust
+// a stale bound that nothing refreshes, so it is recorded as a
+// protocol violation and the waiter is not granted.
 func (p *phase) pubPast(j int, w *syncWaiter) bool {
-	pj := Time(p.m.pubs[j].Load())
+	if !p.m.publishing && (p.state[j] == cpuRunning || p.state[j] == cpuGranted) {
+		if p.protoErr == nil {
+			p.protoErr = fmt.Errorf("sim: gate read the unpublished clock of executing CPU %d", j)
+		}
+		return false
+	}
+	pj := Time(p.m.pubs[j].t.Load())
 	return pj > w.at || (pj == w.at && j > w.cpu)
 }
 

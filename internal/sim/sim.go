@@ -101,14 +101,16 @@ func (c *Clock) AdvanceTo(t Time) {
 }
 
 // publish exposes the clock value to the parallel-phase gate. During a
-// phase every CPU's current time is mirrored into an atomic slot, so
-// the sync-domain gate can lower-bound the next sync key of a CPU that
-// is still free-running without stopping it (parallel.go). The store
-// only happens inside a phase, keeping the serial hot path at one
-// atomic load.
+// host-parallel phase every CPU's current time is mirrored into an
+// atomic slot, so the sync-domain gate can lower-bound the next sync
+// key of a CPU that is still free-running without stopping it
+// (parallel.go). In serial mode the gate never reads an executing
+// CPU's slot (the one run slot is taken while it executes), so outside
+// a host-parallel phase a charge costs a plain load and an add;
+// phase.pubPast turns a read of an unpublished slot into a phase error.
 func (c *Clock) publish() {
-	if c.mach != nil && c.mach.phaseFlag.Load() {
-		c.mach.pubs[c.id].Store(int64(c.now))
+	if c.mach != nil && c.mach.publishing {
+		c.mach.pubs[c.id].t.Store(int64(c.now))
 	}
 }
 

@@ -123,6 +123,11 @@ func (j *Journal) AppendEncoded(b []byte) []byte {
 // trailing bytes discarded as a torn or corrupt tail (0 for a clean
 // log). Decoding never fails: crash-cut media is an expected input,
 // and the valid prefix is exactly what recovery may trust.
+//
+// The decoding is canonical: Encode of the result writes back exactly
+// the committed prefix. Encode never writes a watermark of 0, so a
+// stream whose first record is one was not written by Encode; it is
+// discarded whole as a corrupt tail rather than read as watermark 0.
 func DecodeJournal(data []byte) (*Journal, int) {
 	j := &Journal{}
 	off := 0
@@ -143,7 +148,9 @@ func DecodeJournal(data []byte) (*Journal, int) {
 		}
 		if first && len(payload) == len(watermarkTag)+8 && string(payload[:len(watermarkTag)]) == watermarkTag {
 			d := &dec{b: payload[len(watermarkTag):]}
-			j.watermark = d.u64()
+			if j.watermark = d.u64(); j.watermark == 0 {
+				break
+			}
 		} else {
 			j.Append(payload)
 		}

@@ -8,40 +8,16 @@ import (
 	"testing"
 )
 
-// watermarkRecordLen is the on-media size of the watermark record.
-const watermarkRecordLen = recordOverhead + len(watermarkTag) + 8
-
-// isWatermarkPayload reports whether a record payload has the reserved
-// watermark shape (tag plus a u64).
-func isWatermarkPayload(p []byte) bool {
-	return len(p) == len(watermarkTag)+8 && string(p[:len(watermarkTag)]) == watermarkTag
-}
-
-// leadingZeroWatermark reports whether data starts with a committed
-// watermark record whose value is 0.
-func leadingZeroWatermark(data []byte) bool {
-	if len(data) < watermarkRecordLen || binary.LittleEndian.Uint32(data) != uint32(len(watermarkTag)+8) {
-		return false
-	}
-	payload := data[4 : 4+len(watermarkTag)+8]
-	return isWatermarkPayload(payload) &&
-		binary.LittleEndian.Uint64(payload[len(watermarkTag):]) == 0 &&
-		binary.LittleEndian.Uint32(data[4+len(payload):]) == crc32.ChecksumIEEE(payload)
-}
-
 // FuzzDecodeJournal: DecodeJournal never panics; the torn tail it
 // reports lies within the input; the committed prefix it keeps is
 // exactly what Encode writes back; and that encoding decodes to the
 // same records and watermark with nothing torn.
 //
-// One input is not canonical. A first record that is a watermark of 0
-// decodes (as watermark 0), but Encode never writes a zero watermark,
-// so it drops those bytes. If the record after it is itself
-// watermark-shaped, the re-encoded stream then starts with that record,
-// which re-decodes as the watermark rather than as data; producers
-// never write either (ckpt journals encoded ops, whose first byte is
-// below the tag's). The seeds zero-watermark and
-// zero-watermark-then-watermark-shaped pin both.
+// A first record that is a watermark of 0 is never written by Encode,
+// so DecodeJournal treats it as a corrupt tail; the seeds
+// zero-watermark and zero-watermark-then-watermark-shaped pin that
+// such a stream, even when the record after it is itself
+// watermark-shaped, decodes to an empty journal and round-trips.
 //
 // The seed corpus in testdata/fuzz/FuzzDecodeJournal also holds a
 // clean log, a compacted log, a torn tail and a flipped CRC byte.
@@ -52,19 +28,12 @@ func FuzzDecodeJournal(f *testing.F) {
 			t.Fatalf("torn = %d for %d bytes", torn, len(data))
 		}
 		want := data[:len(data)-torn]
-		zeroWM := leadingZeroWatermark(want)
-		if zeroWM {
-			want = want[watermarkRecordLen:]
-		}
 		enc := j.Encode()
 		if !bytes.Equal(enc, want) {
 			t.Fatalf("Encode of the decoded journal differs from its committed prefix:\nenc:  %x\nwant: %x", enc, want)
 		}
 		if len(enc) != j.EncodedLen() {
 			t.Fatalf("EncodedLen = %d, Encode wrote %d bytes", j.EncodedLen(), len(enc))
-		}
-		if zeroWM && j.Len() > 0 && isWatermarkPayload(j.Records()[0]) {
-			return // the re-encoded first record now reads as the watermark
 		}
 		again, torn2 := DecodeJournal(enc)
 		if torn2 != 0 {
@@ -77,42 +46,39 @@ func FuzzDecodeJournal(f *testing.F) {
 	})
 }
 
-// TestZeroWatermarkSeedsAreTheException pins that the two
-// zero-watermark seeds really take the fuzz target's exception paths,
-// and that Encode drops the zero watermark record.
-func TestZeroWatermarkSeedsAreTheException(t *testing.T) {
+// TestZeroWatermarkIsTornTail pins that a stream starting with a
+// watermark record of 0, which Encode never writes, decodes as a torn
+// tail from its first byte, also when a watermark-shaped record
+// follows; that a non-zero watermark still decodes; and that a
+// zero-watermark-shaped record after the first is data.
+func TestZeroWatermarkIsTornTail(t *testing.T) {
 	rec := func(payload []byte) []byte {
 		b := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
 		b = append(b, payload...)
 		return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
 	}
-	wm := func(v uint64) []byte {
-		return rec(binary.LittleEndian.AppendUint64([]byte(watermarkTag), v))
+	wmPayload := func(v uint64) []byte {
+		return binary.LittleEndian.AppendUint64([]byte(watermarkTag), v)
 	}
-	data := append(wm(0), rec([]byte{0x01, 0xaa})...)
-	if !leadingZeroWatermark(data) {
-		t.Fatal("leadingZeroWatermark missed a zero watermark record")
+	wm := func(v uint64) []byte { return rec(wmPayload(v)) }
+	for _, data := range [][]byte{
+		append(wm(0), rec([]byte{0x01, 0xaa})...),
+		append(wm(0), wm(5)...),
+	} {
+		j, torn := DecodeJournal(data)
+		if torn != len(data) || j.Watermark() != 0 || j.Len() != 0 {
+			t.Fatalf("decoded wm=%d len=%d torn=%d of %d bytes", j.Watermark(), j.Len(), torn, len(data))
+		}
+		if enc := j.Encode(); len(enc) != 0 {
+			t.Fatalf("Encode wrote %d bytes for an empty journal", len(enc))
+		}
 	}
+	data := append(wm(3), wm(0)...)
 	j, torn := DecodeJournal(data)
-	if torn != 0 || j.Watermark() != 0 || j.Len() != 1 {
+	if torn != 0 || j.Watermark() != 3 || j.Len() != 1 || !bytes.Equal(j.Records()[0], wmPayload(0)) {
 		t.Fatalf("decoded wm=%d len=%d torn=%d", j.Watermark(), j.Len(), torn)
 	}
-	if !bytes.Equal(j.Encode(), data[watermarkRecordLen:]) {
-		t.Fatal("Encode kept the zero watermark record")
-	}
-	// A second watermark-shaped record decodes as data, then re-decodes
-	// as the watermark once the zero record is dropped.
-	data = append(wm(0), wm(5)...)
-	j, _ = DecodeJournal(data)
-	if j.Watermark() != 0 || j.Len() != 1 {
-		t.Fatalf("decoded wm=%d len=%d", j.Watermark(), j.Len())
-	}
-	again, _ := DecodeJournal(j.Encode())
-	if again.Watermark() != 5 || again.Len() != 0 {
-		t.Fatalf("re-decoded wm=%d len=%d, want the data record read as watermark 5", again.Watermark(), again.Len())
-	}
-	// A non-zero watermark is not the exception.
-	if leadingZeroWatermark(wm(3)) {
-		t.Fatal("leadingZeroWatermark matched watermark 3")
+	if !bytes.Equal(j.Encode(), data) {
+		t.Fatal("Encode did not write the stream back")
 	}
 }

@@ -702,11 +702,7 @@ func (a *AddressSpace) zapRange(v *VMA, start mem.VirtAddr, pages uint64) error 
 	a.beginShoot()
 	defer a.flushShoot(cur)
 	end := start + mem.VirtAddr(pages*mem.FrameSize)
-	for va := start; va < end; {
-		if sz := a.pt.PageSize(va); sz == 0 {
-			va += mem.FrameSize
-			continue
-		}
+	for va := a.pt.NextPresent(start, end); va < end; {
 		frame, span, err := a.pt.Unmap(cur, va)
 		if err != nil {
 			return err
@@ -731,7 +727,7 @@ func (a *AddressSpace) zapRange(v *VMA, start mem.VirtAddr, pages uint64) error 
 				}
 			}
 		}
-		va += mem.VirtAddr(span * mem.FrameSize)
+		va = a.pt.NextPresent(va+mem.VirtAddr(span*mem.FrameSize), end)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/mem"
@@ -129,5 +130,44 @@ func BenchmarkPopulateMunmap(b *testing.B) {
 		if err := as.Munmap(va, pages); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkDemandMunmap maps n pages without populating them, writes
+// one, and unmaps the range. Simulated unmap time does not depend on
+// n, so neither should host time per round: munmap skips the absent
+// page-table subtrees instead of probing each 4 KiB page.
+func BenchmarkDemandMunmap(b *testing.B) {
+	for _, pages := range []uint64{256, 4096, 65536} {
+		b.Run(fmt.Sprint(pages), func(b *testing.B) {
+			clock := &sim.Clock{}
+			params := sim.DefaultParams()
+			memory, err := mem.New(clock, &params, mem.Config{DRAMFrames: 1 << 19})
+			if err != nil {
+				b.Fatal(err)
+			}
+			kernel, err := NewKernel(clock, &params, memory, Config{PoolFrames: 1 << 19})
+			if err != nil {
+				b.Fatal(err)
+			}
+			as, err := kernel.NewAddressSpace()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				va, err := as.Mmap(MmapRequest{Pages: pages, Prot: rw, Anon: true})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := as.Touch(va+mem.VirtAddr(pages/2*mem.FrameSize), true); err != nil {
+					b.Fatal(err)
+				}
+				if err := as.Munmap(va, pages); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

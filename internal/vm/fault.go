@@ -60,7 +60,7 @@ func (a *AddressSpace) translate(va mem.VirtAddr, write bool) (mem.PhysAddr, err
 	}
 
 	// 2. Page walk.
-	if pa, flags, _, ok := a.pt.Walk(cur, va); ok {
+	if pa, flags, levels, ok := a.pt.Walk(cur, va); ok {
 		if write && flags&pagetable.FlagCOW != 0 {
 			pa2, err := a.cowBreak(va)
 			if err != nil {
@@ -73,8 +73,9 @@ func (a *AddressSpace) translate(va mem.VirtAddr, write bool) (mem.PhysAddr, err
 		if write && flags&pagetable.FlagWrite == 0 {
 			return 0, &AccessError{VA: va, Write: write, Cause: "write to read-only mapping"}
 		}
-		size, _ := tlb.SizeForFrames(a.pt.PageSize(va) / mem.FrameSize)
-		base := pa - mem.PhysAddr(uint64(va)%a.pt.PageSize(va))
+		pageBytes := a.pt.LeafBytes(levels)
+		size, _ := tlb.SizeForFrames(pageBytes / mem.FrameSize)
+		base := pa - mem.PhysAddr(uint64(va)%pageBytes)
 		a.curTLB().Insert(a.asid, va, tlb.Translation{Frame: base.Frame(), Size: size, Flags: flags})
 		a.chargeDataRef(pa, write)
 		a.markAccess(pa, write)
