@@ -250,9 +250,6 @@ func (p *Process) RangeTable() *rangetable.Table { return p.ranges }
 // PageTable exposes the process's page table (nil in Ranges mode).
 func (p *Process) PageTable() *pagetable.Table { return p.pt }
 
-// Mappings returns the number of live mappings.
-func (p *Process) Mappings() int { return len(p.mappings) }
-
 // Segment is one contiguous piece of a mapping: file pages
 // [FileOff, FileOff+Pages) at virtual [VA, VA+Pages*4K) backed by
 // frames [Frame, Frame+Pages).

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -12,28 +13,29 @@ import (
 // refContentChecksum is the byte-at-a-time FNV-1a digest
 // ContentChecksum must reproduce: every non-zero materialized frame in
 // ascending order, hashed as its frame number (8 bytes, little-endian)
-// followed by its 4096 bytes.
+// followed by its 4096 bytes. It reads frames through the public API
+// only, so it does not share the store walk it checks.
 func refContentChecksum(m *Memory) uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	zero := frameArray{}
-	frames := make([]Frame, 0, len(m.data))
-	for f, d := range m.data {
-		if *d != zero {
-			frames = append(frames, f)
-		}
-	}
-	sort.Slice(frames, func(i, j int) bool { return frames[i] < frames[j] })
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
 	)
 	h := uint64(offset64)
+	frames := m.MaterializedFrameList()
+	if !sort.SliceIsSorted(frames, func(i, j int) bool { return frames[i] < frames[j] }) {
+		panic("MaterializedFrameList is not in ascending order")
+	}
+	buf := make([]byte, FrameSize)
+	zero := make([]byte, FrameSize)
 	for _, f := range frames {
+		m.ReadAt(f.Addr(), buf)
+		if bytes.Equal(buf, zero) {
+			continue
+		}
 		for s := 0; s < 64; s += 8 {
 			h = (h ^ uint64(f>>s)&0xff) * prime64
 		}
-		for _, b := range m.data[f] {
+		for _, b := range buf {
 			h = (h ^ uint64(b)) * prime64
 		}
 	}

@@ -16,7 +16,7 @@ package mem
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
+	"math/bits"
 	"sync"
 
 	"repro/internal/metrics"
@@ -119,33 +119,30 @@ func DefaultConfig() Config {
 type Memory struct {
 	clock   *sim.Clock
 	params  *sim.Params
+	mach    *sim.Machine // the owner; unlinkLeaf asks it about phases
 	regions []Region
 	total   uint64
 
-	// mu guards the data map and the spare pool. The map structure is
-	// shared by every CPU context of a host-parallel phase, but frame
-	// *contents* are not locked: parallel CPU contexts touch disjoint
-	// frame sets by construction (per-CPU arenas), so the lock only
-	// protects the host-side bookkeeping, never orders simulated
-	// events.
+	// mu serializes changes to the frame store's structure —
+	// materializations, drops, dirty resets — and the spare pool. Reads
+	// and writes of materialized frames take no lock (store.go says
+	// why that is sound). Frame *contents* are never locked: parallel
+	// CPU contexts touch disjoint frame sets by construction (per-CPU
+	// arenas), so the lock only protects host-side bookkeeping and
+	// never orders simulated events.
 	mu sync.Mutex
 
-	// data holds materialized frame contents. Absent frames read as
-	// zero. The map is the persistence boundary: Crash discards frames
-	// in DRAM regions and keeps frames in NVM regions.
-	data map[Frame]*frameArray
+	// frameStore holds the materialized frame contents and the dirty
+	// bits (store.go). Absent frames read as zero. The store is the
+	// persistence boundary: Crash drops the frames in DRAM regions and
+	// keeps those in NVM regions.
+	frameStore
 
 	// spare recycles backing arrays of erased frames so churn-heavy
 	// workloads (alloc/erase loops) do not allocate a fresh 4 KiB array
 	// per materialization. Bounded so the host footprint of a machine
 	// that erased a huge range once does not stay at its peak.
 	spare []*frameArray
-
-	// dirty records frames whose observable contents may have changed
-	// since the last ResetDirty, when tracking is on (see dirty.go).
-	// Guarded by mu; nil while tracking is off so the hot paths pay one
-	// nil check.
-	dirty map[Frame]struct{}
 
 	stats *metrics.Set
 	// Cached counters for the hot paths (also pre-created so their
@@ -170,16 +167,20 @@ func (d *frameArray) reset() {
 // maxSpareFrames bounds the recycled-array pool (32 MiB of host memory).
 const maxSpareFrames = 8192
 
-// New creates the physical memory described by cfg.
+// New creates the physical memory described by cfg. It returns an
+// error for a machine with no memory or more than MaxFrames frames.
 func New(clock *sim.Clock, params *sim.Params, cfg Config) (*Memory, error) {
 	if cfg.DRAMFrames == 0 && cfg.NVMFrames == 0 {
 		return nil, fmt.Errorf("mem: machine has no memory")
 	}
+	if cfg.DRAMFrames > MaxFrames || cfg.NVMFrames > MaxFrames-cfg.DRAMFrames {
+		return nil, fmt.Errorf("mem: machine of %d+%d frames exceeds %d", cfg.DRAMFrames, cfg.NVMFrames, uint64(MaxFrames))
+	}
 	m := &Memory{
-		clock:  clock,
-		params: params,
-		data:   make(map[Frame]*frameArray),
-		stats:  metrics.NewSet(),
+		clock:      clock,
+		params:     params,
+		frameStore: newFrameStore(cfg.DRAMFrames + cfg.NVMFrames),
+		stats:      metrics.NewSet(),
 	}
 	m.cMaterialized = m.stats.Counter("materialized_frames")
 	m.cZeroed = m.stats.Counter("zeroed_frames")
@@ -187,7 +188,8 @@ func New(clock *sim.Clock, params *sim.Params, cfg Config) (*Memory, error) {
 	m.cCopied = m.stats.Counter("copied_frames")
 	// Self-register the counter set so Machine.CaptureState includes
 	// memory events in snapshot state comparisons.
-	sim.MachineOf(clock, params).RegisterStats("mem", m.stats)
+	m.mach = sim.MachineOf(clock, params)
+	m.mach.RegisterStats("mem", m.stats)
 	next := Frame(0)
 	if cfg.DRAMFrames > 0 {
 		m.regions = append(m.regions, Region{Start: next, Count: cfg.DRAMFrames, Kind: DRAM})
@@ -241,82 +243,114 @@ func (m *Memory) Valid(start Frame, count uint64) bool {
 // "epoch_erases", "materialized_frames".
 func (m *Memory) Stats() *metrics.Set { return m.stats }
 
-// frame returns the backing array for f, materializing it if write is
-// true. For reads of unmaterialized frames it returns nil (all-zero).
-// The returned array is accessed without the lock: callers on parallel
-// CPU contexts touch disjoint frames by construction.
-func (m *Memory) frame(f Frame, write bool) *frameArray {
+// frame returns f's backing array for a write, materializing it when
+// f has none, and marks f dirty when tracking is on. A frame that is
+// already materialized costs no lock: its leaf and array are found
+// with the atomic loads of lookup, and its dirty bit is set with a
+// compare-and-swap. The returned array is accessed without the lock:
+// callers on parallel CPU contexts touch disjoint frames by
+// construction. Reads use lookup, which never materializes.
+func (m *Memory) frame(f Frame) *frameArray {
+	if l := m.leaf(f); l != nil {
+		k := uint(f) & (stLeafSpan - 1)
+		if d := l.frames[k].Load(); d != nil {
+			if m.tracking.Load() {
+				m.markDirty(l, k)
+			}
+			return d
+		}
+	}
+	return m.materialize(f)
+}
+
+// materialize links a backing array for f, from the spare pool when it
+// has one, and marks f dirty when tracking is on.
+func (m *Memory) materialize(f Frame) *frameArray {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if write && m.dirty != nil {
-		m.dirty[f] = struct{}{}
+	l := m.leafForWrite(f)
+	k := uint(f) & (stLeafSpan - 1)
+	d := l.frames[k].Load()
+	if d == nil {
+		if n := len(m.spare); n > 0 {
+			d = m.spare[n-1]
+			m.spare[n-1] = nil
+			m.spare = m.spare[:n-1]
+		} else {
+			d = new(frameArray)
+		}
+		l.frames[k].Store(d)
+		l.mat |= 1 << k
+		m.nFrames++
+		m.cMaterialized.Inc()
 	}
-	if d, ok := m.data[f]; ok {
-		return d
+	if m.tracking.Load() {
+		m.markDirty(l, k)
 	}
-	if !write {
-		return nil
-	}
-	var d *frameArray
-	if n := len(m.spare); n > 0 {
-		d = m.spare[n-1]
-		m.spare[n-1] = nil
-		m.spare = m.spare[:n-1]
-	} else {
-		d = new(frameArray)
-	}
-	m.data[f] = d
-	m.cMaterialized.Inc()
 	return d
 }
 
-// dropFrame removes f's backing array, recycling it (zeroed) into the
-// spare pool.
-func (m *Memory) dropFrame(f Frame) {
-	m.mu.Lock()
-	m.dropFrameLocked(f)
-	m.mu.Unlock()
-}
-
-// dropFrameLocked removes f's backing array, recycling it (zeroed)
-// into the spare pool. Caller holds m.mu.
-func (m *Memory) dropFrameLocked(f Frame) {
-	d, ok := m.data[f]
-	if !ok {
-		return
+// dropSlot unlinks slot k of l and recycles its array. Dropping a
+// materialized frame changes its observable contents to zero, so it
+// dirties the frame; an absent frame stays zero and is not dirtied,
+// which keeps sparse epoch erases O(materialized). Caller holds mu.
+func (m *Memory) dropSlot(l *storeLeaf, k uint) {
+	d := l.frames[k].Load()
+	l.frames[k].Store(nil)
+	l.mat &^= 1 << k
+	m.nFrames--
+	if m.tracking.Load() {
+		m.markDirty(l, k)
 	}
-	if m.dirty != nil {
-		// Dropping a materialized frame changes its observable contents
-		// to zero; an absent frame stays zero and is not dirtied, which
-		// keeps sparse epoch erases O(materialized).
-		m.dirty[f] = struct{}{}
-	}
-	delete(m.data, f)
 	if len(m.spare) < maxSpareFrames {
 		d.reset()
 		m.spare = append(m.spare, d)
 	}
 }
 
-// dropRange removes the backing arrays of [start, start+count). The
-// host cost is O(min(count, materialized frames)): huge sparsely
-// materialized ranges — the terabyte-scale sweeps — are erased by
-// scanning the map rather than the range.
-func (m *Memory) dropRange(start Frame, count uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if count > uint64(len(m.data)) {
-		end := start + Frame(count)
-		for f := range m.data {
-			if f >= start && f < end {
-				m.dropFrameLocked(f)
-			}
-		}
+// unlinkLeaf unlinks r's leaf when it holds no frame and no dirty bit,
+// recycling it into the spare-leaf pool. It does nothing while the
+// machine's CPUs may run concurrently: a CPU reading a frame of its
+// own without the lock may still hold the leaf, and a recycled leaf
+// would show it another frame's slot. The leaf then stays linked
+// until a later walk outside that window finds it empty. Caller
+// holds mu.
+func (m *Memory) unlinkLeaf(r leafRef) {
+	if r.l.mat != 0 || r.l.dirty.Load() != 0 || m.mach.FreeRunning() {
 		return
 	}
-	for i := uint64(0); i < count; i++ {
-		m.dropFrameLocked(start + Frame(i))
+	r.mid.leaves[r.j].Store(nil)
+	r.mid.present[r.j>>6] &^= 1 << (r.j & 63)
+	if len(m.spareLeaves) < maxSpareLeaves {
+		m.spareLeaves = append(m.spareLeaves, r.l)
 	}
+}
+
+// dropRange removes the backing arrays of [start, start+count). The
+// host cost is proportional to the linked mid nodes and leaves in the
+// range, never to the range: huge sparsely materialized ranges — the
+// terabyte-scale sweeps — are erased by visiting what exists.
+func (m *Memory) dropRange(start Frame, count uint64) {
+	if count == 1 && m.lookup(start) == nil {
+		// The common single-frame case — vm zeroes every page it
+		// populates — takes no lock when the frame is absent: only
+		// the frame's owner can materialize it (store.go).
+		return
+	}
+	m.mu.Lock()
+	m.dropRangeLocked(start, start+Frame(count))
+	m.mu.Unlock()
+}
+
+// dropRangeLocked drops every materialized frame in [start, end) and
+// unlinks the leaves that empties. Caller holds mu.
+func (m *Memory) dropRangeLocked(start, end Frame) {
+	m.eachLeaf(start, end, func(r leafRef) {
+		for x := r.l.mat & r.mask; x != 0; x &= x - 1 {
+			m.dropSlot(r.l, uint(bits.TrailingZeros64(x)))
+		}
+		m.unlinkLeaf(r)
+	})
 }
 
 // ReadAt copies len(buf) bytes starting at pa into buf. It panics if
@@ -331,12 +365,10 @@ func (m *Memory) ReadAt(pa PhysAddr, buf []byte) {
 		if n > uint64(len(buf)) {
 			n = uint64(len(buf))
 		}
-		if d := m.frame(f, false); d != nil {
+		if d := m.lookup(f); d != nil {
 			copy(buf[:n], d[off:off+n])
 		} else {
-			for i := uint64(0); i < n; i++ {
-				buf[i] = 0
-			}
+			clear(buf[:n])
 		}
 		buf = buf[n:]
 		pa += PhysAddr(n)
@@ -353,7 +385,7 @@ func (m *Memory) WriteAt(pa PhysAddr, buf []byte) {
 		if n > uint64(len(buf)) {
 			n = uint64(len(buf))
 		}
-		d := m.frame(f, true)
+		d := m.frame(f)
 		copy(d[off:off+n], buf[:n])
 		buf = buf[n:]
 		pa += PhysAddr(n)
@@ -370,26 +402,6 @@ func (m *Memory) ReadByteAt(pa PhysAddr) byte {
 // WriteByteAt stores v at pa.
 func (m *Memory) WriteByteAt(pa PhysAddr, v byte) {
 	m.WriteAt(pa, []byte{v})
-}
-
-// ReadUint64 loads a little-endian uint64 at pa.
-func (m *Memory) ReadUint64(pa PhysAddr) uint64 {
-	var b [8]byte
-	m.ReadAt(pa, b[:])
-	var v uint64
-	for i := 7; i >= 0; i-- {
-		v = v<<8 | uint64(b[i])
-	}
-	return v
-}
-
-// WriteUint64 stores v little-endian at pa.
-func (m *Memory) WriteUint64(pa PhysAddr, v uint64) {
-	var b [8]byte
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
-	m.WriteAt(pa, b[:])
 }
 
 func (m *Memory) checkRange(pa PhysAddr, n int) {
@@ -426,7 +438,7 @@ func (m *Memory) zeroFrames(clock *sim.Clock, start Frame, count uint64) {
 // EraseRangeEpoch performs the paper's proposed constant-time erase of
 // a frame range: the charged cost is a single O(1) epoch operation
 // regardless of the range size. Semantically the range reads as zero
-// afterwards. (The host-side map cleanup is not simulated time.)
+// afterwards. (The host-side store cleanup is not simulated time.)
 func (m *Memory) EraseRangeEpoch(start Frame, count uint64) {
 	if !m.Valid(start, count) {
 		panic(fmt.Sprintf("mem: EraseRangeEpoch [%d,+%d) out of range", start, count))
@@ -441,9 +453,9 @@ func (m *Memory) EraseRangeEpoch(start Frame, count uint64) {
 // re-creating software state (file systems re-mount, processes die).
 func (m *Memory) Crash() {
 	m.mu.Lock()
-	for f := range m.data {
-		if m.Kind(f) == DRAM {
-			m.dropFrameLocked(f)
+	for _, r := range m.regions {
+		if r.Kind == DRAM {
+			m.dropRangeLocked(r.Start, r.End())
 		}
 	}
 	m.mu.Unlock()
@@ -470,12 +482,12 @@ func (m *Memory) copyFrames(clock *sim.Clock, dst, src Frame, count uint64) {
 		panic("mem: CopyFrames out of range")
 	}
 	for i := uint64(0); i < count; i++ {
-		s := m.frame(src+Frame(i), false)
+		s := m.lookup(src + Frame(i))
 		if s == nil {
-			m.dropFrame(dst + Frame(i))
+			m.dropRange(dst+Frame(i), 1)
 			continue
 		}
-		d := m.frame(dst+Frame(i), true)
+		d := m.frame(dst + Frame(i))
 		*d = *s
 	}
 	clock.Advance(sim.Time(count) * m.params.ZeroPage)
@@ -487,7 +499,7 @@ func (m *Memory) copyFrames(clock *sim.Clock, dst, src Frame, count uint64) {
 func (m *Memory) MaterializedFrames() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.data)
+	return m.nFrames
 }
 
 // ContentChecksum returns a deterministic 64-bit FNV-1a digest of the
@@ -504,15 +516,13 @@ func (m *Memory) MaterializedFrames() int {
 func (m *Memory) ContentChecksum() uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	frames := make([]Frame, 0, len(m.data))
-	for f := range m.data {
-		frames = append(frames, f)
-	}
-	slices.Sort(frames)
 	h := uint64(fnvOffset64)
-	for _, f := range frames {
-		h = hashFrame(h, f, m.data[f])
-	}
+	m.eachLeaf(0, Frame(m.total), func(r leafRef) {
+		for x := r.l.mat; x != 0; x &= x - 1 {
+			k := bits.TrailingZeros64(x)
+			h = hashFrame(h, r.base+Frame(k), r.l.frames[k].Load())
+		}
+	})
 	return h
 }
 
@@ -591,14 +601,11 @@ func hashFrame(h uint64, f Frame, d *frameArray) uint64 {
 func (d *frameArray) isZero() bool { return *d == frameArray{} }
 
 // NonZeroCount returns how many of the given frames read as non-zero.
-// Each backing array is tested in place under one lock; nothing is
-// copied.
+// Each backing array is tested in place; nothing is copied.
 func (m *Memory) NonZeroCount(frames []Frame) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	n := 0
 	for _, f := range frames {
-		if d := m.data[f]; d != nil && !d.isZero() {
+		if d := m.lookup(f); d != nil && !d.isZero() {
 			n++
 		}
 	}
@@ -611,9 +618,7 @@ func (m *Memory) NonZeroCount(frames []Frame) int {
 // it panics for a frame outside the address space.
 func (m *Memory) ReadNonZeroFrame(f Frame, dst []byte) bool {
 	m.checkRange(f.Addr(), FrameSize)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	d := m.data[f]
+	d := m.lookup(f)
 	if d == nil || d.isZero() {
 		return false
 	}

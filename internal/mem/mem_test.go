@@ -8,7 +8,7 @@ import (
 	"repro/internal/sim"
 )
 
-func newTestMemory(t *testing.T) (*Memory, *sim.Clock, sim.Params) {
+func newTestMemory(t testing.TB) (*Memory, *sim.Clock, sim.Params) {
 	t.Helper()
 	clock := &sim.Clock{}
 	params := sim.DefaultParams()
@@ -24,6 +24,29 @@ func TestNewRejectsEmptyMachine(t *testing.T) {
 	params := sim.DefaultParams()
 	if _, err := New(clock, &params, Config{}); err == nil {
 		t.Fatal("New accepted a machine with no memory")
+	}
+}
+
+func TestNewRejectsOversizedMachine(t *testing.T) {
+	clock := &sim.Clock{}
+	params := sim.DefaultParams()
+	for _, cfg := range []Config{
+		{DRAMFrames: MaxFrames + 1},
+		{DRAMFrames: MaxFrames, NVMFrames: 1},
+		{DRAMFrames: 1, NVMFrames: ^uint64(0)},
+	} {
+		if _, err := New(clock, &params, cfg); err == nil {
+			t.Fatalf("New accepted %+v, more than MaxFrames", cfg)
+		}
+	}
+	m, err := New(clock, &params, Config{DRAMFrames: 1 << 20, NVMFrames: MaxFrames - 1<<20})
+	if err != nil {
+		t.Fatalf("New rejected a machine of MaxFrames frames: %v", err)
+	}
+	last := Frame(MaxFrames - 1)
+	m.WriteByteAt(last.Addr(), 7)
+	if got := m.ReadByteAt(last.Addr()); got != 7 {
+		t.Fatalf("last frame reads %#x, wrote 0x07", got)
 	}
 }
 
@@ -89,15 +112,6 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	m.ReadAt(pa, got)
 	if !bytes.Equal(got, data) {
 		t.Fatalf("read back %q, want %q", got, data)
-	}
-}
-
-func TestUint64RoundTrip(t *testing.T) {
-	m, _, _ := newTestMemory(t)
-	pa := Frame(3).Addr() + 4092 // straddles frames
-	m.WriteUint64(pa, 0xDEADBEEFCAFEF00D)
-	if got := m.ReadUint64(pa); got != 0xDEADBEEFCAFEF00D {
-		t.Fatalf("ReadUint64 = %#x", got)
 	}
 }
 

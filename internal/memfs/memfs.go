@@ -1124,19 +1124,6 @@ func (f *File) SetDurability(d Durability) {
 	f.inode.dur = d
 }
 
-// SetDiscardable toggles pressure-reclaimability.
-func (f *File) SetDiscardable(v bool) {
-	ino := f.inode
-	ino.fs.clock.Advance(ino.fs.params.InodeOp)
-	if v && !ino.discard {
-		ino.discard = true
-		ino.fs.discardables = append(ino.fs.discardables, ino)
-	} else if !v && ino.discard {
-		ino.discard = false
-		ino.fs.removeDiscardable(ino)
-	}
-}
-
 // DiscardForPressure deletes discardable files (oldest first) until at
 // least want frames have been freed or no candidates remain. It
 // returns the number of frames reclaimed. Per reclaimed *file* the

@@ -245,9 +245,6 @@ func New(cpu *sim.CPU, params *sim.Params, pool *Pool, levels int) (*Table, erro
 	return t, nil
 }
 
-// Levels returns the table depth.
-func (t *Table) Levels() int { return t.levels }
-
 // MappedPages returns the number of 4 KiB pages currently mapped
 // (huge mappings counted by their span).
 func (t *Table) MappedPages() uint64 { return t.mapped }

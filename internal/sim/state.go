@@ -6,12 +6,6 @@ import (
 	"repro/internal/metrics"
 )
 
-// State returns the RNG's internal state word. Together with the
-// xorshift64* update rule the word determines the entire future output
-// stream, so capturing it (and every clock and counter) pins a
-// machine's forward behaviour exactly — the property snapshots rely on.
-func (r *RNG) State() uint64 { return r.state }
-
 // CounterValue is one named counter's value at capture time.
 type CounterValue struct {
 	Name  string

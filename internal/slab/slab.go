@@ -85,9 +85,6 @@ func NewCache(name string, objSize uint64, clock *sim.Clock, params *sim.Params,
 // Name returns the cache name.
 func (c *Cache) Name() string { return c.name }
 
-// ObjectSize returns the object size in bytes.
-func (c *Cache) ObjectSize() uint64 { return c.objSize }
-
 // ObjectsPerSlab returns how many objects fit in one slab.
 func (c *Cache) ObjectsPerSlab() int { return c.perSlab }
 

@@ -191,9 +191,6 @@ func (e *Engine) SetBackend(b Backend) { e.backend = b }
 // Policy returns the engine's migration policy.
 func (e *Engine) Policy() Policy { return e.policy }
 
-// FastCap returns the fast-tier capacity in frames.
-func (e *Engine) FastCap() uint64 { return e.fastCap }
-
 // PreferFast reports whether a new allocation should be placed in the
 // fast tier: true while tracked fast-tier occupancy is below capacity.
 // Allocators consult this for first-touch placement.

@@ -57,9 +57,6 @@ func (k *Kernel) checkTier() error {
 // Tier returns the attached migration engine (nil without tiering).
 func (k *Kernel) Tier() *tier.Engine { return k.tier }
 
-// SlowPool exposes the slow-tier frame allocator (nil without one).
-func (k *Kernel) SlowPool() *buddy.Allocator { return k.slowPool }
-
 // tierPump executes queued promotions at a quiescent point — the end
 // of a user access, after the data plane has used the translation it
 // faulted in, so a promotion can never move a frame between its
