@@ -148,6 +148,8 @@ type System struct {
 	live map[int]*Process
 
 	stats *metrics.Set
+	// Per-operation counters, resolved on first use.
+	cAllocs, cMaps, cUnmaps, cChunkLinks metrics.Lazy
 }
 
 // masterTable is a pre-created page table covering PBM space for one

@@ -40,12 +40,12 @@ type Process struct {
 	mode TranslationMode
 	cpu  *sim.CPU // home CPU; syscalls and accesses execute here
 
-	// cpuMask[i] records that the process ever ran on CPU i — the
+	// cpuMask holds every CPU the process ever ran on — the
 	// mm_cpumask. Translations tagged with this PID can only have been
 	// cached on masked CPUs (translate fills the executing CPU's cache,
 	// and execution happens only via RunOn/MarkRanOn-tracked CPUs), so
 	// shootdowns IPI exactly the masked CPUs instead of broadcasting.
-	cpuMask []bool
+	cpuMask sim.CPUSet
 
 	// shoot batches the translation invalidations of one unmap burst
 	// into a single shootdown round (see flushShoot).
@@ -64,6 +64,8 @@ type Process struct {
 	// cTouches is the cached per-access counter (translate is the
 	// hottest loop in the range experiments).
 	cTouches *metrics.Counter
+	// Per-operation counters, resolved on first use.
+	cAllocs, cMaps, cUnmaps metrics.Lazy
 }
 
 // NewProcess creates a process using the given translation mode,
@@ -82,12 +84,11 @@ func (s *System) NewProcessOn(cpu *sim.CPU, mode TranslationMode) (*Process, err
 		pid:      s.procs,
 		mode:     mode,
 		cpu:      cpu,
-		cpuMask:  make([]bool, s.machine.NumCPUs()),
 		mappings: make(map[mem.VirtAddr]*Mapping),
 		stats:    metrics.NewSet(),
 	}
 	p.cTouches = p.stats.Counter("touches")
-	p.cpuMask[cpu.ID()] = true
+	p.cpuMask.Add(cpu.ID())
 	if !s.machine.FreeRunning() {
 		s.machine.SetCurrent(cpu)
 	}
@@ -115,12 +116,12 @@ func (p *Process) CPU() *sim.CPU { return p.cpu }
 // shootdown mask — its caches may still hold this PID's translations.
 func (p *Process) RunOn(cpu *sim.CPU) {
 	p.cpu = cpu
-	p.cpuMask[cpu.ID()] = true
+	p.cpuMask.Add(cpu.ID())
 }
 
 // MarkRanOn adds cpu to the shootdown mask without migrating the home
 // CPU: the mm_cpumask effect of a thread briefly scheduled there.
-func (p *Process) MarkRanOn(cpu *sim.CPU) { p.cpuMask[cpu.ID()] = true }
+func (p *Process) MarkRanOn(cpu *sim.CPU) { p.cpuMask.Add(cpu.ID()) }
 
 // run switches machine execution to the process's home CPU: syscalls
 // and memory accesses below charge that CPU's clock. During a
@@ -139,8 +140,8 @@ func (p *Process) run() {
 // migration engine, which must then IPI the home CPU too.
 func (p *Process) shootTargets(cur *sim.CPU) []*sim.CPU {
 	var out []*sim.CPU
-	for id, ran := range p.cpuMask {
-		if ran && id != cur.ID() {
+	for id := 0; id < p.sys.machine.NumCPUs(); id++ {
+		if p.cpuMask.Has(id) && id != cur.ID() {
 			out = append(out, p.sys.machine.CPU(id))
 		}
 	}
@@ -360,8 +361,8 @@ func (p *Process) AllocVolatile(pages uint64, prot pagetable.Flags) (*Mapping, e
 	if err := f.Close(); err != nil {
 		return nil, err
 	}
-	p.stats.Counter("allocs").Inc()
-	s.stats.Counter("allocs").Inc()
+	p.cAllocs.Of(p.stats, "allocs").Inc()
+	s.cAllocs.Of(s.stats, "allocs").Inc()
 	return m, nil
 }
 
@@ -390,8 +391,8 @@ func (p *Process) MapFile(f *memfs.File, prot pagetable.Flags) (*Mapping, error)
 	if err != nil {
 		return nil, err
 	}
-	p.stats.Counter("maps").Inc()
-	s.stats.Counter("maps").Inc()
+	p.cMaps.Of(p.stats, "maps").Inc()
+	s.cMaps.Of(s.stats, "maps").Inc()
 	return m, nil
 }
 
@@ -500,7 +501,7 @@ func (p *Process) linkSegmentOn(cur *sim.CPU, seg Segment, prot pagetable.Flags)
 		if err := p.pt.LinkSubtree(cur, u.va, master.table, u.va, u.level); err != nil {
 			return err
 		}
-		s.stats.Counter("chunk_links").Inc()
+		s.cChunkLinks.Of(s.stats, "chunk_links").Inc()
 	}
 	return nil
 }
@@ -552,8 +553,8 @@ func (p *Process) Unmap(m *Mapping) error {
 		}
 	}
 	delete(p.mappings, m.Base())
-	p.stats.Counter("unmaps").Inc()
-	s.stats.Counter("unmaps").Inc()
+	p.cUnmaps.Of(p.stats, "unmaps").Inc()
+	s.cUnmaps.Of(s.stats, "unmaps").Inc()
 	return m.file.Unref()
 }
 

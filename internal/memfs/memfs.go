@@ -203,6 +203,8 @@ type FS struct {
 	discardables []*Inode
 
 	stats *metrics.Set
+	// Per-operation counters, resolved on first use.
+	cCreates, cExtentAllocs, cPageAllocs metrics.Lazy
 }
 
 // New mounts a file system whose blocks come from the frame range
@@ -364,7 +366,7 @@ func (fs *FS) Create(path string, opts CreateOptions) (*File, error) {
 	ino.nlink = 1
 	ino.refs = 1
 	dir.children[name] = ino
-	fs.stats.Counter("creates").Inc()
+	fs.cCreates.Of(fs.stats, "creates").Inc()
 	return &File{inode: ino}, nil
 }
 
@@ -376,7 +378,7 @@ func (fs *FS) CreateTemp(tag string, opts CreateOptions) (*File, error) {
 	ino := fs.newInode(tag, false, fs.root)
 	fs.applyCreateOptions(ino, opts)
 	ino.refs = 1
-	fs.stats.Counter("creates").Inc()
+	fs.cCreates.Of(fs.stats, "creates").Inc()
 	return &File{inode: ino}, nil
 }
 
@@ -886,7 +888,7 @@ func (f *File) allocateRange(page, count uint64) error {
 		// between files). Charged eagerly, per page.
 		fs.memory.ZeroFrames(run.Start, run.Count)
 		ino.insertExtent(ExtentRun{Logical: page, Start: run.Start, Count: run.Count})
-		fs.stats.Counter("extent_allocs").Inc()
+		fs.cExtentAllocs.Of(fs.stats, "extent_allocs").Inc()
 		page += run.Count
 	}
 	return nil
@@ -921,7 +923,7 @@ func (f *File) PageFrame(page uint64, allocate bool) (mem.Frame, bool, error) {
 		}
 		fs.memory.ZeroFrames(fr, 1)
 		ino.insertExtent(ExtentRun{Logical: page, Start: fr, Count: 1})
-		fs.stats.Counter("page_allocs").Inc()
+		fs.cPageAllocs.Of(fs.stats, "page_allocs").Inc()
 		return fr, true, nil
 	default: // Extent: fill the hole containing page
 		if err := f.allocateRange(page, 1); err != nil {
@@ -961,7 +963,7 @@ func (f *File) EnsureContiguous(pages uint64) error {
 	fs.memory.EraseRangeEpoch(run.Start, run.Count)
 	ino.insertExtent(ExtentRun{Logical: 0, Start: run.Start, Count: run.Count})
 	ino.size = pages * mem.FrameSize
-	fs.stats.Counter("extent_allocs").Inc()
+	fs.cExtentAllocs.Of(fs.stats, "extent_allocs").Inc()
 	return nil
 }
 
@@ -1039,7 +1041,7 @@ func (f *File) EnsureExtents(pages, alignPages uint64) error {
 	for _, run := range runs {
 		fs.memory.EraseRangeEpoch(run.Start, run.Count)
 		ino.insertExtent(ExtentRun{Logical: logical, Start: run.Start, Count: run.Count})
-		fs.stats.Counter("extent_allocs").Inc()
+		fs.cExtentAllocs.Of(fs.stats, "extent_allocs").Inc()
 		logical += run.Count
 	}
 	ino.size = pages * mem.FrameSize

@@ -66,6 +66,28 @@ func (s *Set) Counter(name string) *Counter {
 	return c
 }
 
+// Lazy caches one counter of a Set, looked up by name on its first
+// use, for paths that run once per operation and would otherwise pay
+// Set.Counter's map lookup and mutex on every call. Resolving on first
+// use rather than in a constructor keeps the set's first-use order
+// what it was without the cache; that order reaches captured machine
+// state. The cached pointer is atomic, so CPUs of a host-parallel
+// phase may share a Lazy.
+type Lazy struct {
+	c atomic.Pointer[Counter]
+}
+
+// Of returns the counter called name in s, looking it up on the first
+// call only. Every call on one Lazy must pass the same s and name.
+func (l *Lazy) Of(s *Set, name string) *Counter {
+	if c := l.c.Load(); c != nil {
+		return c
+	}
+	c := s.Counter(name)
+	l.c.Store(c)
+	return c
+}
+
 // Value returns the value of the named counter, or zero if it has never
 // been created.
 func (s *Set) Value(name string) uint64 {

@@ -45,6 +45,30 @@ func TestSetNamesOrder(t *testing.T) {
 	}
 }
 
+// TestLazyResolvesOnFirstUse pins that a Lazy counter enters its set
+// only when first used, so the set's name order is the order the
+// counters were first touched, and that later uses return the same
+// counter without a lookup.
+func TestLazyResolvesOnFirstUse(t *testing.T) {
+	s := NewSet()
+	var lazy Lazy
+	if got := s.Names(); len(got) != 0 {
+		t.Fatalf("declaring a Lazy created %v", got)
+	}
+	s.Counter("first").Inc()
+	c := lazy.Of(s, "second")
+	c.Inc()
+	if lazy.Of(s, "second") != c || s.Counter("second") != c {
+		t.Fatal("Lazy returned a different counter on a later use")
+	}
+	if got := strings.Join(s.Names(), ","); got != "first,second" {
+		t.Fatalf("Names = %s, want first,second", got)
+	}
+	if s.Value("second") != 1 {
+		t.Fatalf("second = %d, want 1", s.Value("second"))
+	}
+}
+
 func TestSetReset(t *testing.T) {
 	s := NewSet()
 	s.Counter("x").Add(9)

@@ -91,13 +91,15 @@ func (f Flags) String() string {
 }
 
 // entry is one slot of a node. Leaf entries carry a frame; interior
-// entries carry a child node pointer.
+// entries carry a child node pointer. The word-sized fields come first
+// so the three one-byte fields share the last word: 24 bytes, which
+// makes a node ~12 KiB on the host.
 type entry struct {
+	frame   mem.Frame
+	child   *node
+	flags   Flags
 	present bool
 	huge    bool // leaf at level 2 (2 MiB) or level 3 (1 GiB)
-	frame   mem.Frame
-	flags   Flags
-	child   *node
 }
 
 // node is one 512-entry page-table page.
@@ -119,11 +121,7 @@ func (n *node) reset() {
 // span returns the number of 4 KiB pages covered by one entry at the
 // given level (level 1 entry covers 1 page).
 func span(level int) uint64 {
-	s := uint64(1)
-	for i := 1; i < level; i++ {
-		s *= EntriesPerNode
-	}
-	return s
+	return 1 << (uint(level-1) * entryIndexBits)
 }
 
 // indexAt extracts the node index for va at the given level.
@@ -158,7 +156,7 @@ const maxSpareNodes = 512
 // Pool supplies the nodes of every table built on one buddy allocator:
 // the frame comes from the allocator and the host-side node struct
 // from a recycled list, slab-style, so address-space churn does not
-// allocate a ~16 KiB host object per page-table page. The simulated
+// allocate a ~12 KiB host object per page-table page. The simulated
 // cost (PTNodeAlloc, the buddy frame) is unaffected.
 //
 // A pool is touched only next to the allocator call it pairs with, so
@@ -415,31 +413,48 @@ func (t *Table) MapRange(cpu *sim.CPU, va mem.VirtAddr, frame mem.Frame, count u
 	return nil
 }
 
+// descend finds the leaf entry covering va and the level it sits at,
+// or nil when no translation exists, without charging anything. refs
+// is the number of levels a hardware walk references on the way: one
+// per node visited, and one for an address beyond the table's reach.
+func (t *Table) descend(va mem.VirtAddr) (e *entry, level, refs int) {
+	if va >= t.MaxVirt() {
+		return nil, 0, 1
+	}
+	n := t.root
+	for refs = 1; ; refs++ {
+		e = &n.entries[indexAt(va, n.level)]
+		if !e.present {
+			return nil, n.level, refs
+		}
+		if n.level == 1 || e.huge {
+			return e, n.level, refs
+		}
+		n = e.child
+	}
+}
+
+// leafAddr translates va through the leaf e at the given level.
+func leafAddr(e *entry, level int, va mem.VirtAddr) mem.PhysAddr {
+	off := uint64(va) & (span(level)*mem.FrameSize - 1)
+	return e.frame.Addr() + mem.PhysAddr(off)
+}
+
 // Walk performs a hardware page walk for va, charging one memory
 // reference per level traversed. It returns the translated physical
 // address, the mapping's flags, and the number of levels referenced
 // (LeafBytes turns that into the page size of a found leaf). ok is
-// false if no translation exists.
+// false if no translation exists. The references are charged in one
+// Advance once the walk ends: nothing between the levels reads the
+// clock.
 func (t *Table) Walk(cpu *sim.CPU, va mem.VirtAddr) (pa mem.PhysAddr, flags Flags, levels int, ok bool) {
 	t.cWalks.Inc()
-	n := t.root
-	for {
-		levels++
-		cpu.Advance(t.params.WalkLevelRef)
-		if err := t.checkVA(va); err != nil {
-			return 0, 0, levels, false
-		}
-		e := &n.entries[indexAt(va, n.level)]
-		if !e.present {
-			return 0, 0, levels, false
-		}
-		if n.level == 1 || e.huge {
-			pageSpan := span(n.level) * mem.FrameSize
-			off := uint64(va) % pageSpan
-			return e.frame.Addr() + mem.PhysAddr(off), e.flags, levels, true
-		}
-		n = e.child
+	e, level, levels := t.descend(va)
+	cpu.Advance(sim.Time(levels) * t.params.WalkLevelRef)
+	if e == nil {
+		return 0, 0, levels, false
 	}
+	return leafAddr(e, level, va), e.flags, levels, true
 }
 
 // LeafBytes returns the size in bytes of the page mapped by a leaf
@@ -452,41 +467,21 @@ func (t *Table) LeafBytes(levels int) uint64 {
 // Lookup is Walk without charging virtual time or counters; it is the
 // assertion/debug path.
 func (t *Table) Lookup(va mem.VirtAddr) (pa mem.PhysAddr, flags Flags, ok bool) {
-	if va >= t.MaxVirt() {
+	e, level, _ := t.descend(va)
+	if e == nil {
 		return 0, 0, false
 	}
-	n := t.root
-	for {
-		e := &n.entries[indexAt(va, n.level)]
-		if !e.present {
-			return 0, 0, false
-		}
-		if n.level == 1 || e.huge {
-			pageSpan := span(n.level) * mem.FrameSize
-			off := uint64(va) % pageSpan
-			return e.frame.Addr() + mem.PhysAddr(off), e.flags, true
-		}
-		n = e.child
-	}
+	return leafAddr(e, level, va), e.flags, true
 }
 
 // PageSize returns the size in bytes of the mapping covering va
 // (4 KiB, 2 MiB or 1 GiB), or 0 if unmapped.
 func (t *Table) PageSize(va mem.VirtAddr) uint64 {
-	if va >= t.MaxVirt() {
+	e, level, _ := t.descend(va)
+	if e == nil {
 		return 0
 	}
-	n := t.root
-	for {
-		e := &n.entries[indexAt(va, n.level)]
-		if !e.present {
-			return 0
-		}
-		if n.level == 1 || e.huge {
-			return span(n.level) * mem.FrameSize
-		}
-		n = e.child
-	}
+	return span(level) * mem.FrameSize
 }
 
 // Unmap removes the mapping covering va (of whatever page size) and

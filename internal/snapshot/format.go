@@ -172,6 +172,14 @@ func readSection(r io.Reader) (tag string, payload []byte, err error) {
 	if n > maxSectionBytes {
 		return "", nil, &ErrCorrupt{What: fmt.Sprintf("section %q claims %d bytes", tag, n)}
 	}
+	// A reader that knows how much it holds (a bytes.Reader, such as
+	// the one a snapshot nested in a checkpoint chain is loaded from)
+	// refuses a length it cannot supply before the payload is
+	// allocated: the error ReadFull would give, without a 64 MiB buffer
+	// for a few corrupt bytes.
+	if l, ok := r.(interface{ Len() int }); ok && uint64(n) > uint64(l.Len()) {
+		return "", nil, &ErrCorrupt{What: fmt.Sprintf("section %q truncated", tag)}
+	}
 	payload = make([]byte, n)
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return "", nil, &ErrCorrupt{What: fmt.Sprintf("section %q truncated", tag)}

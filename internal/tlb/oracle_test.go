@@ -2,6 +2,7 @@ package tlb
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/mem"
@@ -10,8 +11,10 @@ import (
 )
 
 // refEntry and refArray are the scan-based TLB array the generation
-// counter replaced: a per-entry valid flag, and a full flush that
-// clears every flag. They survive only as the oracle below.
+// counter and the tag/translation split replaced: one slot struct with
+// a per-entry valid flag, sets picked by modulo, a victim scan that
+// copies out the evicted entry, and a full flush that clears every
+// flag. They survive only as the oracle below.
 type refEntry struct {
 	valid bool
 	asid  int
@@ -137,18 +140,21 @@ func refVisit(refs [3]*refArray) []visited {
 	return out
 }
 
-// sameEntry reports whether the real entry and the oracle's agree on
-// everything but the validity encoding.
-func sameEntry(e entryT, r refEntry) bool {
-	return e.asid == r.asid && e.vpn == r.vpn && e.tr == r.tr && e.lru == r.lru
+// sameEntry reports whether the slot's tag and translation agree with
+// the oracle's entry on everything but the validity encoding.
+func sameEntry(e tag, tr Translation, r refEntry) bool {
+	return e.asid == r.asid && e.vpn == r.vpn && tr == r.tr && e.lru == r.lru
 }
 
 // TestGenerationFlushMatchesScanOracle drives the three arrays of a
 // default-geometry TLB and three scan-based oracles through the same
 // random lookups, peeks, inserts, invalidations and full flushes. Hits,
-// evicted entries, slot contents, ValidEntries and VisitEntries must
-// agree after every step: the generation counter changes how a flush
-// is paid for, never which entries survive it or which way is evicted.
+// evicted entries (read from a copy of the set taken before the
+// insert), every slot with its LRU stamp, ValidEntries and
+// VisitEntries must agree after every step: the generation counter,
+// the split slot layout and the two-pass victim choice change how the
+// work is paid for, never which entries survive or which way is
+// evicted.
 func TestGenerationFlushMatchesScanOracle(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3} {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
@@ -156,7 +162,7 @@ func TestGenerationFlushMatchesScanOracle(t *testing.T) {
 			arrays := [3]*array{tl.l14k, tl.l1huge, tl.l2}
 			var refs [3]*refArray
 			for i, a := range arrays {
-				refs[i] = newRefArray(a.sets, a.ways)
+				refs[i] = newRefArray(int(a.mask)+1, a.ways)
 			}
 			rng := sim.NewRNG(seed)
 			randTr := func(arr int) Translation {
@@ -178,26 +184,34 @@ func TestGenerationFlushMatchesScanOracle(t *testing.T) {
 				i := rng.Intn(3)
 				a, r := arrays[i], refs[i]
 				asid := 1 + rng.Intn(3)
-				vpn := rng.Uint64n(uint64(2 * a.sets * a.ways))
+				vpn := rng.Uint64n(2 * uint64(len(a.tags)))
 				switch op := rng.Intn(100); {
 				case op < 35:
-					e, ok := a.lookup(asid, vpn)
+					_, slot := a.find(asid, vpn)
+					tr := a.lookup(asid, vpn)
 					re, rok := r.lookup(asid, vpn)
-					if ok != rok || ok && !sameEntry(*e, *re) {
+					if ok := tr != nil; ok != rok || ok && (tr != &a.trs[slot] || !sameEntry(a.tags[slot], *tr, *re)) {
 						t.Fatalf("step %d: array %d lookup(%d, %d) = %v, oracle %v", step, i, asid, vpn, ok, rok)
 					}
 				case op < 45:
-					e, ok := a.peek(asid, vpn)
+					_, slot := a.find(asid, vpn)
 					re, rok := r.peek(asid, vpn)
-					if ok != rok || ok && !sameEntry(*e, *re) {
+					if ok := slot >= 0; ok != rok || ok && !sameEntry(a.tags[slot], a.trs[slot], *re) {
 						t.Fatalf("step %d: array %d peek(%d, %d) = %v, oracle %v", step, i, asid, vpn, ok, rok)
 					}
 				case op < 85:
 					tr := randTr(i)
-					ev, ok := a.insert(asid, vpn, tr)
+					base, set := a.set(vpn)
+					before := slices.Clone(set)
+					beforeTrs := slices.Clone(a.trs[base : base+len(set)])
+					slot, ok := a.insert(asid, vpn, tr)
 					rev, rok := r.insert(asid, vpn, tr)
-					if ok != rok || ok && !sameEntry(ev, rev) {
-						t.Fatalf("step %d: array %d insert evicted %v %+v, oracle %v %+v", step, i, ok, ev, rok, rev)
+					if slot < base || slot >= base+len(set) {
+						t.Fatalf("step %d: array %d insert filled slot %d outside its set [%d, %d)", step, i, slot, base, base+len(set))
+					}
+					ev, evTr := before[slot-base], beforeTrs[slot-base]
+					if ok != rok || ok && !sameEntry(ev, evTr, rev) {
+						t.Fatalf("step %d: array %d insert evicted %v %+v %+v, oracle %v %+v", step, i, ok, ev, evTr, rok, rev)
 					}
 				case op < 98:
 					if got, want := a.invalidate(asid, vpn), r.invalidate(asid, vpn); got != want {
@@ -213,10 +227,10 @@ func TestGenerationFlushMatchesScanOracle(t *testing.T) {
 
 				want := 0
 				for k, a := range arrays {
-					for j := range a.data {
-						e, re := &a.data[j], refs[k].data[j]
-						if a.valid(e) != re.valid || re.valid && !sameEntry(*e, re) {
-							t.Fatalf("step %d: array %d slot %d diverged: %+v vs oracle %+v", step, k, j, *e, re)
+					for j := range a.tags {
+						e, re := a.tags[j], refs[k].data[j]
+						if (e.gen == a.gen) != re.valid || re.valid && !sameEntry(e, a.trs[j], re) {
+							t.Fatalf("step %d: array %d slot %d diverged: %+v %+v vs oracle %+v", step, k, j, e, a.trs[j], re)
 						}
 						if re.valid {
 							want++

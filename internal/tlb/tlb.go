@@ -86,31 +86,40 @@ func (tr Translation) Translate(va mem.VirtAddr) mem.PhysAddr {
 	return tr.Frame.Addr() + mem.PhysAddr(off)
 }
 
-// entryT is one TLB slot. It is valid iff its gen equals its array's
-// current generation, so a full flush is one increment rather than a
-// pass over every slot.
-type entryT struct {
-	gen  uint64 // generation the entry was filled in; 0 = invalidated
-	asid int    // address-space tag (PCID analogue)
+// tag is the hot half of one TLB slot: everything a probe or a victim
+// scan reads, 32 bytes, so a 12-way set scans 384 bytes. The cached
+// translation lives in the array's parallel trs slice and is read only
+// on a hit. A slot is valid iff its gen equals its array's current
+// generation, so a full flush is one increment rather than a pass over
+// every slot.
+type tag struct {
+	gen  uint64 // generation the slot was filled in; 0 = invalidated
 	vpn  uint64 // va >> size-dependent shift
-	tr   Translation
+	asid int    // address-space tag (PCID analogue)
 	lru  uint64
 }
 
 type array struct {
-	sets  int
-	ways  int
-	data  []entryT // sets*ways
+	mask  uint64        // sets-1; sets is a power of two
+	ways  int           // ways per set
+	tags  []tag         // sets*ways, set-major
+	trs   []Translation // trs[i] is the translation of tags[i]
 	stamp uint64
 	gen   uint64 // current generation; starts at 1, so zeroed slots are invalid
 }
 
 func newArray(sets, ways int) *array {
-	return &array{sets: sets, ways: ways, data: make([]entryT, sets*ways), gen: 1}
+	if sets < 1 || sets&(sets-1) != 0 || ways < 1 {
+		panic(fmt.Sprintf("tlb: %d sets of %d ways; sets must be a power of two and ways at least 1", sets, ways))
+	}
+	return &array{
+		mask: uint64(sets - 1),
+		ways: ways,
+		tags: make([]tag, sets*ways),
+		trs:  make([]Translation, sets*ways),
+		gen:  1,
+	}
 }
-
-// valid reports whether e was filled in a's current generation.
-func (a *array) valid(e *entryT) bool { return e.gen == a.gen }
 
 func vpnFor(va mem.VirtAddr, size PageSize) uint64 {
 	switch size {
@@ -123,78 +132,87 @@ func vpnFor(va mem.VirtAddr, size PageSize) uint64 {
 	}
 }
 
-// set returns the ways of the set vpn maps to.
-func (a *array) set(vpn uint64) []entryT {
-	base := int(vpn%uint64(a.sets)) * a.ways
-	return a.data[base : base+a.ways]
+// set returns the index of the first slot of the set vpn maps to, and
+// that set's tags.
+func (a *array) set(vpn uint64) (int, []tag) {
+	base := int(vpn&a.mask) * a.ways
+	return base, a.tags[base : base+a.ways]
 }
 
-func (a *array) lookup(asid int, vpn uint64) (*entryT, bool) {
-	gen, set := a.gen, a.set(vpn)
+// find returns the tag and index of the slot holding (asid, vpn), or
+// nil and -1.
+func (a *array) find(asid int, vpn uint64) (*tag, int) {
+	gen := a.gen
+	base, set := a.set(vpn)
 	for i := range set {
-		e := &set[i]
-		if e.gen == gen && e.asid == asid && e.vpn == vpn {
-			a.stamp++
-			e.lru = a.stamp
-			return e, true
+		if e := &set[i]; e.vpn == vpn && e.gen == gen && e.asid == asid {
+			return e, base + i
 		}
 	}
-	return nil, false
+	return nil, -1
 }
 
-// peek is lookup without LRU side effects (diagnostic).
-func (a *array) peek(asid int, vpn uint64) (*entryT, bool) {
-	gen, set := a.gen, a.set(vpn)
-	for i := range set {
-		e := &set[i]
-		if e.gen == gen && e.asid == asid && e.vpn == vpn {
-			return e, true
-		}
+// lookup returns the translation cached for (asid, vpn), or nil, and
+// marks its slot most recently used.
+func (a *array) lookup(asid int, vpn uint64) *Translation {
+	e, slot := a.find(asid, vpn)
+	if e == nil {
+		return nil
 	}
-	return nil, false
+	a.stamp++
+	e.lru = a.stamp
+	return &a.trs[slot]
 }
 
-// insert returns true if an existing valid entry was evicted. The
-// victim is the matching entry, else the first invalid way, else the
-// least recently used one.
-func (a *array) insert(asid int, vpn uint64, tr Translation) (evicted entryT, wasEvict bool) {
-	gen, set := a.gen, a.set(vpn)
-	victim := 0
+// insert fills a slot of vpn's set with (asid, vpn, tr) and returns
+// it, and whether a valid entry for another page was evicted from it.
+// The victim is the first way, in way order, that is invalid or already
+// holds (asid, vpn); failing that, the least recently used way (the
+// first on ties). An invalid way ahead of a valid duplicate therefore
+// wins, and the duplicate stays.
+func (a *array) insert(asid int, vpn uint64, tr Translation) (slot int, evicted bool) {
+	gen := a.gen
+	base, set := a.set(vpn)
+	victim := -1
 	for i := range set {
-		e := &set[i]
-		if e.gen != gen || e.asid == asid && e.vpn == vpn {
+		if e := &set[i]; e.gen != gen || e.vpn == vpn && e.asid == asid {
 			victim = i
 			break
 		}
-		if e.lru < set[victim].lru {
-			victim = i
+	}
+	if victim < 0 {
+		// The minimum is kept in locals so the compiler can turn the
+		// update into conditional moves: LRU order is random, so a
+		// branch here mispredicts.
+		evicted, victim = true, 0
+		oldest := set[0].lru
+		for i := 1; i < len(set); i++ {
+			if lru := set[i].lru; lru < oldest {
+				victim, oldest = i, lru
+			}
 		}
 	}
-	v := &set[victim]
-	if v.gen == gen && !(v.asid == asid && v.vpn == vpn) {
-		evicted, wasEvict = *v, true
-	}
 	a.stamp++
-	*v = entryT{gen: gen, asid: asid, vpn: vpn, tr: tr, lru: a.stamp}
-	return evicted, wasEvict
+	set[victim] = tag{gen: gen, vpn: vpn, asid: asid, lru: a.stamp}
+	slot = base + victim
+	a.trs[slot] = tr
+	return slot, evicted
 }
 
 func (a *array) invalidate(asid int, vpn uint64) bool {
-	gen, set := a.gen, a.set(vpn)
-	for i := range set {
-		e := &set[i]
-		if e.gen == gen && e.asid == asid && e.vpn == vpn {
-			e.gen = 0
-			return true
-		}
+	e, _ := a.find(asid, vpn)
+	if e != nil {
+		e.gen = 0
 	}
-	return false
+	return e != nil
 }
 
 // flush invalidates every entry by starting a new generation.
 func (a *array) flush() { a.gen++ }
 
-// Config sets the TLB geometry.
+// Config sets the TLB geometry. Set counts must be powers of two (a
+// set is picked with a mask, as in hardware) and every array needs at
+// least one way; New panics otherwise.
 type Config struct {
 	L1Sets4K, L1Ways4K     int
 	L1SetsHuge, L1WaysHuge int
@@ -222,7 +240,7 @@ type TLB struct {
 
 	l14k   *array
 	l1huge *array
-	l2     *array // unified; vpn keyed at the entry's native size, tagged by size in flags bits — we key by (vpn, size) folded
+	l2     *array // unified; keyed by l2key, which folds in the page size
 
 	stats *metrics.Set
 	// Cached counters: Lookup runs once per simulated memory access, so
@@ -230,10 +248,11 @@ type TLB struct {
 	cL1Hits, cL2Hits, cMisses, cEvictions, cFlushes *metrics.Counter
 }
 
-// New creates the TLB of one CPU with the given geometry. Lookup and
-// invalidation costs are charged to that CPU's clock regardless of
-// which CPU initiated the operation (shootdown handlers run on the
-// target).
+// New creates the TLB of one CPU with the given geometry, which must
+// satisfy Config's constraints (a bad geometry is a programming error
+// and panics). Lookup and invalidation costs are charged to that CPU's
+// clock regardless of which CPU initiated the operation (shootdown
+// handlers run on the target).
 func New(cpu *sim.CPU, params *sim.Params, cfg Config) *TLB {
 	t := &TLB{
 		cpu:    cpu,
@@ -271,29 +290,32 @@ func (t *TLB) Lookup(asid int, va mem.VirtAddr) (Translation, bool) {
 	// L1 probes happen in parallel in hardware; charge a single hit.
 	// The probes are written out (not ranged over a probe table) so the
 	// per-access path allocates nothing and stays branch-predictable.
-	if e, ok := t.l14k.lookup(asid, vpnFor(va, Size4K)); ok && e.tr.Size == Size4K {
+	// Both l1huge probes run even when the first finds an entry of the
+	// other size: the hit still bumps that entry's LRU stamp.
+	if tr := t.l14k.lookup(asid, vpnFor(va, Size4K)); tr != nil && tr.Size == Size4K {
 		t.cpu.Advance(t.params.TLBHit)
 		t.cL1Hits.Inc()
-		return e.tr, true
+		return *tr, true
 	}
-	if e, ok := t.l1huge.lookup(asid, vpnFor(va, Size2M)); ok && e.tr.Size == Size2M {
+	if tr := t.l1huge.lookup(asid, vpnFor(va, Size2M)); tr != nil && tr.Size == Size2M {
 		t.cpu.Advance(t.params.TLBHit)
 		t.cL1Hits.Inc()
-		return e.tr, true
+		return *tr, true
 	}
-	if e, ok := t.l1huge.lookup(asid, vpnFor(va, Size1G)); ok && e.tr.Size == Size1G {
+	if tr := t.l1huge.lookup(asid, vpnFor(va, Size1G)); tr != nil && tr.Size == Size1G {
 		t.cpu.Advance(t.params.TLBHit)
 		t.cL1Hits.Inc()
-		return e.tr, true
+		return *tr, true
 	}
 	// L2 probe, smallest page size first, as in the L1 pass.
 	for size := Size4K; size <= Size1G; size++ {
-		if e, ok := t.l2.lookup(asid, l2key(vpnFor(va, size), size)); ok {
+		if tr := t.l2.lookup(asid, l2key(vpnFor(va, size), size)); tr != nil {
 			t.cpu.Advance(t.params.TLBHit + t.params.TLBMiss)
 			t.cL2Hits.Inc()
 			// Promote to L1.
-			t.insertL1(asid, va, e.tr)
-			return e.tr, true
+			hit := *tr
+			t.insertL1(asid, va, hit)
+			return hit, true
 		}
 	}
 	t.cpu.Advance(t.params.TLBMiss)
@@ -305,18 +327,18 @@ func (t *TLB) Lookup(asid int, va mem.VirtAddr) (Translation, bool) {
 // charging cost or touching LRU state. Tests use it to assert
 // post-shootdown staleness invariants.
 func (t *TLB) Peek(asid int, va mem.VirtAddr) (Translation, bool) {
-	if e, ok := t.l14k.peek(asid, vpnFor(va, Size4K)); ok && e.tr.Size == Size4K {
-		return e.tr, true
+	if _, i := t.l14k.find(asid, vpnFor(va, Size4K)); i >= 0 && t.l14k.trs[i].Size == Size4K {
+		return t.l14k.trs[i], true
 	}
-	if e, ok := t.l1huge.peek(asid, vpnFor(va, Size2M)); ok && e.tr.Size == Size2M {
-		return e.tr, true
+	if _, i := t.l1huge.find(asid, vpnFor(va, Size2M)); i >= 0 && t.l1huge.trs[i].Size == Size2M {
+		return t.l1huge.trs[i], true
 	}
-	if e, ok := t.l1huge.peek(asid, vpnFor(va, Size1G)); ok && e.tr.Size == Size1G {
-		return e.tr, true
+	if _, i := t.l1huge.find(asid, vpnFor(va, Size1G)); i >= 0 && t.l1huge.trs[i].Size == Size1G {
+		return t.l1huge.trs[i], true
 	}
 	for size := Size4K; size <= Size1G; size++ {
-		if e, ok := t.l2.peek(asid, l2key(vpnFor(va, size), size)); ok {
-			return e.tr, true
+		if _, i := t.l2.find(asid, l2key(vpnFor(va, size), size)); i >= 0 {
+			return t.l2.trs[i], true
 		}
 	}
 	return Translation{}, false
@@ -392,10 +414,9 @@ func (t *TLB) FlushAll() {
 // (the design is inclusive, so an entry usually lives in L1 and L2).
 func (t *TLB) VisitEntries(fn func(asid int, va mem.VirtAddr, tr Translation)) {
 	visit := func(a *array, decode func(vpn uint64, tr Translation) mem.VirtAddr) {
-		for i := range a.data {
-			e := &a.data[i]
-			if a.valid(e) {
-				fn(e.asid, decode(e.vpn, e.tr), e.tr)
+		for i := range a.tags {
+			if e := &a.tags[i]; e.gen == a.gen {
+				fn(e.asid, decode(e.vpn, a.trs[i]), a.trs[i])
 			}
 		}
 	}
@@ -426,8 +447,8 @@ func (t *TLB) VisitEntries(fn func(asid int, va mem.VirtAddr, tr Translation)) {
 func (t *TLB) ValidEntries() int {
 	n := 0
 	for _, a := range []*array{t.l14k, t.l1huge, t.l2} {
-		for i := range a.data {
-			if a.valid(&a.data[i]) {
+		for i := range a.tags {
+			if a.tags[i].gen == a.gen {
 				n++
 			}
 		}

@@ -218,3 +218,113 @@ func TestMixedSizesDoNotAlias(t *testing.T) {
 		t.Fatalf("2M entry wrong: %+v ok=%v", tr, ok)
 	}
 }
+
+// TestNewRejectsBadGeometry pins that a set count that is not a power
+// of two, or an array with no ways, is refused when the TLB is built
+// rather than mis-indexed later.
+func TestNewRejectsBadGeometry(t *testing.T) {
+	clock := &sim.Clock{}
+	params := sim.DefaultParams()
+	cpu := sim.MachineOf(clock, &params).BootCPU()
+	bad := map[string]func(*Config){
+		"l1 4K sets 12":   func(c *Config) { c.L1Sets4K = 12 },
+		"l1 4K sets 0":    func(c *Config) { c.L1Sets4K = 0 },
+		"l1 huge sets -8": func(c *Config) { c.L1SetsHuge = -8 },
+		"l2 sets 96":      func(c *Config) { c.L2Sets = 96 },
+		"l1 4K ways 0":    func(c *Config) { c.L1Ways4K = 0 },
+		"l1 huge ways -1": func(c *Config) { c.L1WaysHuge = -1 },
+		"l2 ways 0":       func(c *Config) { c.L2Ways = 0 },
+	}
+	for name, mutate := range bad {
+		t.Run(name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			mutate(&cfg)
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("New accepted %+v", cfg)
+				}
+			}()
+			New(cpu, &params, cfg)
+		})
+	}
+	// The smallest legal geometry: one set of one way per array.
+	tl := New(cpu, &params, Config{L1Sets4K: 1, L1Ways4K: 1, L1SetsHuge: 1, L1WaysHuge: 1, L2Sets: 1, L2Ways: 1})
+	tl.Insert(1, 0x1000, Translation{Frame: 1, Size: Size4K})
+	if tr, ok := tl.Lookup(1, 0x1000); !ok || tr.Frame != 1 {
+		t.Fatalf("1x1 TLB lookup = %+v, %v", tr, ok)
+	}
+}
+
+// missFill is the TLB side of a sparse read: probe a random page and,
+// on a miss, fill the translation a page walk would have found.
+type missFill struct {
+	tl  *TLB
+	vas []mem.VirtAddr
+	i   int
+}
+
+func newMissFill(cpu *sim.CPU, params *sim.Params) *missFill {
+	const pages = 1 << 16
+	rng := sim.NewRNG(1)
+	vas := make([]mem.VirtAddr, pages)
+	for i := range vas {
+		vas[i] = mem.VirtAddr(rng.Uint64n(pages)) << 12
+	}
+	return &missFill{tl: New(cpu, params, DefaultConfig()), vas: vas}
+}
+
+func (m *missFill) step() {
+	va := m.vas[m.i&(len(m.vas)-1)]
+	m.i++
+	if _, ok := m.tl.Lookup(1, va); !ok {
+		m.tl.Insert(1, va, Translation{Frame: mem.Frame(va >> 12), Size: Size4K, Flags: pagetable.FlagRead})
+	}
+}
+
+// TestMissFillAllocatesNothing pins a probe-and-fill at zero host
+// allocations, so a miss costs no garbage on the host either.
+func TestMissFillAllocatesNothing(t *testing.T) {
+	clock := &sim.Clock{}
+	params := sim.DefaultParams()
+	m := newMissFill(sim.MachineOf(clock, &params).BootCPU(), &params)
+	if n := testing.AllocsPerRun(10000, m.step); n != 0 {
+		t.Fatalf("miss-plus-fill allocates %v times per call", n)
+	}
+	if m.tl.Stats().Value("misses") == 0 || m.tl.Stats().Value("evictions") == 0 {
+		t.Fatalf("the probe sequence missed no entry or evicted none: %s", m.tl.Stats())
+	}
+}
+
+// BenchmarkTLBMissFill measures the TLB work of a sparse read: a
+// random 4 KiB page out of 64Ki pages (about 40x the TLB's reach) is
+// probed, and filled on a miss, so nearly every op is a full miss
+// through both levels plus a fill that evicts in L1 and L2.
+func BenchmarkTLBMissFill(b *testing.B) {
+	clock := &sim.Clock{}
+	params := sim.DefaultParams()
+	m := newMissFill(sim.MachineOf(clock, &params).BootCPU(), &params)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.step()
+	}
+}
+
+// BenchmarkTLBHit measures an L1 hit: 32 resident 4 KiB pages probed
+// round robin, well within the 64-entry first level.
+func BenchmarkTLBHit(b *testing.B) {
+	clock := &sim.Clock{}
+	params := sim.DefaultParams()
+	tl := New(sim.MachineOf(clock, &params).BootCPU(), &params, DefaultConfig())
+	const pages = 32
+	for i := 0; i < pages; i++ {
+		tl.Insert(1, mem.VirtAddr(i)<<12, Translation{Frame: mem.Frame(i), Size: Size4K})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := tl.Lookup(1, mem.VirtAddr(i%pages)<<12); !ok {
+			b.Fatal("resident page missed")
+		}
+	}
+}

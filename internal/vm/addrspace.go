@@ -70,9 +70,9 @@ type AddressSpace struct {
 	// making the per-page hot paths free of cross-CPU state.
 	arena *Arena
 
-	// cpuMask[i] is true if this address space has run on CPU i since
-	// creation, i.e. CPU i's TLB may cache its translations.
-	cpuMask []bool
+	// cpuMask holds every CPU this address space has run on since
+	// creation, i.e. every CPU whose TLB may cache its translations.
+	cpuMask sim.CPUSet
 
 	vmas []*VMA // sorted by Start, non-overlapping
 	pt   *pagetable.Table
@@ -92,6 +92,8 @@ type AddressSpace struct {
 	stats *metrics.Set
 	// Cached counters for the per-access and per-page paths.
 	cTouches, cPopulated *metrics.Counter
+	// Per-operation counters, resolved on first use.
+	cMmaps, cMunmaps metrics.Lazy
 }
 
 // NewAddressSpace creates an empty address space with its own page
@@ -120,14 +122,13 @@ func (k *Kernel) NewAddressSpaceOn(cpu *sim.CPU) (*AddressSpace, error) {
 		kernel:  k,
 		cpu:     cpu,
 		arena:   ar,
-		cpuMask: make([]bool, k.Machine.NumCPUs()),
 		pt:      pt,
 		swapped: make(map[mem.VirtAddr]int),
 		stats:   metrics.NewSet(),
 	}
 	a.cTouches = a.stats.Counter("touches")
 	a.cPopulated = a.stats.Counter("populated_pages")
-	a.cpuMask[cpu.ID()] = true
+	a.cpuMask.Add(cpu.ID())
 	// The registry is sharded by creation CPU, so registering touches
 	// only cpu's own shard: no sync point even during a parallel phase,
 	// and ASID assignment stays a pure function of each CPU's creation
@@ -144,7 +145,7 @@ func (a *AddressSpace) CPU() *sim.CPU { return a.cpu }
 // shootdown mask — its TLB may still hold entries.
 func (a *AddressSpace) RunOn(cpu *sim.CPU) {
 	a.cpu = cpu
-	a.cpuMask[cpu.ID()] = true
+	a.cpuMask.Add(cpu.ID())
 }
 
 // MarkRanOn adds cpu to the shootdown mask without migrating the home
@@ -152,7 +153,7 @@ func (a *AddressSpace) RunOn(cpu *sim.CPU) {
 // Subsequent unmaps will shoot cpu's TLB down. Workloads use it to
 // model multi-threaded tenants whose threads touch a neighbor CPU.
 func (a *AddressSpace) MarkRanOn(cpu *sim.CPU) {
-	a.cpuMask[cpu.ID()] = true
+	a.cpuMask.Add(cpu.ID())
 }
 
 // run makes the home CPU current, so legacy code charging through the
@@ -193,7 +194,7 @@ func (a *AddressSpace) framePool() *buddy.Allocator {
 // phase a nonempty remote set becomes a sync point inside Machine.IPI.
 func (a *AddressSpace) shootdownVA(from *sim.CPU, va mem.VirtAddr) {
 	k := a.kernel
-	if a.cpuMask[from.ID()] {
+	if a.cpuMask.Has(from.ID()) {
 		k.tlbs[from.ID()].InvalidateVA(a.asid, va)
 	}
 	k.Machine.IPI(from, a.remoteCPUs(from), func(t *sim.CPU) {
@@ -263,7 +264,7 @@ func (a *AddressSpace) flushShoot(cur *sim.CPU) {
 	k := a.kernel
 	lo := a.shoot.lo
 	span := uint64(a.shoot.hi-lo) / mem.FrameSize
-	if a.cpuMask[cur.ID()] {
+	if a.cpuMask.Has(cur.ID()) {
 		k.tlbs[cur.ID()].InvalidateRange(a.asid, lo, span)
 	}
 	k.Machine.IPI(cur, a.remoteCPUs(cur), func(t *sim.CPU) {
@@ -277,8 +278,8 @@ func (a *AddressSpace) flushShoot(cur *sim.CPU) {
 // which is fine because Machine.IPI only iterates it.
 func (a *AddressSpace) remoteCPUs(from *sim.CPU) []*sim.CPU {
 	out := a.shootScratch[:0]
-	for i, in := range a.cpuMask {
-		if in && i != from.ID() {
+	for i := 0; i < a.kernel.Machine.NumCPUs(); i++ {
+		if a.cpuMask.Has(i) && i != from.ID() {
 			out = append(out, a.kernel.Machine.CPU(i))
 		}
 	}
@@ -495,7 +496,7 @@ func (a *AddressSpace) Mmap(req MmapRequest) (mem.VirtAddr, error) {
 		v.File.Ref() // the mapping pins the file
 	}
 	a.insertVMA(v)
-	a.stats.Counter("mmaps").Inc()
+	a.cMmaps.Of(a.stats, "mmaps").Inc()
 
 	if req.Populate {
 		if err := a.populateVMA(v); err != nil {
@@ -665,7 +666,7 @@ func (a *AddressSpace) Munmap(addr mem.VirtAddr, pages uint64) error {
 			return err
 		}
 	}
-	a.stats.Counter("munmaps").Inc()
+	a.cMunmaps.Of(a.stats, "munmaps").Inc()
 	return nil
 }
 
