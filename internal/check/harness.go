@@ -156,14 +156,13 @@ func Run(opts Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, cfg := range opts.Configs {
-		if _, err := newWorld(cfg, 1, 0, opts.Tier); err != nil {
-			return nil, err
-		}
+	worlds, _, err := newWorlds(opts)
+	if err != nil {
+		return nil, err
 	}
 	trace := generate(opts.Seed, opts.Ops, opts.CPUs)
 	report := &Report{Opts: opts, Trace: trace}
-	report.Failure = replay(trace, opts)
+	report.Failure = replayOn(trace, opts, worlds)
 	if report.Failure == nil && opts.CrashRecover {
 		baseAt, deltaAts, crashAt, torn := incrementalStage(opts, len(trace))
 		crs, f, err := CrashRecoverIncremental(opts, baseAt, deltaAts, crashAt, torn)
@@ -245,21 +244,36 @@ func RunMany(opts Options, seeds, workers int) ([]*Report, error) {
 	return reports, nil
 }
 
-// replay builds fresh worlds and applies the trace, checking
-// invariants at the configured interval, comparing reads as they
-// happen, and sweeping invariants plus final contents at the end. A
-// nil return means the trace passes.
-func replay(trace []Op, opts Options) *Failure {
-	mdl := newModel(opts.CPUs)
+// newWorlds builds one fresh world per selected configuration. On
+// error it also returns the configuration that failed.
+func newWorlds(opts Options) ([]*world, string, error) {
 	worlds := make([]*world, len(opts.Configs))
 	for i, cfg := range opts.Configs {
 		w, err := newWorld(cfg, opts.CPUs, opts.Seed, opts.Tier)
 		if err != nil {
-			return &Failure{World: cfg, Reason: fmt.Sprintf("world setup: %v", err)}
+			return nil, cfg, err
 		}
 		worlds[i] = w
 	}
+	return worlds, "", nil
+}
 
+// replay builds fresh worlds and applies the trace to them with
+// replayOn.
+func replay(trace []Op, opts Options) *Failure {
+	worlds, cfg, err := newWorlds(opts)
+	if err != nil {
+		return &Failure{World: cfg, Reason: fmt.Sprintf("world setup: %v", err)}
+	}
+	return replayOn(trace, opts, worlds)
+}
+
+// replayOn applies the trace to fresh worlds, checking invariants at
+// the configured interval, comparing reads as they happen, and
+// sweeping invariants plus final contents at the end. A nil return
+// means the trace passes.
+func replayOn(trace []Op, opts Options, worlds []*world) *Failure {
+	mdl := newModel(opts.CPUs)
 	for i, op := range trace {
 		if f := step(mdl, worlds, i, op); f != nil {
 			return f

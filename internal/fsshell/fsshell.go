@@ -86,6 +86,19 @@ func (sh *Shell) ExecLine(line string) {
 	}
 }
 
+// readLen parses a read length. It must fit in the file system, so a
+// bad argument is an error rather than a host allocation of any size.
+func (sh *Shell) readLen(arg string) (int, error) {
+	n, err := strconv.Atoi(arg)
+	if err != nil {
+		return 0, err
+	}
+	if limit := sh.fs.TotalFrames() * mem.FrameSize; n < 0 || uint64(n) > limit {
+		return 0, fmt.Errorf("read length %d outside [0, %d]", n, limit)
+	}
+	return n, nil
+}
+
 func (sh *Shell) exec(cmd string, args []string) error {
 	need := func(n int) error {
 		if len(args) < n {
@@ -256,7 +269,7 @@ func (sh *Shell) exec(cmd string, args []string) error {
 		if err := need(2); err != nil {
 			return err
 		}
-		n, err := strconv.Atoi(args[1])
+		n, err := sh.readLen(args[1])
 		if err != nil {
 			return err
 		}
@@ -296,7 +309,7 @@ func (sh *Shell) exec(cmd string, args []string) error {
 		if err != nil {
 			return err
 		}
-		n, err := strconv.Atoi(args[2])
+		n, err := sh.readLen(args[2])
 		if err != nil {
 			return err
 		}

@@ -358,6 +358,15 @@ func (m *Memory) dropRangeLocked(start, end Frame) {
 // addresses before the data plane is reached.
 func (m *Memory) ReadAt(pa PhysAddr, buf []byte) {
 	m.checkRange(pa, len(buf))
+	if len(buf) == 1 {
+		// A one-byte read (the per-page probe of the sparse workloads)
+		// loads the byte instead of calling memmove.
+		buf[0] = 0
+		if d := m.lookup(pa.Frame()); d != nil {
+			buf[0] = d[pa.Offset()]
+		}
+		return
+	}
 	for len(buf) > 0 {
 		f := pa.Frame()
 		off := pa.Offset()

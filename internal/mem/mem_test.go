@@ -241,3 +241,31 @@ func TestWriteReadPropertyQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestOneByteReads checks the one-byte ReadAt path, which loads the
+// byte directly, against a two-byte read through the copy loop: at
+// every offset class of a written frame (first, middle, last byte),
+// in a frame never written, and across a frame boundary.
+func TestOneByteReads(t *testing.T) {
+	m, _, _ := newTestMemory(t)
+	base := Frame(10).Addr()
+	data := make([]byte, 2*FrameSize)
+	for i := range data {
+		data[i] = byte(i*7 + 1)
+	}
+	m.WriteAt(base, data)
+	for _, off := range []PhysAddr{0, 1, 2047, FrameSize - 1, FrameSize, 2*FrameSize - 2} {
+		var one [1]byte
+		var two [2]byte
+		m.ReadAt(base+off, one[:])
+		m.ReadAt(base+off, two[:])
+		if one[0] != data[off] || two[0] != data[off] {
+			t.Fatalf("offset %d: one-byte read %#x, two-byte read %#x, want %#x", off, one[0], two[0], data[off])
+		}
+	}
+	one := [1]byte{0xff}
+	m.ReadAt(Frame(20).Addr()+5, one[:])
+	if one[0] != 0 {
+		t.Fatalf("one-byte read of an unwritten frame = %#x, want 0", one[0])
+	}
+}

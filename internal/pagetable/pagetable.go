@@ -144,6 +144,10 @@ type Table struct {
 
 	mapped uint64 // present leaf pages (4 KiB units, huge counted by span)
 
+	// gen changes whenever a node may leave this table's tree or
+	// become shared: cursors compare it before trusting a cached path.
+	gen uint64
+
 	stats *metrics.Set
 	// Cached counters for the per-access paths (a map lookup per PTE
 	// write or walk is measurable at this call frequency).
@@ -235,10 +239,11 @@ func New(cpu *sim.CPU, params *sim.Params, pool *Pool, levels int) (*Table, erro
 	t.cNodeAllocs = t.stats.Counter("node_allocs")
 	t.cNodeFrees = t.stats.Counter("node_frees")
 	t.cWalks = t.stats.Counter("walks")
-	root, err := t.newNode(cpu, levels)
+	root, err := t.newNode(levels)
 	if err != nil {
 		return nil, err
 	}
+	cpu.Advance(params.PTNodeAlloc)
 	t.root = root
 	return t, nil
 }
@@ -284,12 +289,13 @@ func (t *Table) MaxVirt() mem.VirtAddr {
 	return mem.VirtAddr(span(t.levels+1)) << mem.FrameShift
 }
 
-func (t *Table) newNode(cpu *sim.CPU, level int) (*node, error) {
+// newNode takes a node from the pool and counts it; the caller charges
+// PTNodeAlloc with the rest of its operation.
+func (t *Table) newNode(level int) (*node, error) {
 	nd, err := t.pool.alloc(level)
 	if err != nil {
 		return nil, fmt.Errorf("pagetable: node allocation: %w", err)
 	}
-	cpu.Advance(t.params.PTNodeAlloc)
 	t.cNodeAllocs.Inc()
 	return nd, nil
 }
@@ -301,6 +307,7 @@ func (t *Table) newNode(cpu *sim.CPU, level int) (*node, error) {
 func (t *Table) freeNode(n *node) error {
 	n.refs--
 	t.cNodeFrees.Inc()
+	t.gen++
 	if n.refs > 0 {
 		return nil // another table still references it
 	}
@@ -329,7 +336,8 @@ func (t *Table) checkVA(va mem.VirtAddr) error {
 // walk and node-allocation costs, exactly the per-page work the paper
 // identifies as the linear term of mmap(MAP_POPULATE).
 func (t *Table) Map(cpu *sim.CPU, va mem.VirtAddr, frame mem.Frame, flags Flags) error {
-	return t.mapEntry(cpu, va, frame, flags, 1)
+	c := t.Cursor()
+	return c.Map(cpu, va, frame, flags)
 }
 
 // Map2M installs a 2 MiB huge mapping. va must be 2 MiB aligned and
@@ -338,7 +346,8 @@ func (t *Table) Map2M(cpu *sim.CPU, va mem.VirtAddr, frame mem.Frame, flags Flag
 	if uint64(va)%(mem.HugeFrames2M*mem.FrameSize) != 0 || uint64(frame)%mem.HugeFrames2M != 0 {
 		return fmt.Errorf("pagetable: unaligned 2MiB mapping va=%#x frame=%d", uint64(va), frame)
 	}
-	return t.mapEntry(cpu, va, frame, flags, 2)
+	c := t.Cursor()
+	return c.mapAt(cpu, va, frame, flags, 2)
 }
 
 // Map1G installs a 1 GiB huge mapping. va must be 1 GiB aligned and
@@ -347,53 +356,8 @@ func (t *Table) Map1G(cpu *sim.CPU, va mem.VirtAddr, frame mem.Frame, flags Flag
 	if uint64(va)%(mem.HugeFrames1G*mem.FrameSize) != 0 || uint64(frame)%mem.HugeFrames1G != 0 {
 		return fmt.Errorf("pagetable: unaligned 1GiB mapping va=%#x frame=%d", uint64(va), frame)
 	}
-	return t.mapEntry(cpu, va, frame, flags, 3)
-}
-
-func (t *Table) mapEntry(cpu *sim.CPU, va mem.VirtAddr, frame mem.Frame, flags Flags, leafLevel int) error {
-	if err := t.checkVA(va); err != nil {
-		return err
-	}
-	n := t.root
-	for n.level > leafLevel {
-		cpu.Advance(t.params.WalkLevelRef)
-		idx := indexAt(va, n.level)
-		e := &n.entries[idx]
-		if e.present && e.huge {
-			return fmt.Errorf("pagetable: va %#x already covered by a level-%d huge mapping", uint64(va), n.level)
-		}
-		if !e.present {
-			child, err := t.newNode(cpu, n.level-1)
-			if err != nil {
-				return err
-			}
-			e.present = true
-			e.child = child
-			n.present++
-			t.chargePTE(cpu)
-		}
-		if e.child.refs > 1 {
-			return fmt.Errorf("pagetable: va %#x lies in a shared subtree; unlink before modifying", uint64(va))
-		}
-		n = e.child
-	}
-	if n.level != leafLevel {
-		return fmt.Errorf("pagetable: internal: reached level %d, want %d", n.level, leafLevel)
-	}
-	idx := indexAt(va, leafLevel)
-	e := &n.entries[idx]
-	if e.present {
-		return fmt.Errorf("pagetable: va %#x already mapped", uint64(va))
-	}
-	e.present = true
-	e.huge = leafLevel > 1
-	e.frame = frame
-	e.flags = flags
-	e.child = nil
-	n.present++
-	t.chargePTE(cpu)
-	t.mapped += span(leafLevel)
-	return nil
+	c := t.Cursor()
+	return c.mapAt(cpu, va, frame, flags, 3)
 }
 
 func (t *Table) chargePTE(cpu *sim.CPU) {
@@ -405,8 +369,9 @@ func (t *Table) chargePTE(cpu *sim.CPU) {
 // frames starting at frame — the baseline populate loop: cost is
 // linear in count.
 func (t *Table) MapRange(cpu *sim.CPU, va mem.VirtAddr, frame mem.Frame, count uint64, flags Flags) error {
+	c := t.Cursor()
 	for i := uint64(0); i < count; i++ {
-		if err := t.Map(cpu, va+mem.VirtAddr(i*mem.FrameSize), frame+mem.Frame(i), flags); err != nil {
+		if err := c.Map(cpu, va+mem.VirtAddr(i*mem.FrameSize), frame+mem.Frame(i), flags); err != nil {
 			return err
 		}
 	}
@@ -467,11 +432,8 @@ func (t *Table) LeafBytes(levels int) uint64 {
 // Lookup is Walk without charging virtual time or counters; it is the
 // assertion/debug path.
 func (t *Table) Lookup(va mem.VirtAddr) (pa mem.PhysAddr, flags Flags, ok bool) {
-	e, level, _ := t.descend(va)
-	if e == nil {
-		return 0, 0, false
-	}
-	return leafAddr(e, level, va), e.flags, true
+	c := t.Cursor()
+	return c.Lookup(va)
 }
 
 // PageSize returns the size in bytes of the mapping covering va
@@ -488,108 +450,15 @@ func (t *Table) PageSize(va mem.VirtAddr) uint64 {
 // returns the frame it mapped and its span in 4 KiB pages. Empty
 // intermediate nodes are freed, as in free_pgtables().
 func (t *Table) Unmap(cpu *sim.CPU, va mem.VirtAddr) (mem.Frame, uint64, error) {
-	if err := t.checkVA(va); err != nil {
-		return 0, 0, err
-	}
-	frame, pages, err := t.unmapRec(cpu, t.root, va)
-	if err != nil {
-		return 0, 0, err
-	}
-	t.mapped -= pages
-	return frame, pages, nil
-}
-
-func (t *Table) unmapRec(cpu *sim.CPU, n *node, va mem.VirtAddr) (mem.Frame, uint64, error) {
-	cpu.Advance(t.params.WalkLevelRef)
-	e := &n.entries[indexAt(va, n.level)]
-	if !e.present {
-		return 0, 0, fmt.Errorf("pagetable: va %#x not mapped", uint64(va))
-	}
-	if n.level == 1 || e.huge {
-		frame := e.frame
-		pages := span(n.level)
-		*e = entry{}
-		n.present--
-		t.chargePTE(cpu)
-		return frame, pages, nil
-	}
-	child := e.child
-	if child.refs > 1 {
-		return 0, 0, fmt.Errorf("pagetable: va %#x lies in a shared subtree; use UnlinkSubtree", uint64(va))
-	}
-	frame, pages, err := t.unmapRec(cpu, child, va)
-	if err != nil {
-		return 0, 0, err
-	}
-	if child.present == 0 {
-		if err := t.freeNode(child); err != nil {
-			return 0, 0, err
-		}
-		*e = entry{}
-		n.present--
-		t.chargePTE(cpu)
-	}
-	return frame, pages, nil
-}
-
-// NextPresent returns the first address in [va, end) covered by a
-// present leaf, or end if there is none. va must be page aligned. An
-// absent entry is skipped as a whole, up to the next boundary of the
-// span it covers, so the host work is proportional to the entries
-// visited, not to the pages in the range. Like Lookup, it is not a
-// modelled operation and charges nothing.
-func (t *Table) NextPresent(va, end mem.VirtAddr) mem.VirtAddr {
-	if va >= end || va >= t.MaxVirt() {
-		return end
-	}
-	if got, ok := nextPresent(t.root, va, end); ok {
-		return got
-	}
-	return end
-}
-
-// nextPresent scans n's entries from the one covering va. Past the
-// first entry va sits on an entry boundary, so a descent into a child
-// starts at the child's first entry.
-func nextPresent(n *node, va, end mem.VirtAddr) (mem.VirtAddr, bool) {
-	step := mem.VirtAddr(span(n.level) * mem.FrameSize)
-	for i := indexAt(va, n.level); i < EntriesPerNode && va < end; i++ {
-		if e := &n.entries[i]; e.present {
-			if n.level == 1 || e.huge {
-				return va, true
-			}
-			if got, ok := nextPresent(e.child, va, end); ok {
-				return got, true
-			}
-		}
-		va = va&^(step-1) + step
-	}
-	return 0, false
+	c := t.Cursor()
+	return c.unmap(cpu, va)
 }
 
 // Protect rewrites the flags of the mapping covering va. It returns an
 // error if va is unmapped or inside a shared subtree.
 func (t *Table) Protect(cpu *sim.CPU, va mem.VirtAddr, flags Flags) error {
-	if err := t.checkVA(va); err != nil {
-		return err
-	}
-	n := t.root
-	for {
-		cpu.Advance(t.params.WalkLevelRef)
-		e := &n.entries[indexAt(va, n.level)]
-		if !e.present {
-			return fmt.Errorf("pagetable: protect of unmapped va %#x", uint64(va))
-		}
-		if n.level == 1 || e.huge {
-			e.flags = flags
-			t.chargePTE(cpu)
-			return nil
-		}
-		if e.child.refs > 1 {
-			return fmt.Errorf("pagetable: va %#x lies in a shared subtree", uint64(va))
-		}
-		n = e.child
-	}
+	c := t.Cursor()
+	return c.Protect(cpu, va, flags)
 }
 
 // SubtreeLevel returns the level of the interior entry that exactly
@@ -637,10 +506,11 @@ func (t *Table) LinkSubtree(cpu *sim.CPU, va mem.VirtAddr, src *Table, srcVA mem
 		idx := indexAt(va, n.level)
 		e := &n.entries[idx]
 		if !e.present {
-			child, err := t.newNode(cpu, n.level-1)
+			child, err := t.newNode(n.level - 1)
 			if err != nil {
 				return err
 			}
+			cpu.Advance(t.params.PTNodeAlloc)
 			e.present = true
 			e.child = child
 			n.present++
@@ -655,6 +525,8 @@ func (t *Table) LinkSubtree(cpu *sim.CPU, va mem.VirtAddr, src *Table, srcVA mem
 		return fmt.Errorf("pagetable: va %#x already mapped", uint64(va))
 	}
 	srcNode.refs++
+	t.gen++
+	src.gen++
 	e.present = true
 	e.child = srcNode
 	n.present++

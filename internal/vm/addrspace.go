@@ -570,12 +570,13 @@ func (a *AddressSpace) populateVMA(v *VMA) error {
 	if v.Huge {
 		return a.populateHuge(v)
 	}
+	c := a.pt.Cursor()
 	for p := uint64(0); p < v.Pages(); p++ {
 		va := v.Start + mem.VirtAddr(p*mem.FrameSize)
-		if _, _, ok := a.pt.Lookup(va); ok {
+		if _, _, ok := c.Lookup(va); ok {
 			continue
 		}
-		if err := a.installPage(v, va, false); err != nil {
+		if err := a.installPage(&c, v, va, false); err != nil {
 			return err
 		}
 		a.cPopulated.Inc()
@@ -703,34 +704,29 @@ func (a *AddressSpace) zapRange(v *VMA, start mem.VirtAddr, pages uint64) error 
 	a.beginShoot()
 	defer a.flushShoot(cur)
 	end := start + mem.VirtAddr(pages*mem.FrameSize)
-	for va := a.pt.NextPresent(start, end); va < end; {
-		frame, span, err := a.pt.Unmap(cur, va)
-		if err != nil {
+	c := a.pt.Cursor()
+	return c.UnmapRange(cur, start, end, func(va mem.VirtAddr, frame mem.Frame, span uint64) error {
+		a.queueShoot(cur, va, span)
+		pi, tracked := k.page(frame)
+		if !tracked {
+			return nil
+		}
+		if err := k.delRmap(cur, pi, a, va); err != nil {
 			return err
 		}
-		a.queueShoot(cur, va, span)
-		if pi, tracked := k.page(frame); tracked {
-			if err := k.delRmap(cur, pi, a, va); err != nil {
-				return err
-			}
-			if !pi.Mapped() {
-				flags := pi.Flags
-				k.forgetPage(cur, pi)
-				switch {
-				case flags&PGCompound != 0:
-					if err := k.poolFor(frame).Free(frame); err != nil {
-						return err
-					}
-				case flags&PGAnon != 0:
-					if err := k.freeAnonFrame(frame); err != nil {
-						return err
-					}
-				}
-			}
+		if pi.Mapped() {
+			return nil
 		}
-		va = a.pt.NextPresent(va+mem.VirtAddr(span*mem.FrameSize), end)
-	}
-	return nil
+		flags := pi.Flags
+		k.forgetPage(cur, pi)
+		switch {
+		case flags&PGCompound != 0:
+			return k.poolFor(frame).Free(frame)
+		case flags&PGAnon != 0:
+			return k.freeAnonFrame(frame)
+		}
+		return nil
+	})
 }
 
 // Mprotect rewrites the protection of [addr, addr+pages*4K): a
@@ -757,14 +753,15 @@ func (a *AddressSpace) Mprotect(addr mem.VirtAddr, pages uint64, prot pagetable.
 	cur := a.cpu
 	a.beginShoot()
 	defer a.flushShoot(cur)
+	c := a.pt.Cursor()
 	for p := uint64(0); p < pages; p += step {
 		va := addr + mem.VirtAddr(p*mem.FrameSize)
-		if _, f, ok := a.pt.Lookup(va); ok {
+		if _, f, ok := c.Lookup(va); ok {
 			newFlags := prot
 			if f&pagetable.FlagCOW != 0 {
 				newFlags = (prot &^ pagetable.FlagWrite) | pagetable.FlagCOW
 			}
-			if err := a.pt.Protect(cur, va, newFlags); err != nil {
+			if err := c.Protect(cur, va, newFlags); err != nil {
 				return err
 			}
 			a.queueShoot(cur, va, step)
@@ -802,9 +799,10 @@ func (a *AddressSpace) Mlock(addr mem.VirtAddr) error {
 	if err := a.populateVMA(v); err != nil {
 		return err
 	}
+	c := a.pt.Cursor()
 	for p := uint64(0); p < v.Pages(); p++ {
 		va := v.Start + mem.VirtAddr(p*mem.FrameSize)
-		if pa, _, ok := a.pt.Lookup(va); ok {
+		if pa, _, ok := c.Lookup(va); ok {
 			if pi, tracked := k.page(pa.Frame()); tracked {
 				pi.Flags |= PGMlocked
 				k.chargeMeta(a.cpu, 1)

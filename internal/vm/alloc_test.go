@@ -102,6 +102,74 @@ func TestFaultUnmapAllocFree(t *testing.T) {
 	}
 }
 
+// TestPopulateZapAllocFree pins the baseline's populate and zap loops
+// at zero host allocations in steady state: mlock populates every page
+// of an existing mapping (probe, frame, struct page, rmap, PTE through
+// one page-table cursor) and MADV_DONTNEED unmaps them again through
+// the cursor's range unmap, whose per-page work is a callback.
+func TestPopulateZapAllocFree(t *testing.T) {
+	const pages = 512
+	m := newMachine(t, 4096)
+	as, err := m.kernel.NewAddressSpace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	va, err := as.Mmap(MmapRequest{Pages: pages, Prot: rw, Anon: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	round := func() {
+		if err := as.Mlock(va); err != nil {
+			t.Fatal(err)
+		}
+		if err := as.MadviseDontneed(va, pages); err != nil {
+			t.Fatal(err)
+		}
+	}
+	round()
+	if allocs := testing.AllocsPerRun(10, round); allocs != 0 {
+		t.Fatalf("populate+zap of %d pages allocates %v objects per round, want 0", pages, allocs)
+	}
+	if err := m.kernel.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestForkDestroyAllocsPerPage pins fork's per-page copy and the
+// child's teardown at zero host allocations per page: a fork+Destroy
+// round allocates the child's address space, table and VMA copies, the
+// same number of objects at 8 pages as at 512.
+func TestForkDestroyAllocsPerPage(t *testing.T) {
+	allocs := func(pages uint64) float64 {
+		m := newMachine(t, 4096)
+		as, err := m.kernel.NewAddressSpace()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := as.Mmap(MmapRequest{Pages: pages, Prot: rw, Anon: true, Populate: true}); err != nil {
+			t.Fatal(err)
+		}
+		round := func() {
+			child, err := as.Fork()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := child.Destroy(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		round()
+		n := testing.AllocsPerRun(10, round)
+		if err := m.kernel.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	if small, large := allocs(8), allocs(512); small != large {
+		t.Fatalf("fork+Destroy allocates %v objects per round at 8 pages and %v at 512, want equal", small, large)
+	}
+}
+
 // BenchmarkPopulateMunmap maps 512 pages (2 MiB) with MAP_POPULATE and
 // unmaps them: the baseline's per-page install and teardown loops.
 func BenchmarkPopulateMunmap(b *testing.B) {
@@ -169,5 +237,40 @@ func BenchmarkDemandMunmap(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkForkDestroy forks an address space with 512 populated
+// pages and destroys the child: the baseline's per-page copy (parent
+// probe and COW protect, child map and rmap) and its teardown.
+func BenchmarkForkDestroy(b *testing.B) {
+	const pages = 512
+	clock := &sim.Clock{}
+	params := sim.DefaultParams()
+	memory, err := mem.New(clock, &params, mem.Config{DRAMFrames: 1 << 19})
+	if err != nil {
+		b.Fatal(err)
+	}
+	kernel, err := NewKernel(clock, &params, memory, Config{PoolFrames: 1 << 19})
+	if err != nil {
+		b.Fatal(err)
+	}
+	as, err := kernel.NewAddressSpace()
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := as.Mmap(MmapRequest{Pages: pages, Prot: rw, Anon: true, Populate: true}); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		child, err := as.Fork()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := child.Destroy(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

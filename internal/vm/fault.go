@@ -95,10 +95,11 @@ func (a *AddressSpace) translate(va mem.VirtAddr, write bool) (mem.PhysAddr, err
 		return 0, &AccessError{VA: va, Write: write, Cause: "read from unreadable VMA"}
 	}
 	page := va.PageBase()
-	if err := a.installPage(v, page, true); err != nil {
+	c := a.pt.Cursor()
+	if err := a.installPage(&c, v, page, true); err != nil {
 		return 0, err
 	}
-	pa, flags, _ := a.pt.Lookup(page)
+	pa, flags, _ := c.Lookup(page)
 	if write && flags&pagetable.FlagCOW != 0 {
 		var err error
 		pa, err = a.cowBreak(va)
@@ -147,10 +148,10 @@ func (a *AddressSpace) markAccess(pa mem.PhysAddr, write bool) {
 	}
 }
 
-// installPage creates the PTE for one page of a VMA. fault says
-// whether this is the demand-fault path (counted as a minor/major
+// installPage creates the PTE for one page of a VMA through c. fault
+// says whether this is the demand-fault path (counted as a minor/major
 // fault) or the populate path.
-func (a *AddressSpace) installPage(v *VMA, va mem.VirtAddr, fault bool) error {
+func (a *AddressSpace) installPage(c *pagetable.Cursor, v *VMA, va mem.VirtAddr, fault bool) error {
 	k := a.kernel
 	// Swapped-out anonymous page? Major fault.
 	if slot, swapped := a.swapped[va]; swapped {
@@ -206,7 +207,7 @@ func (a *AddressSpace) installPage(v *VMA, va mem.VirtAddr, fault bool) error {
 		// Private file mapping: writes must COW.
 		prot = (prot &^ pagetable.FlagWrite) | pagetable.FlagCOW
 	}
-	if err := a.pt.Map(a.cpu, va, frame, prot); err != nil {
+	if err := c.Map(a.cpu, va, frame, prot); err != nil {
 		return err
 	}
 	pi := k.trackPage(a.cpu, frame, flags)

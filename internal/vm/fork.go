@@ -61,6 +61,7 @@ func (a *AddressSpace) forkInto(child *AddressSpace) (*AddressSpace, error) {
 	cur.Advance(k.Params.SyscallOverhead)
 	a.beginShoot()
 	defer a.flushShoot(cur)
+	pc, cc := a.pt.Cursor(), child.pt.Cursor()
 	for _, v := range a.vmas {
 		if v.Huge {
 			// Real kernels split or COW-share huge pages on fork; this
@@ -75,18 +76,16 @@ func (a *AddressSpace) forkInto(child *AddressSpace) (*AddressSpace, error) {
 		cur.Advance(k.Params.VMAOp)
 
 		sharedWrites := !v.Anon && !v.Private // MAP_SHARED file mapping
-		for p := uint64(0); p < v.Pages(); p++ {
-			va := v.Start + mem.VirtAddr(p*mem.FrameSize)
-			pa, flags, ok := a.pt.Lookup(va)
-			if !ok {
-				continue
-			}
+		// Lookup charges nothing, so the copy skips the absent parts of
+		// the parent's table a whole subtree at a time.
+		for va, ok := pc.Next(v.Start, v.End); ok; va, ok = pc.Next(va+mem.FrameSize, v.End) {
+			pa, flags, _ := pc.Lookup(va)
 			frame := pa.Frame()
 			childFlags := flags
 			if !sharedWrites && flags&pagetable.FlagWrite != 0 {
 				// Downgrade to COW on both sides.
 				cow := (flags &^ pagetable.FlagWrite) | pagetable.FlagCOW
-				if err := a.pt.Protect(cur, va, cow); err != nil {
+				if err := pc.Protect(cur, va, cow); err != nil {
 					return nil, err
 				}
 				a.queueShoot(cur, va, 1)
@@ -94,7 +93,7 @@ func (a *AddressSpace) forkInto(child *AddressSpace) (*AddressSpace, error) {
 			} else if !sharedWrites && flags&pagetable.FlagCOW != 0 {
 				childFlags = flags
 			}
-			if err := child.pt.Map(cur, va, frame, childFlags); err != nil {
+			if err := cc.Map(cur, va, frame, childFlags); err != nil {
 				return nil, err
 			}
 			if pi, tracked := k.page(frame); tracked {
@@ -107,18 +106,18 @@ func (a *AddressSpace) forkInto(child *AddressSpace) (*AddressSpace, error) {
 		// thus the physical layout) are a pure function of the trace.
 		for _, va := range sortedVAs(a.swapped) {
 			if v.Contains(va) {
-				if err := a.installPage(v, va, false); err != nil {
+				if err := a.installPage(&pc, v, va, false); err != nil {
 					return nil, err
 				}
-				pa, flags, _ := a.pt.Lookup(va)
+				pa, flags, _ := pc.Lookup(va)
 				if !sharedWrites && flags&pagetable.FlagWrite != 0 {
 					flags = (flags &^ pagetable.FlagWrite) | pagetable.FlagCOW
-					if err := a.pt.Protect(cur, va, flags); err != nil {
+					if err := pc.Protect(cur, va, flags); err != nil {
 						return nil, err
 					}
 					a.queueShoot(cur, va, 1)
 				}
-				if err := child.pt.Map(cur, va, pa.Frame(), flags); err != nil {
+				if err := cc.Map(cur, va, pa.Frame(), flags); err != nil {
 					return nil, err
 				}
 				if pi, tracked := k.page(pa.Frame()); tracked {
