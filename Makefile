@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet bench bench-compare experiments results profile snap clean
+.PHONY: all build test vet bench bench-compare bench-layers bench-layers-update experiments results profile snap clean
 
 all: build vet test
 
@@ -30,6 +30,35 @@ bench-compare:
 	$(GO) run ./cmd/o1bench -parallel 1 -benchjson BENCH_wallclock.new.json > /dev/null
 	$(GO) run ./cmd/benchdiff -old BENCH_wallclock.json -new BENCH_wallclock.new.json -max-regress 0.25
 	@rm -f BENCH_wallclock.new.json
+
+# Layer allocation gate: run every layer benchmark once with
+# -benchmem and fail when any allocates more per op than
+# BENCH_layers.json records, or did not run. Allocation counts do not
+# depend on the host, so the gate compares them exactly and never
+# skips. Each benchmark runs twenty times: a stray allocation made
+# elsewhere in the test binary during a one-iteration run showed up
+# as up to five allocs/op on zero-allocation benchmarks, while twenty
+# iterations round it away and still count one allocation per op.
+# GOGC=off keeps a collection from landing inside the measured loop
+# (the runtime's own allocations then move a count by one); the
+# collection testing runs between benchmarks still happens, so the
+# largest benchmark holds under 400 MB. Benchmarks the file lists as
+# ungated are reported, never failed, each with its reason.
+# bench-layers-update records the current counts as the new baseline
+# (after a change that removes allocations on purpose).
+LAYER_PKGS = ./internal/buddy ./internal/vm ./internal/pagetable ./internal/tlb ./internal/heap \
+	./internal/tier ./internal/memfs ./internal/ckpt ./internal/mem ./internal/sim ./internal/check
+LAYER_BENCH = 'CheckInvariants|AllocFreeFrame|PopulateMunmap|DemandMunmap|ForkDestroy|TableLifecycle|FlushAll|NewOn|TLBMissFill|TLBHit|Walk|EngineMoved|MigrateExtent|ChainSaveLoad|ContentChecksum|CaptureFrames|FrameRead|DropRangeSparse|DirtyWrite|ClockAdvance|CrashRecoverIncremental'
+
+bench-layers:
+	GOGC=off $(GO) test -count=1 $(LAYER_PKGS) -run '^$$' -bench $(LAYER_BENCH) -benchtime 20x -benchmem > .bench_layers.txt
+	$(GO) run ./cmd/benchdiff -layers BENCH_layers.json -bench .bench_layers.txt
+	@rm -f .bench_layers.txt
+
+bench-layers-update:
+	GOGC=off $(GO) test -count=1 $(LAYER_PKGS) -run '^$$' -bench $(LAYER_BENCH) -benchtime 20x -benchmem > .bench_layers.txt
+	$(GO) run ./cmd/benchdiff -layers BENCH_layers.json -bench .bench_layers.txt -write
+	@rm -f .bench_layers.txt
 
 # CPU and heap profiles of the full suite (inspect with `go tool pprof`).
 profile:

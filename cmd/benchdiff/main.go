@@ -10,10 +10,19 @@
 // — a skipped comparison, not a failure — so the gate is inert on
 // hosts that don't match the tracked baseline.
 //
+// With -layers it is instead the layer allocation gate: it reads
+// `go test -bench -benchmem` output (-bench) and fails when any layer
+// benchmark tracked in the given file allocates more per op than
+// recorded there, or did not run. Allocation counts are independent of
+// the host, so this gate never skips. -write records the output as the
+// new baseline (`make bench-layers-update`).
+//
 // Usage:
 //
 //	benchdiff -old BENCH_wallclock.json -new BENCH_wallclock.ci.json
 //	benchdiff -old old.json -new new.json -max-regress 0.25 -min-ms 50
+//	benchdiff -layers BENCH_layers.json -bench layers.txt
+//	benchdiff -layers BENCH_layers.json -bench layers.txt -write
 package main
 
 import (
@@ -37,7 +46,16 @@ func run() error {
 	newPath := flag.String("new", "", "candidate -benchjson report")
 	maxRegress := flag.Float64("max-regress", 0.25, "maximum tolerated slowdown (0.25 = 25%)")
 	minMS := flag.Float64("min-ms", 50, "ignore experiments whose baseline wall-clock is below this (too noisy to gate on)")
+	layersPath := flag.String("layers", "", "tracked layer-benchmark file: gate -bench output's allocs/op against it")
+	benchPath := flag.String("bench", "", "go test -bench -benchmem output (with -layers)")
+	write := flag.Bool("write", false, "with -layers: record the -bench output as the new baseline")
 	flag.Parse()
+	if *layersPath != "" {
+		if *benchPath == "" {
+			return fmt.Errorf("-layers needs -bench")
+		}
+		return runLayers(*layersPath, *benchPath, *write)
+	}
 	if *oldPath == "" || *newPath == "" {
 		return fmt.Errorf("both -old and -new are required")
 	}

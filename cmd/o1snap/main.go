@@ -21,7 +21,6 @@
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -128,14 +127,14 @@ func writeFile(path string, save func(*os.File) error) error {
 	return f.Close()
 }
 
-// loadChain reads a whole chain file before decoding it, so compact
-// can rewrite the same path.
+// loadChain reads a whole chain file before decoding it in place, so
+// compact can rewrite the same path.
 func loadChain(path string) (*ckpt.Chain, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	return ckpt.Load(bytes.NewReader(data))
+	return ckpt.Decode(data)
 }
 
 func cmdRestore(args []string) error {

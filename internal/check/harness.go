@@ -63,6 +63,12 @@ func (o Options) withDefaults() (Options, error) {
 	if o.CPUs < 0 || o.CPUs > sim.MaxCPUs {
 		return o, fmt.Errorf("check: CPU count %d, want 1 to %d (0 = default)", o.CPUs, sim.MaxCPUs)
 	}
+	if o.Ops < 0 {
+		return o, fmt.Errorf("check: op count %d, want at least 1 (0 = default)", o.Ops)
+	}
+	if o.CheckEvery < 0 {
+		return o, fmt.Errorf("check: invariant sweep interval %d, want at least 1 (0 = only at the end)", o.CheckEvery)
+	}
 	if o.Ops == 0 {
 		o.Ops = 1000
 	}
@@ -249,7 +255,7 @@ func RunMany(opts Options, seeds, workers int) ([]*Report, error) {
 func newWorlds(opts Options) ([]*world, string, error) {
 	worlds := make([]*world, len(opts.Configs))
 	for i, cfg := range opts.Configs {
-		w, err := newWorld(cfg, opts.CPUs, opts.Seed, opts.Tier)
+		w, err := newWorld(cfg, opts.CPUs, opts.Seed, opts.Tier, nil)
 		if err != nil {
 			return nil, cfg, err
 		}

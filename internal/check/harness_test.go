@@ -152,3 +152,34 @@ func TestNegativeCPUsRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestNegativeCountsRejected: a negative op count or invariant sweep
+// interval is a setup error from every entry point, not a makeslice
+// panic in the trace generator.
+func TestNegativeCountsRejected(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(Options) error
+	}{
+		{"Run", func(o Options) error { _, err := Run(o); return err }},
+		{"RunMany", func(o Options) error { _, err := RunMany(o, 2, 2); return err }},
+		{"BuildSnapshot", func(o Options) error { _, err := BuildSnapshot("fom", o, 10); return err }},
+		{"BuildChain", func(o Options) error { _, err := BuildChain("fom", o, 5, []int{10}); return err }},
+		{"CrashRecoverIncremental", func(o Options) error {
+			_, _, err := CrashRecoverIncremental(o, 5, []int{10}, 15, false)
+			return err
+		}},
+	} {
+		for _, bad := range []Options{
+			{Seed: 1, Ops: -1},
+			{Seed: 1, Ops: -50, CrashRecover: true},
+			{Seed: 1, Ops: 50, CheckEvery: -1},
+		} {
+			t.Run(fmt.Sprintf("%s/ops%d/every%d", tc.name, bad.Ops, bad.CheckEvery), func(t *testing.T) {
+				if err := tc.run(bad); err == nil {
+					t.Fatalf("accepted Ops = %d, CheckEvery = %d", bad.Ops, bad.CheckEvery)
+				}
+			})
+		}
+	}
+}

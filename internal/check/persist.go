@@ -193,7 +193,7 @@ func BuildSnapshot(config string, opts Options, at int) (*snapshot.Snapshot, err
 	if at < 0 || at > len(trace) {
 		return nil, fmt.Errorf("check: snapshot point %d outside trace [0,%d]", at, len(trace))
 	}
-	w, err := newWorld(config, opts.CPUs, opts.Seed, opts.Tier)
+	w, err := newWorld(config, opts.CPUs, opts.Seed, opts.Tier, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -220,8 +220,8 @@ func BuildSnapshot(config string, opts Options, at int) (*snapshot.Snapshot, err
 // upTo: build the configuration fresh, re-execute the recorded prefix,
 // and prove the result bit-identical to the captured want/wantSum. The
 // returned model has consumed the same prefix and is ready to continue
-// the trace.
-func rebuild(base *snapshot.Snapshot, upTo int, want *sim.MachineState, wantSum uint64, what string) (*world, *model, []Op, error) {
+// the trace. The world is built on p's parts (nil builds it fresh).
+func rebuild(base *snapshot.Snapshot, upTo int, want *sim.MachineState, wantSum uint64, what string, p *parts) (*world, *model, []Op, error) {
 	trace, err := DecodeTrace(base.Trace)
 	if err != nil {
 		return nil, nil, nil, err
@@ -233,7 +233,7 @@ func rebuild(base *snapshot.Snapshot, upTo int, want *sim.MachineState, wantSum 
 	if meta.SnapAt < 0 || meta.SnapAt > upTo || upTo > len(trace) {
 		return nil, nil, nil, fmt.Errorf("check: need 0 <= snapshot point %d <= capture point %d <= %d", meta.SnapAt, upTo, len(trace))
 	}
-	w, err := newWorld(meta.Config, meta.CPUs, meta.Seed, meta.Tier)
+	w, err := newWorld(meta.Config, meta.CPUs, meta.Seed, meta.Tier, p)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -267,6 +267,6 @@ func verifyRestored(w *world, wantState *sim.MachineState, wantSum uint64, what 
 // VerifySnapshot restores a snapshot and proves the reconstruction
 // bit-identical to the captured state.
 func VerifySnapshot(snap *snapshot.Snapshot) error {
-	_, _, _, err := rebuild(snap, snap.Meta.SnapAt, snap.Machine, snap.MemChecksum, "restore")
+	_, _, _, err := rebuild(snap, snap.Meta.SnapAt, snap.Machine, snap.MemChecksum, "restore", nil)
 	return err
 }

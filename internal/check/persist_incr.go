@@ -59,9 +59,10 @@ func validateChainPoints(baseAt int, deltaAts []int, upTo, traceLen int) (int, e
 // at each of deltaAts, journaling every op past baseAt. With compact,
 // the journal is compacted at each delta — the online-checkpoint
 // behavior, leaving only the post-watermark suffix on media. The
-// returned world is live at upTo (the caller crashes or discards it).
-func buildChain(cfg string, opts Options, trace []Op, baseAt int, deltaAts []int, upTo int, compact bool) (*ckpt.Chain, *world, *Failure, error) {
-	w, err := newWorld(cfg, opts.CPUs, opts.Seed, opts.Tier)
+// returned world, built on p's parts (nil builds it fresh), is live at
+// upTo (the caller crashes or discards it).
+func buildChain(cfg string, opts Options, trace []Op, baseAt int, deltaAts []int, upTo int, compact bool, p *parts) (*ckpt.Chain, *world, *Failure, error) {
+	w, err := newWorld(cfg, opts.CPUs, opts.Seed, opts.Tier, p)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -146,7 +147,7 @@ func BuildChain(config string, opts Options, baseAt int, deltaAts []int) (*ckpt.
 	if _, err := validateChainPoints(baseAt, deltaAts, len(trace), len(trace)); err != nil {
 		return nil, err
 	}
-	chain, _, f, err := buildChain(config, opts, trace, baseAt, deltaAts, len(trace), false)
+	chain, _, f, err := buildChain(config, opts, trace, baseAt, deltaAts, len(trace), false, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -159,13 +160,14 @@ func BuildChain(config string, opts Options, baseAt int, deltaAts []int) (*ckpt.
 // rebuildFromChain reconstructs the machine at the chain's last
 // capture point and proves the rebuild bit-identical to the last
 // capture AND to the differential image (base overlaid with every
-// delta) — the proof that dirty tracking missed nothing.
-func rebuildFromChain(chain *ckpt.Chain) (*world, *model, []Op, error) {
+// delta) — the proof that dirty tracking missed nothing. The world is
+// built on p's parts (nil builds it fresh).
+func rebuildFromChain(chain *ckpt.Chain, p *parts) (*world, *model, []Op, error) {
 	wantState, wantSum := chain.Base.Machine, chain.Base.MemChecksum
 	if n := len(chain.Deltas); n > 0 {
 		wantState, wantSum = chain.Deltas[n-1].Machine, chain.Deltas[n-1].MemChecksum
 	}
-	w, mdl, trace, err := rebuild(chain.Base, chain.LastUpTo(), wantState, wantSum, "chain restore")
+	w, mdl, trace, err := rebuild(chain.Base, chain.LastUpTo(), wantState, wantSum, "chain restore", p)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -180,7 +182,7 @@ func rebuildFromChain(chain *ckpt.Chain) (*world, *model, []Op, error) {
 // record against the embedded trace, and finishes with an invariant
 // sweep plus a model content comparison.
 func VerifyChain(chain *ckpt.Chain) error {
-	w, mdl, trace, err := rebuildFromChain(chain)
+	w, mdl, trace, err := rebuildFromChain(chain, nil)
 	if err != nil {
 		return err
 	}
@@ -237,6 +239,10 @@ func VerifyChain(chain *ckpt.Chain) error {
 //     journal's valid suffix, finishes the trace, and proves the final
 //     state bit-identical to the control.
 //
+// The fifteen worlds of a five-configuration call are built one after
+// another, and each finished world hands its host storage to the next
+// (see parts); nothing simulated is shared.
+//
 // A non-nil Failure reports a persistence bug; error reports setup
 // problems.
 func CrashRecoverIncremental(opts Options, baseAt int, deltaAts []int, crashAt int, torn bool) ([]*ChainReport, *Failure, error) {
@@ -253,8 +259,9 @@ func CrashRecoverIncremental(opts Options, baseAt int, deltaAts []int, crashAt i
 		return nil, nil, fmt.Errorf("check: a torn tail needs at least one journaled op past the last delta")
 	}
 	var reports []*ChainReport
+	p := &parts{}
 	for _, cfg := range opts.Configs {
-		rep, f, err := chainRecoverOne(cfg, opts, trace, baseAt, deltaAts, crashAt, torn)
+		rep, f, err := chainRecoverOne(cfg, opts, trace, baseAt, deltaAts, crashAt, torn, p)
 		if err != nil {
 			return reports, nil, fmt.Errorf("%s: %w", cfg, err)
 		}
@@ -269,9 +276,11 @@ func CrashRecoverIncremental(opts Options, baseAt int, deltaAts []int, crashAt i
 	return reports, nil, nil
 }
 
-func chainRecoverOne(cfg string, opts Options, trace []Op, baseAt int, deltaAts []int, crashAt int, torn bool) (*ChainReport, *Failure, error) {
+// chainRecoverOne runs the three timelines of one configuration, each
+// world built on the parts its predecessor released into p.
+func chainRecoverOne(cfg string, opts Options, trace []Op, baseAt int, deltaAts []int, crashAt int, torn bool, p *parts) (*ChainReport, *Failure, error) {
 	// Control timeline: no crash, full trace.
-	control, err := newWorld(cfg, opts.CPUs, opts.Seed, opts.Tier)
+	control, err := newWorld(cfg, opts.CPUs, opts.Seed, opts.Tier, p)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -286,9 +295,12 @@ func chainRecoverOne(cfg string, opts Options, trace []Op, baseAt int, deltaAts 
 		return nil, f, nil
 	}
 	finalState, finalSum := capture(control)
+	if err := control.release(p); err != nil {
+		return nil, nil, err
+	}
 
 	// Crashed timeline: base + deltas with online journal compaction.
-	chain, crashed, f, err := buildChain(cfg, opts, trace, baseAt, deltaAts, crashAt, true)
+	chain, crashed, f, err := buildChain(cfg, opts, trace, baseAt, deltaAts, crashAt, true, p)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -296,30 +308,34 @@ func chainRecoverOne(cfg string, opts Options, trace []Op, baseAt int, deltaAts 
 		return nil, f, nil
 	}
 	// The chain (checkpoint data) round-trips through the on-media
-	// format — recovery trusts only what Save durably wrote. The live
-	// journal is separate media with its own torn-tail rule.
+	// format — recovery trusts only what Save durably wrote, decoded in
+	// place from the save buffer. The live journal is separate media
+	// with its own torn-tail rule.
 	onMedia := chain.Journal.Encode()
 	if torn {
 		// The crash cut the journal mid-record: the last record's CRC
 		// never hit media, so recovery must discard it.
 		onMedia = onMedia[:len(onMedia)-1]
 	}
-	var media bytes.Buffer
-	if err := chain.Save(&media); err != nil {
+	media := bytes.NewBuffer(p.save[:0])
+	if err := chain.Save(media); err != nil {
 		return nil, nil, err
 	}
 	chainBytes := media.Len()
-	loaded, err := ckpt.Load(&media)
+	loaded, err := ckpt.Decode(media.Bytes())
 	if err != nil {
 		return nil, nil, err
 	}
 	// Power fails: DRAM contents vanish and the machine halts. The
 	// crashed world is never consulted again.
 	crashed.memory().Crash()
+	if err := crashed.release(p); err != nil {
+		return nil, nil, err
+	}
 
 	// Recovery: rebuild to the last delta, prove the differential
 	// restore, replay the journal suffix, finish, prove the end state.
-	recovered, recoveredMdl, rtrace, err := rebuildFromChain(loaded)
+	recovered, recoveredMdl, rtrace, err := rebuildFromChain(loaded, p)
 	if err != nil {
 		return nil, &Failure{OpIndex: loaded.LastUpTo(), World: cfg, Reason: err.Error()}, nil
 	}
@@ -390,6 +406,12 @@ func chainRecoverOne(cfg string, opts Options, trace []Op, baseAt int, deltaAts 
 		rep.DirtyFrames = append(rep.DirtyFrames, len(d.Frames))
 		rep.DirtyUnits = append(rep.DirtyUnits, len(d.Units))
 	}
+	// loaded aliases the save buffer and is dead from here on, so the
+	// next configuration may save into the buffer again.
+	if err := recovered.release(p); err != nil {
+		return nil, nil, err
+	}
+	p.save = media.Bytes()[:0]
 	return rep, nil, nil
 }
 

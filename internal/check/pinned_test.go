@@ -30,7 +30,7 @@ func TestWorldStatesPinned(t *testing.T) {
 	var got strings.Builder
 	for _, tiered := range []bool{false, true} {
 		for _, cfg := range AllConfigs {
-			w, err := newWorld(cfg, cpus, seed, tiered)
+			w, err := newWorld(cfg, cpus, seed, tiered, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -70,6 +70,9 @@ type backend interface {
 	// dirty frame must be covered; the crash-recover stage fails on
 	// gaps (see persist_incr.go).
 	dirtyUnits(frames []mem.Frame) []ckpt.Unit
+	// release hands the configuration's host storage to p and leaves
+	// it unusable (see parts).
+	release(p *parts) error
 }
 
 // Machine sizing shared by all worlds. The generator's capacity caps
@@ -122,9 +125,10 @@ var rwProt = pagetable.FlagRead | pagetable.FlagWrite | pagetable.FlagUser
 // params, and a DRAM+NVM physical memory. With tiered set, the
 // configuration attaches a tier.Engine under the Smart policy — the
 // bidirectional one, so promotions, demotions, and swaps all happen on
-// a long enough trace.
-func newWorld(config string, cpus int, seed uint64, tiered bool) (*world, error) {
-	var build func(w *world, params *sim.Params, tiered bool) error
+// a long enough trace. The world's host storage comes from p where it
+// has some (see parts); p may be nil, which builds it fresh.
+func newWorld(config string, cpus int, seed uint64, tiered bool, p *parts) (*world, error) {
+	var build func(w *world, params *sim.Params, tiered bool, p *parts) error
 	switch config {
 	case "baseline":
 		build = buildVM
@@ -146,6 +150,10 @@ func newWorld(config string, cpus int, seed uint64, tiered bool) (*world, error)
 	if err != nil {
 		return nil, err
 	}
+	if p == nil {
+		p = &parts{}
+	}
+	memory.Adopt(&p.mem)
 	w := &world{
 		name:  config,
 		m:     machine,
@@ -153,7 +161,7 @@ func newWorld(config string, cpus int, seed uint64, tiered bool) (*world, error)
 		files: make(map[string]*memfs.File),
 		objs:  make(map[int]*object),
 	}
-	if err := build(w, &params, tiered); err != nil {
+	if err := build(w, &params, tiered, p); err != nil {
 		return nil, err
 	}
 	return w, nil

@@ -28,7 +28,7 @@ type coreProc struct {
 	maps map[int]*core.Mapping
 }
 
-func buildCore(w *world, params *sim.Params, tiered bool) error {
+func buildCore(w *world, params *sim.Params, tiered bool, p *parts) error {
 	opts := core.Options{}
 	if tiered {
 		// Split DRAM: the page-table pool keeps the bottom half, the
@@ -37,7 +37,7 @@ func buildCore(w *world, params *sim.Params, tiered bool) error {
 		opts.PTPoolBase = 0
 		opts.PTPoolFrames = dramFrames / 2
 	}
-	sys, err := core.NewSystem(w.m.Clock(), params, w.mem, opts)
+	sys, err := core.NewSystemFrom(w.m.Clock(), params, w.mem, opts, &p.core)
 	if err != nil {
 		return err
 	}

@@ -21,7 +21,7 @@ type fomBackend struct {
 	shared map[int]*memfs.File
 }
 
-func buildFOM(w *world, params *sim.Params, tiered bool) error {
+func buildFOM(w *world, params *sim.Params, tiered bool, _ *parts) error {
 	fs, err := memfs.New("fom", memfs.Extent, w.m.Clock(), params, w.mem,
 		mem.Frame(dramFrames), nvmFrames)
 	if err != nil {

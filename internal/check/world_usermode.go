@@ -38,7 +38,7 @@ type umProc struct {
 // tiered file store uses as its fast region (tierFastRegionFOM).
 const usermodePoolBase = 1024
 
-func buildUsermode(w *world, params *sim.Params, tiered bool) error {
+func buildUsermode(w *world, params *sim.Params, tiered bool, _ *parts) error {
 	fs, err := memfs.New("usermode", memfs.Extent, w.m.Clock(), params, w.mem,
 		mem.Frame(dramFrames), nvmFrames)
 	if err != nil {

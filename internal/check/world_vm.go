@@ -27,7 +27,7 @@ type vmProc struct {
 	base map[int]mem.VirtAddr
 }
 
-func buildVM(w *world, params *sim.Params, tiered bool) error {
+func buildVM(w *world, params *sim.Params, tiered bool, p *parts) error {
 	cfg := vm.Config{
 		PoolBase:   0,
 		PoolFrames: dramFrames,
@@ -39,7 +39,7 @@ func buildVM(w *world, params *sim.Params, tiered bool) error {
 		cfg.SlowPoolBase = mem.Frame(dramFrames + fsFrames)
 		cfg.SlowPoolFrames = tierSlowFramesVM
 	}
-	k, err := vm.NewKernel(w.m.Clock(), params, w.mem, cfg)
+	k, err := vm.NewKernelFrom(w.m.Clock(), params, w.mem, cfg, &p.vm)
 	if err != nil {
 		return err
 	}

@@ -80,36 +80,52 @@ func (c *Chain) Save(w io.Writer) error {
 
 // Load reads a chain written by Save, verifying magic, version, and
 // every section checksum. It returns ErrNotChain if the magic is
-// absent.
+// absent. It reads r to its end, in one exact-size read when r reports
+// its Len, and decodes the bytes with Decode, so r's contents are
+// copied once.
 func Load(r io.Reader) (*Chain, error) {
-	var hdr [len(Magic) + 4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	b, err := snapshot.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	return Decode(b)
+}
+
+// Decode parses a chain Save wrote, verifying magic, version, and every
+// section checksum; it returns ErrNotChain if the magic is absent. The
+// chain aliases b, as decodeFrames already did for frame images: every
+// frame image's Data and the base snapshot's Trace are sub-slices of b,
+// capped so an append cannot spill into a neighbour. Machine states
+// and journal records are decoded into storage of their own. b must
+// therefore stay unmodified for as long as the chain is in use; a
+// caller that reuses the buffer must drop the chain first.
+func Decode(b []byte) (*Chain, error) {
+	if len(b) < len(Magic)+4 || string(b[:len(Magic)]) != Magic {
 		return nil, ErrNotChain
 	}
-	if string(hdr[:len(Magic)]) != Magic {
-		return nil, ErrNotChain
-	}
-	if v := getU32(hdr[len(Magic):]); v != chainVersion {
+	if v := getU32(b[len(Magic):]); v != chainVersion {
 		return nil, fmt.Errorf("ckpt: chain format version %d, this build reads %d", v, chainVersion)
 	}
+	rest := b[len(Magic)+4:]
 	c := &Chain{}
 	seen := make(map[string]bool)
 	lastUpTo := -1
 	for {
-		tag, payload, err := snapshot.ReadSection(r)
+		tag, payload, next, err := snapshot.CutSection(rest)
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return nil, err
 		}
+		rest = next
 		if tag != secDelta && seen[tag] {
 			return nil, &snapshot.ErrCorrupt{What: "duplicate chain section " + tag}
 		}
 		seen[tag] = true
 		switch tag {
 		case secBase:
-			snap, err := snapshot.Load(bytes.NewReader(payload))
+			snap, err := snapshot.Decode(payload)
 			if err != nil {
 				return nil, err
 			}

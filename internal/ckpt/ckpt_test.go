@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"repro/internal/mem"
 	"repro/internal/sim"
@@ -225,5 +226,54 @@ func TestChainTruncationDetected(t *testing.T) {
 		if _, err := Load(bytes.NewReader(enc[:cut])); err == nil {
 			t.Fatalf("cut %d: truncated chain loaded without error", cut)
 		}
+	}
+}
+
+// within reports whether sub's bytes lie inside b's.
+func within(sub, b []byte) bool {
+	if len(sub) == 0 || len(b) == 0 {
+		return false
+	}
+	lo, hi := &b[0], &b[len(b)-1]
+	p, q := &sub[0], &sub[len(sub)-1]
+	return uintptr(unsafe.Pointer(p)) >= uintptr(unsafe.Pointer(lo)) &&
+		uintptr(unsafe.Pointer(q)) <= uintptr(unsafe.Pointer(hi))
+}
+
+// TestDecodeAliasesInput pins Decode's contract: frame images and the
+// base trace are sub-slices of the input, not copies, and Load copies
+// its reader's bytes exactly once, into one buffer of the reader's
+// Len, before decoding them the same way.
+func TestDecodeAliasesInput(t *testing.T) {
+	chain := testChain(t)
+	var buf bytes.Buffer
+	if err := chain.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	b := buf.Bytes()
+	got, err := Decode(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, chain) {
+		t.Fatalf("Decode diverged:\n got %+v\nwant %+v", got, chain)
+	}
+	if !within(got.BaseFrames[0].Data, b) || !within(got.Deltas[0].Frames[0].Data, b) || !within(got.Base.Trace, b) {
+		t.Fatal("decoded frame images or trace do not alias the input")
+	}
+	decode := testing.AllocsPerRun(20, func() {
+		if _, err := Decode(b); err != nil {
+			t.Fatal(err)
+		}
+	})
+	r := bytes.NewReader(b)
+	load := testing.AllocsPerRun(20, func() {
+		r.Reset(b)
+		if _, err := Load(r); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if load != decode+1 {
+		t.Fatalf("Load allocates %v objects, Decode %v: want exactly one input buffer more", load, decode)
 	}
 }

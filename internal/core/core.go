@@ -165,6 +165,13 @@ type masterTable struct {
 // clock of a sim.Machine yields its CPUs, a free-standing clock models
 // a single-CPU machine.
 func NewSystem(clock *sim.Clock, params *sim.Params, memory *mem.Memory, opts Options) (*System, error) {
+	return NewSystemFrom(clock, params, memory, opts, nil)
+}
+
+// NewSystemFrom is NewSystem building on the parts in sp, a released
+// system's (see Release); sp may be nil. The system takes the TLB
+// arrays and node structs it can use and sp is emptied.
+func NewSystemFrom(clock *sim.Clock, params *sim.Params, memory *mem.Memory, opts Options, sp *Spares) (*System, error) {
 	machine := sim.MachineOf(clock, params)
 	base, frames := opts.FSBase, opts.FSFrames
 	if frames == 0 {
@@ -202,9 +209,17 @@ func NewSystem(clock *sim.Clock, params *sim.Params, memory *mem.Memory, opts Op
 		live:        make(map[int]*Process),
 		stats:       metrics.NewSet(),
 	}
+	var spareTLB *tlb.Spares
+	if sp != nil {
+		spareTLB = &sp.tlb
+		pool.nodes.Adopt(&sp.nodes)
+	}
 	for _, cpu := range machine.CPUs() {
-		s.tlbs = append(s.tlbs, tlb.New(cpu, params, tlb.DefaultConfig()))
+		s.tlbs = append(s.tlbs, tlb.NewFrom(cpu, params, tlb.DefaultConfig(), spareTLB))
 		s.rtlbs = append(s.rtlbs, rangetable.NewRTLB(cpu, params, opts.RTLBEntries))
+	}
+	if sp != nil {
+		*sp = Spares{}
 	}
 	machine.RegisterInvariants("core", s.CheckInvariants)
 	machine.RegisterStats("core", s.stats)

@@ -235,9 +235,6 @@ func (p *Process) flushShootOn(cur *sim.CPU) {
 	sh.rbases, sh.units = sh.rbases[:0], sh.units[:0]
 }
 
-// PID returns the process id.
-func (p *Process) PID() int { return p.pid }
-
 // Mode returns the process's translation mode.
 func (p *Process) Mode() TranslationMode { return p.mode }
 

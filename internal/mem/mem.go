@@ -141,7 +141,10 @@ type Memory struct {
 	// spare recycles backing arrays of erased frames so churn-heavy
 	// workloads (alloc/erase loops) do not allocate a fresh 4 KiB array
 	// per materialization. Bounded so the host footprint of a machine
-	// that erased a huge range once does not stay at its peak.
+	// that erased a huge range once does not stay at its peak. The
+	// pool outlives its Memory only through Release and Adopt
+	// (recycle.go), which hand it, with the arrays still materialized,
+	// to the next Memory the owner builds.
 	spare []*frameArray
 
 	stats *metrics.Set
@@ -633,18 +636,4 @@ func (m *Memory) ReadNonZeroFrame(f Frame, dst []byte) bool {
 	}
 	copy(dst[:FrameSize], d[:])
 	return true
-}
-
-// SpareScrubbed verifies that every backing array on the recycled pool
-// is fully zeroed. A non-zero spare array would leak dead frame
-// contents into the next materialization.
-func (m *Memory) SpareScrubbed() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for i, d := range m.spare {
-		if !d.isZero() {
-			return fmt.Errorf("mem: spare frame array %d not scrubbed", i)
-		}
-	}
-	return nil
 }

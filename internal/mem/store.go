@@ -76,7 +76,8 @@ type frameStore struct {
 	dir         []atomic.Pointer[storeMid]
 	present     []uint64 // bit i: dir[i] is linked; guarded by mu
 	spareLeaves []*storeLeaf
-	nFrames     int // materialized frames; guarded by mu
+	spareMids   []*storeMid // only from Adopt: the store never unlinks a mid
+	nFrames     int         // materialized frames; guarded by mu
 	tracking    atomic.Bool
 	dirtyN      atomic.Int64
 }
@@ -130,7 +131,13 @@ func (s *frameStore) leafForWrite(f Frame) *storeLeaf {
 	d := uint64(f) >> stDirShift
 	mid := s.dir[d].Load()
 	if mid == nil {
-		mid = new(storeMid)
+		if n := len(s.spareMids); n > 0 {
+			mid = s.spareMids[n-1]
+			s.spareMids[n-1] = nil
+			s.spareMids = s.spareMids[:n-1]
+		} else {
+			mid = new(storeMid)
+		}
 		s.dir[d].Store(mid)
 		s.present[d>>6] |= 1 << (d & 63)
 	}

@@ -165,10 +165,39 @@ const maxSpareNodes = 512
 //
 // A pool is touched only next to the allocator call it pairs with, so
 // it needs exactly the synchronization its allocator already has. Its
-// owner is the owner of the allocator: a pool lives and dies with it.
+// owner is the owner of the allocator: a pool lives and dies with it,
+// except that its recycled structs can outlive it explicitly. Release
+// hands them on through a Spares, after the owner has destroyed its
+// tables into the pool, and Adopt gives them to the pool of the next
+// machine the owner builds.
 type Pool struct {
 	bud   *buddy.Allocator
 	spare []*node
+}
+
+// Spares carries scrubbed node structs from a released Pool to the
+// next one; see Pool.
+type Spares struct {
+	nodes []*node
+}
+
+// Release moves p's recycled node structs into s, up to maxSpareNodes
+// there, and leaves p unusable: a later node allocation or free
+// through p panics. Every struct on the list was scrubbed when it was
+// freed, and p keeps no reference to it. Nodes still linked into a
+// live table are not p's to hand on; destroy the table first.
+func (p *Pool) Release(s *Spares) {
+	s.nodes = append(s.nodes, p.spare[:min(len(p.spare), max(0, maxSpareNodes-len(s.nodes)))]...)
+	p.spare = nil
+	p.bud = nil
+}
+
+// Adopt moves s's node structs onto p's recycled list, up to
+// maxSpareNodes, and empties s. They replace fresh host allocations
+// and change no simulated cost.
+func (p *Pool) Adopt(s *Spares) {
+	p.spare = append(p.spare, s.nodes[:min(len(s.nodes), max(0, maxSpareNodes-len(p.spare)))]...)
+	*s = Spares{}
 }
 
 // NewPool returns an empty node pool drawing frames from bud.

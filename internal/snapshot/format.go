@@ -161,46 +161,44 @@ func AppendSectionFunc(b []byte, tag string, n int, fill func([]byte) []byte) []
 	return e.b
 }
 
-// readSection reads one section, verifying its CRC.
-func readSection(r io.Reader) (tag string, payload []byte, err error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return "", nil, err
+// CutSection parses the section at the front of b, verifying its CRC,
+// and returns its tag, its payload and the bytes after it. It copies
+// nothing: the payload is a sub-slice of b, capped at its end, so it
+// stays valid only while b is not overwritten. It returns io.EOF when
+// b is empty.
+func CutSection(b []byte) (tag string, payload, rest []byte, err error) {
+	if len(b) == 0 {
+		return "", nil, nil, io.EOF
 	}
-	tag = string(hdr[:4])
-	n := uint32(hdr[4]) | uint32(hdr[5])<<8 | uint32(hdr[6])<<16 | uint32(hdr[7])<<24
-	if n > maxSectionBytes {
-		return "", nil, &ErrCorrupt{What: fmt.Sprintf("section %q claims %d bytes", tag, n)}
+	if len(b) < 8 {
+		return "", nil, nil, &ErrCorrupt{What: "truncated section header"}
 	}
-	// A reader that knows how much it holds (a bytes.Reader, such as
-	// the one a snapshot nested in a checkpoint chain is loaded from)
-	// refuses a length it cannot supply before the payload is
-	// allocated: the error ReadFull would give, without a 64 MiB buffer
-	// for a few corrupt bytes.
-	if l, ok := r.(interface{ Len() int }); ok && uint64(n) > uint64(l.Len()) {
-		return "", nil, &ErrCorrupt{What: fmt.Sprintf("section %q truncated", tag)}
+	tag = string(b[:4])
+	n := uint64(b[4]) | uint64(b[5])<<8 | uint64(b[6])<<16 | uint64(b[7])<<24
+	switch body := uint64(len(b) - 8); {
+	case n > body:
+		return "", nil, nil, &ErrCorrupt{What: fmt.Sprintf("section %q truncated", tag)}
+	case n+4 > body:
+		return "", nil, nil, &ErrCorrupt{What: fmt.Sprintf("section %q missing checksum", tag)}
 	}
-	payload = make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return "", nil, &ErrCorrupt{What: fmt.Sprintf("section %q truncated", tag)}
-	}
-	var crc [4]byte
-	if _, err := io.ReadFull(r, crc[:]); err != nil {
-		return "", nil, &ErrCorrupt{What: fmt.Sprintf("section %q missing checksum", tag)}
-	}
-	want := uint32(crc[0]) | uint32(crc[1])<<8 | uint32(crc[2])<<16 | uint32(crc[3])<<24
+	payload, c := b[8:8+n:8+n], b[8+n:]
+	want := uint32(c[0]) | uint32(c[1])<<8 | uint32(c[2])<<16 | uint32(c[3])<<24
 	if got := crc32.ChecksumIEEE(payload); got != want {
-		return "", nil, &ErrCorrupt{What: fmt.Sprintf("section %q checksum %#x, want %#x", tag, got, want)}
+		return "", nil, nil, &ErrCorrupt{What: fmt.Sprintf("section %q checksum %#x, want %#x", tag, got, want)}
 	}
-	return tag, payload, nil
+	return tag, payload, c[4:], nil
 }
 
-// maxSectionBytes bounds a section so a corrupted length field cannot
-// provoke a giant allocation (64 MiB is far above any real snapshot).
-const maxSectionBytes = 64 << 20
-
-// ReadSection reads one section written by AppendSection, verifying its
-// CRC. It returns io.EOF at a clean end of stream.
-func ReadSection(r io.Reader) (tag string, payload []byte, err error) {
-	return readSection(r)
+// ReadAll reads r to its end. A reader that reports how much it holds
+// (a bytes.Buffer or bytes.Reader) is read with one allocation of
+// exactly that size.
+func ReadAll(r io.Reader) ([]byte, error) {
+	if l, ok := r.(interface{ Len() int }); ok {
+		b := make([]byte, l.Len())
+		if _, err := io.ReadFull(r, b); err != nil {
+			return nil, err
+		}
+		return b, nil
+	}
+	return io.ReadAll(r)
 }

@@ -87,30 +87,42 @@ func (s *Snapshot) AppendEncoded(b []byte) []byte {
 }
 
 // Load reads a snapshot written by Save, verifying magic, version, and
-// every section checksum.
+// every section checksum. It reads r to its end and decodes the bytes
+// with Decode.
 func Load(r io.Reader) (*Snapshot, error) {
-	var hdr [len(magic) + 4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	b, err := ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	return Decode(b)
+}
+
+// Decode parses a snapshot Save wrote, verifying magic, version, and
+// every section checksum. The returned snapshot's Trace is a sub-slice
+// of b, not a copy: b must not be overwritten while it is in use.
+func Decode(b []byte) (*Snapshot, error) {
+	if len(b) < len(magic)+4 {
 		return nil, &ErrCorrupt{What: "header"}
 	}
-	if string(hdr[:len(magic)]) != magic {
+	if string(b[:len(magic)]) != magic {
 		return nil, &ErrCorrupt{What: "magic (not a snapshot file)"}
 	}
-	v := uint32(hdr[len(magic)]) | uint32(hdr[len(magic)+1])<<8 |
-		uint32(hdr[len(magic)+2])<<16 | uint32(hdr[len(magic)+3])<<24
+	v := uint32(b[len(magic)]) | uint32(b[len(magic)+1])<<8 |
+		uint32(b[len(magic)+2])<<16 | uint32(b[len(magic)+3])<<24
 	if v != version {
 		return nil, fmt.Errorf("snapshot: format version %d, this build reads %d", v, version)
 	}
 	s := &Snapshot{}
 	seen := make(map[string]bool)
-	for {
-		tag, payload, err := readSection(r)
+	for rest := b[len(magic)+4:]; ; {
+		tag, payload, next, err := CutSection(rest)
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return nil, err
 		}
+		rest = next
 		if seen[tag] {
 			return nil, &ErrCorrupt{What: "duplicate section " + tag}
 		}

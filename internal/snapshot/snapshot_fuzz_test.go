@@ -12,10 +12,10 @@ import (
 	"testing"
 )
 
-// FuzzSnapshotLoad: Load, ReadSection and DecodeMachineState never
+// FuzzSnapshotLoad: Load, CutSection and DecodeMachineState never
 // panic on any input. A snapshot Load accepts saves and reloads to the
 // same value, and saving that again writes the same bytes. Every
-// section ReadSection accepts re-frames, with AppendSection, to exactly
+// section CutSection accepts re-frames, with AppendSection, to exactly
 // the bytes it consumed. A machine state DecodeMachineState accepts
 // re-encodes to exactly its input.
 //
@@ -44,20 +44,19 @@ func FuzzSnapshotLoad(f *testing.F) {
 			}
 		}
 
-		r := bytes.NewReader(data)
-		for off := 0; ; {
-			tag, payload, err := ReadSection(r)
+		for off, rest := 0, data; ; {
+			tag, payload, next, err := CutSection(rest)
 			if err != nil {
 				if err == io.EOF && off != len(data) {
 					t.Fatalf("io.EOF at offset %d of %d", off, len(data))
 				}
 				break
 			}
-			end := len(data) - r.Len()
+			end := len(data) - len(next)
 			if framed := AppendSection(nil, tag, payload); !bytes.Equal(framed, data[off:end]) {
 				t.Fatalf("section %q at offset %d does not re-frame to the bytes read", tag, off)
 			}
-			off = end
+			off, rest = end, next
 		}
 
 		if st, err := DecodeMachineState(data); err == nil {
@@ -104,18 +103,23 @@ func TestSnapshotSeedCorpus(t *testing.T) {
 	}
 }
 
-// TestSectionLengthBeyondReaderAllocatesLittle pins that a section
-// header claiming more bytes than a bytes.Reader holds is refused as
-// truncated before its payload buffer is allocated.
-func TestSectionLengthBeyondReaderAllocatesLittle(t *testing.T) {
+// TestSectionLengthBeyondInputAllocatesLittle pins that a section
+// header claiming more bytes than the input holds is refused as
+// truncated, and that loading such a file allocates no buffer the
+// claimed length asks for: Load sizes its one read by the input.
+func TestSectionLengthBeyondInputAllocatesLittle(t *testing.T) {
 	data := AppendSection(nil, "TRAC", []byte("payload"))
-	data[4], data[5], data[6], data[7] = 0, 0, 0, 0x03 // 48 MiB, under maxSectionBytes
+	data[4], data[5], data[6], data[7] = 0, 0, 0, 0x03 // 48 MiB
+	if _, _, _, err := CutSection(data); err == nil || !strings.Contains(err.Error(), "truncated") {
+		t.Fatalf("CutSection error %v, want a truncated section", err)
+	}
+	file := append(append([]byte(magic), version, 0, 0, 0), data...)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, _, err := ReadSection(bytes.NewReader(data))
+	_, err := Load(bytes.NewReader(file))
 	runtime.ReadMemStats(&after)
 	if err == nil || !strings.Contains(err.Error(), "truncated") {
-		t.Fatalf("ReadSection error %v, want a truncated section", err)
+		t.Fatalf("Load error %v, want a truncated section", err)
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
 		t.Fatalf("refusing the section allocated %d bytes", got)

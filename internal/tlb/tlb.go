@@ -254,12 +254,27 @@ type TLB struct {
 // clock regardless of which CPU initiated the operation (shootdown
 // handlers run on the target).
 func New(cpu *sim.CPU, params *sim.Params, cfg Config) *TLB {
+	return NewFrom(cpu, params, cfg, nil)
+}
+
+// Spares carries the arrays of released TLBs to the TLBs of the next
+// machine their owner builds. An array is invalidated when it is
+// released, by starting a new generation, so a TLB built on it starts
+// as empty as a fresh one and fills, hits and evicts exactly as a
+// fresh one would.
+type Spares struct {
+	arrays []*array
+}
+
+// NewFrom is New with the arrays taken from s where s holds one of the
+// right geometry; s may be nil.
+func NewFrom(cpu *sim.CPU, params *sim.Params, cfg Config, s *Spares) *TLB {
 	t := &TLB{
 		cpu:    cpu,
 		params: params,
-		l14k:   newArray(cfg.L1Sets4K, cfg.L1Ways4K),
-		l1huge: newArray(cfg.L1SetsHuge, cfg.L1WaysHuge),
-		l2:     newArray(cfg.L2Sets, cfg.L2Ways),
+		l14k:   s.take(cfg.L1Sets4K, cfg.L1Ways4K),
+		l1huge: s.take(cfg.L1SetsHuge, cfg.L1WaysHuge),
+		l2:     s.take(cfg.L2Sets, cfg.L2Ways),
 		stats:  metrics.NewSet(),
 	}
 	t.cL1Hits = t.stats.Counter("l1_hits")
@@ -268,6 +283,35 @@ func New(cpu *sim.CPU, params *sim.Params, cfg Config) *TLB {
 	t.cEvictions = t.stats.Counter("evictions")
 	t.cFlushes = t.stats.Counter("flushes")
 	return t
+}
+
+// take removes and returns an array of sets×ways from s, or a new one
+// when s is nil or holds none of that geometry.
+func (s *Spares) take(sets, ways int) *array {
+	if s != nil {
+		for i := len(s.arrays) - 1; i >= 0; i-- {
+			if a := s.arrays[i]; len(a.tags) == sets*ways && a.ways == ways {
+				last := len(s.arrays) - 1
+				s.arrays[i] = s.arrays[last]
+				s.arrays[last] = nil
+				s.arrays = s.arrays[:last]
+				return a
+			}
+		}
+	}
+	return newArray(sets, ways)
+}
+
+// Release invalidates t's arrays and appends them to s, leaving t
+// unusable: every later probe, fill or flush of t panics, and t keeps
+// no reference to the arrays it handed on.
+func (t *TLB) Release(s *Spares) {
+	for _, a := range []*array{t.l14k, t.l1huge, t.l2} {
+		a.flush()
+		a.stamp = 0
+		s.arrays = append(s.arrays, a)
+	}
+	t.l14k, t.l1huge, t.l2 = nil, nil, nil
 }
 
 // Stats exposes counters: "l1_hits", "l2_hits", "misses",

@@ -836,12 +836,3 @@ func (a *AddressSpace) Destroy() error {
 	}
 	return a.pt.Destroy()
 }
-
-// VMAs returns a snapshot of the address space's VMAs.
-func (a *AddressSpace) VMAs() []VMA {
-	out := make([]VMA, len(a.vmas))
-	for i, v := range a.vmas {
-		out[i] = *v
-	}
-	return out
-}

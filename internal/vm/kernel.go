@@ -119,6 +119,13 @@ type Config struct {
 // set, while a free-standing clock models the classic single-CPU
 // machine (see sim.MachineOf).
 func NewKernel(clock *sim.Clock, params *sim.Params, memory *mem.Memory, cfg Config) (*Kernel, error) {
+	return NewKernelFrom(clock, params, memory, cfg, nil)
+}
+
+// NewKernelFrom is NewKernel building on the parts in s, a released
+// kernel's (see Release); s may be nil. The kernel takes the TLB
+// arrays, node structs and swap buffers it can use and s is emptied.
+func NewKernelFrom(clock *sim.Clock, params *sim.Params, memory *mem.Memory, cfg Config, s *Spares) (*Kernel, error) {
 	if cfg.PoolFrames == 0 {
 		return nil, fmt.Errorf("vm: empty page pool")
 	}
@@ -183,8 +190,17 @@ func NewKernel(clock *sim.Clock, params *sim.Params, memory *mem.Memory, cfg Con
 	} {
 		k.stats.Counter(name)
 	}
+	var spareTLB *tlb.Spares
+	if s != nil {
+		spareTLB = &s.tlb
+		k.meta.ptNodes.Adopt(&s.nodes)
+		k.swap.spare = s.swap[:min(len(s.swap), maxSpareSwap)]
+	}
 	for _, cpu := range machine.CPUs() {
-		k.tlbs = append(k.tlbs, tlb.New(cpu, params, tlb.DefaultConfig()))
+		k.tlbs = append(k.tlbs, tlb.NewFrom(cpu, params, tlb.DefaultConfig(), spareTLB))
+	}
+	if s != nil {
+		*s = Spares{}
 	}
 	machine.RegisterInvariants("vm", k.CheckInvariants)
 	machine.RegisterStats("vm", k.stats)

@@ -9,12 +9,18 @@ import (
 
 // SwapDevice stores evicted anonymous pages. Slot contents survive in
 // host memory (the device models a disk or swap partition, whose
-// latency is charged per page moved).
+// latency is charged per page moved). Freed slot buffers are kept for
+// the next swap-out, up to maxSpareSwap of them, so page-out churn
+// does not allocate a fresh 4 KiB buffer per eviction.
 type SwapDevice struct {
 	slots    map[int][]byte
+	spare    [][]byte // buffers of freed slots; contents are stale
 	nextSlot int
 	limit    uint64 // 0 = unlimited
 }
+
+// maxSpareSwap bounds the freed-buffer list (4 MiB of host memory).
+const maxSpareSwap = 1024
 
 func newSwapDevice(limit uint64) *SwapDevice {
 	return &SwapDevice{slots: make(map[int][]byte), limit: limit}
@@ -23,16 +29,25 @@ func newSwapDevice(limit uint64) *SwapDevice {
 // used returns the number of occupied slots.
 func (s *SwapDevice) used() int { return len(s.slots) }
 
-func (s *SwapDevice) write(data []byte) (int, error) {
+// alloc takes the next slot and returns its FrameSize buffer, for the
+// caller to fill completely: a recycled buffer still holds the page
+// it last stored.
+func (s *SwapDevice) alloc() (int, []byte, error) {
 	if s.limit != 0 && uint64(len(s.slots)) >= s.limit {
-		return 0, fmt.Errorf("vm: swap device full (%d slots)", s.limit)
+		return 0, nil, fmt.Errorf("vm: swap device full (%d slots)", s.limit)
+	}
+	var buf []byte
+	if n := len(s.spare); n > 0 {
+		buf = s.spare[n-1]
+		s.spare[n-1] = nil
+		s.spare = s.spare[:n-1]
+	} else {
+		buf = make([]byte, mem.FrameSize)
 	}
 	slot := s.nextSlot
 	s.nextSlot++
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	s.slots[slot] = cp
-	return slot, nil
+	s.slots[slot] = buf
+	return slot, buf, nil
 }
 
 func (s *SwapDevice) read(slot int) ([]byte, error) {
@@ -43,7 +58,15 @@ func (s *SwapDevice) read(slot int) ([]byte, error) {
 	return data, nil
 }
 
-func (s *SwapDevice) free(slot int) { delete(s.slots, slot) }
+// free empties slot and keeps its buffer for a later alloc.
+func (s *SwapDevice) free(slot int) {
+	if buf, ok := s.slots[slot]; ok {
+		delete(s.slots, slot)
+		if len(s.spare) < maxSpareSwap {
+			s.spare = append(s.spare, buf)
+		}
+	}
+}
 
 func (s *SwapDevice) has(slot int) bool {
 	_, ok := s.slots[slot]
@@ -130,16 +153,16 @@ func (k *Kernel) evictPage(cur *sim.CPU, p *PageInfo) (uint64, error) {
 
 	var slot int
 	if anon {
-		data := make([]byte, mem.FrameSize)
-		k.Memory.ReadAt(frame.Addr(), data)
+		var buf []byte
 		var err error
-		slot, err = k.swap.write(data)
+		slot, buf, err = k.swap.alloc()
 		if err != nil {
 			// Swap full: keep the page (rotate to active to avoid
 			// rescanning immediately).
 			k.lruActivate(cur, p)
 			return 0, nil
 		}
+		k.Memory.ReadAt(frame.Addr(), buf)
 		cur.Advance(k.Params.SwapPageIO)
 		k.stats.Counter("swapouts").Inc()
 	}
