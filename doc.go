@@ -19,14 +19,13 @@
 //     file systems with durability and discard
 //   - internal/core       the paper's contribution: file-only memory
 //   - internal/heap       user-level malloc on file-only memory
-//   - internal/trace      allocation-trace record/replay
 //   - internal/workload   deterministic workload generators
 //   - internal/fsshell    scriptable file-system shell (cmd/o1fs)
 //   - internal/bench      one experiment per paper table/figure
 //
 // This root package exposes the experiment registry so downstream
 // tooling can regenerate the paper's evaluation without reaching into
-// internal packages; cmd/o1bench, cmd/o1sim, cmd/o1trace and cmd/o1fs
+// internal packages; cmd/o1bench, cmd/o1check, cmd/o1snap and cmd/o1fs
 // are the command-line entry points.
 package o1mem
 

@@ -425,17 +425,6 @@ func (a *Allocator) FreeRange(start mem.Frame, count uint64) error {
 	return nil
 }
 
-// LargestFreeBlock returns the order of the largest free block, or -1
-// if no memory is free. It is a fragmentation diagnostic.
-func (a *Allocator) LargestFreeBlock() int {
-	for o := MaxOrder; o >= 0; o-- {
-		if a.heads[o] != none {
-			return o
-		}
-	}
-	return -1
-}
-
 // FreeBlocksByOrder returns the number of free blocks at each order.
 func (a *Allocator) FreeBlocksByOrder() [MaxOrder + 1]int { return a.nFree }
 

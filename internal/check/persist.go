@@ -25,7 +25,11 @@ import (
 // snapshot. The format is little-endian: u32 op count, then each op as
 // encodeOp lays it out.
 func EncodeTrace(trace []Op) []byte {
-	b := pu32(nil, uint32(len(trace)))
+	n := 4
+	for _, op := range trace {
+		n += minOpBytes + len(op.Path)
+	}
+	b := pu32(make([]byte, 0, n), uint32(len(trace)))
 	for _, op := range trace {
 		b = encodeOp(b, op)
 	}

@@ -85,6 +85,14 @@ func buildChain(cfg string, opts Options, trace []Op, baseAt int, deltaAts []int
 		BaseFrames: ckpt.CaptureImage(w.memory()),
 		Journal:    &snapshot.Journal{},
 	}
+	// Records are encoded into one reused buffer: Append copies each.
+	var rec []byte
+	journal := func(from, to int) {
+		for i := from; i < to; i++ {
+			rec = encodeOp(rec[:0], trace[i])
+			chain.Journal.Append(rec)
+		}
+	}
 	w.memory().SetDirtyTracking(true)
 	pos := baseAt
 	for k, at := range deltaAts {
@@ -95,9 +103,7 @@ func buildChain(cfg string, opts Options, trace []Op, baseAt int, deltaAts []int
 		// Write-ahead order: every op reached the journal before it ran
 		// (appended in one batch — records are pure functions of the
 		// trace, and tooling charges no simulated time either way).
-		for i := pos; i < at; i++ {
-			chain.Journal.Append(encodeOp(nil, trace[i]))
-		}
+		journal(pos, at)
 		frames := w.memory().DirtyFrames()
 		units := w.b.dirtyUnits(frames)
 		if gaps := ckpt.Uncovered(frames, units); len(gaps) > 0 {
@@ -127,9 +133,7 @@ func buildChain(cfg string, opts Options, trace []Op, baseAt int, deltaAts []int
 		f.Reason = "chain timeline: " + f.Reason
 		return nil, nil, f, nil
 	}
-	for i := pos; i < upTo; i++ {
-		chain.Journal.Append(encodeOp(nil, trace[i]))
-	}
+	journal(pos, upTo)
 	w.memory().SetDirtyTracking(false)
 	return chain, w, nil, nil
 }

@@ -22,6 +22,18 @@ func TestTraceCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEncodeTraceAllocatesOnce pins EncodeTrace's presizing: one
+// allocation of exactly the encoded length.
+func TestEncodeTraceAllocatesOnce(t *testing.T) {
+	trace := generate(42, 500, 4)
+	if b := EncodeTrace(trace); len(b) != cap(b) {
+		t.Fatalf("EncodeTrace: %d bytes in a buffer of %d", len(b), cap(b))
+	}
+	if n := testing.AllocsPerRun(20, func() { EncodeTrace(trace) }); n != 1 {
+		t.Fatalf("EncodeTrace allocates %.1f times, want 1", n)
+	}
+}
+
 func TestSnapshotBuildRestoreVerify(t *testing.T) {
 	opts := Options{Seed: 7, Ops: 300, CPUs: 2}
 	for _, cfg := range AllConfigs {

@@ -108,7 +108,7 @@ func TestReleasedWorldCannotReadRecycledFrames(t *testing.T) {
 			}
 			next := replayed(t, cfg, 2, 4, false, p, generate(4, 200, 2))
 			for _, f := range frames {
-				if !mustPanic(func() { oldMem.ReadByteAt(f.Addr()) }) {
+				if !mustPanic(func() { oldMem.ReadAt(f.Addr(), make([]byte, 1)) }) {
 					t.Fatalf("released memory read frame %d", f)
 				}
 			}

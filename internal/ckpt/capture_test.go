@@ -66,10 +66,10 @@ func seededCaptureMemory(t testing.TB, seed int64) *mem.Memory {
 		case 1: // materialized zero
 			m.WriteAt(f.Addr(), make([]byte, mem.FrameSize))
 		case 2: // erased after a write
-			m.WriteByteAt(f.Addr(), 1)
+			m.WriteAt(f.Addr(), []byte{1})
 			m.ZeroFrames(f, 1)
 		default: // sparse
-			m.WriteByteAt(f.Addr()+mem.PhysAddr(rng.Intn(mem.FrameSize)), byte(1+rng.Intn(255)))
+			m.WriteAt(f.Addr()+mem.PhysAddr(rng.Intn(mem.FrameSize)), []byte{byte(1 + rng.Intn(255))})
 		}
 	}
 	return m
@@ -120,8 +120,8 @@ func TestCaptureMatchesReference(t *testing.T) {
 // write over the next image's bytes.
 func TestCapturedFrameAppendKeepsNeighbour(t *testing.T) {
 	m := newTestMemory(t)
-	m.WriteByteAt(mem.Frame(3).Addr(), 0x33)
-	m.WriteByteAt(mem.Frame(4).Addr(), 0x44)
+	m.WriteAt(mem.Frame(3).Addr(), []byte{0x33})
+	m.WriteAt(mem.Frame(4).Addr(), []byte{0x44})
 	for _, imgs := range [][]FrameImage{CaptureImage(m), CaptureFrames(m, []mem.Frame{3, 4})} {
 		a, b := imgs[0].Data, imgs[1].Data
 		want := append([]byte(nil), b[:16]...)
@@ -173,9 +173,9 @@ func BenchmarkCaptureFrames(b *testing.B) {
 	frames := make([]mem.Frame, 0, 512)
 	for f := mem.Frame(0); f < 512; f++ {
 		if f%2 == 0 {
-			m.WriteByteAt(f.Addr()+mem.PhysAddr(f), 0x5a)
+			m.WriteAt(f.Addr()+mem.PhysAddr(f), []byte{0x5a})
 		} else {
-			m.WriteByteAt(f.Addr(), 1)
+			m.WriteAt(f.Addr(), []byte{1})
 			m.ZeroFrames(f, 1)
 		}
 		frames = append(frames, f)

@@ -62,8 +62,8 @@ func TestUncovered(t *testing.T) {
 
 func TestCaptureAndAssemble(t *testing.T) {
 	m := newTestMemory(t)
-	m.WriteByteAt(mem.Frame(3).Addr(), 0x33)
-	m.WriteByteAt(mem.Frame(7).Addr(), 0x77)
+	m.WriteAt(mem.Frame(3).Addr(), []byte{0x33})
+	m.WriteAt(mem.Frame(7).Addr(), []byte{0x77})
 	base := CaptureImage(m)
 	if len(base) != 2 || base[0].Frame != 3 || base[1].Frame != 7 {
 		t.Fatalf("CaptureImage = %v", base)
@@ -71,9 +71,9 @@ func TestCaptureAndAssemble(t *testing.T) {
 
 	// Epoch 1: rewrite 3, zero 7, create 9.
 	m.SetDirtyTracking(true)
-	m.WriteByteAt(mem.Frame(3).Addr(), 0x34)
+	m.WriteAt(mem.Frame(3).Addr(), []byte{0x34})
 	m.ZeroFrames(7, 1)
-	m.WriteByteAt(mem.Frame(9).Addr(), 0x99)
+	m.WriteAt(mem.Frame(9).Addr(), []byte{0x99})
 	dirty := m.DirtyFrames()
 	frames := CaptureFrames(m, dirty)
 	if len(frames) != 3 {
@@ -89,7 +89,7 @@ func TestCaptureAndAssemble(t *testing.T) {
 		t.Fatalf("ImageEqual: %v", err)
 	}
 	// A missed dirty frame must be caught.
-	m.WriteByteAt(mem.Frame(20).Addr(), 0x20)
+	m.WriteAt(mem.Frame(20).Addr(), []byte{0x20})
 	if err := ImageEqual(m, img); err == nil {
 		t.Fatal("ImageEqual missed a divergent frame")
 	}

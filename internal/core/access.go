@@ -171,6 +171,3 @@ func (p *Process) WriteByteAt(va mem.VirtAddr, v byte) error {
 // RTLB exposes the range TLB of the process's home CPU. With one CPU
 // (the default) this is the machine's only range TLB.
 func (p *Process) RTLB() *rangetable.RTLB { return p.sys.rtlbs[p.cpu.ID()] }
-
-// TLB exposes the page TLB of the process's home CPU.
-func (p *Process) TLB() *tlb.TLB { return p.sys.tlbs[p.cpu.ID()] }

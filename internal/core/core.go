@@ -226,23 +226,11 @@ func NewSystemFrom(clock *sim.Clock, params *sim.Params, memory *mem.Memory, opt
 	return s, nil
 }
 
-// Machine returns the machine the system runs on.
-func (s *System) Machine() *sim.Machine { return s.machine }
-
 // TLBFor returns the given CPU's page TLB (SharedPT processes).
 func (s *System) TLBFor(cpu *sim.CPU) *tlb.TLB { return s.tlbs[cpu.ID()] }
 
 // RTLBFor returns the given CPU's range TLB (Ranges processes).
 func (s *System) RTLBFor(cpu *sim.CPU) *rangetable.RTLB { return s.rtlbs[cpu.ID()] }
-
-// Clock returns the system's virtual clock.
-func (s *System) Clock() *sim.Clock { return s.clock }
-
-// Params returns the system's cost table.
-func (s *System) Params() *sim.Params { return s.params }
-
-// Memory returns the machine's physical memory.
-func (s *System) Memory() *mem.Memory { return s.memory }
 
 // FS exposes the file-only-memory file system for named files,
 // directories and durability control.

@@ -13,7 +13,9 @@ import (
 
 // Example shows the full file-only-memory flow: build a machine,
 // allocate volatile memory as a file in O(1), use it, and reclaim it
-// as a whole file.
+// as a whole file. A 256 MiB and a 4 KiB allocation cost the same
+// simulated time: each is one extent allocation, one O(1) epoch erase
+// and one range-table insert, with no per-page work.
 func Example() {
 	clock := &sim.Clock{}
 	params := sim.DefaultParams()
@@ -34,6 +36,21 @@ func Example() {
 	}
 
 	const rw = pagetable.FlagRead | pagetable.FlagWrite | pagetable.FlagUser
+	for _, a := range []struct {
+		name  string
+		bytes uint64
+	}{{"256 MiB", 256 << 20}, {"4 KiB", 4 << 10}} {
+		t0 := clock.Now()
+		am, err := p.AllocVolatile(a.bytes>>mem.FrameShift, rw)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("allocated+mapped %7s in %v (simulated)\n", a.name, clock.Since(t0))
+		if err := p.Unmap(am); err != nil {
+			log.Fatal(err)
+		}
+	}
+
 	m, err := p.AllocVolatile(1024, rw) // 4 MiB, one extent, O(1)
 	if err != nil {
 		log.Fatal(err)
@@ -49,7 +66,10 @@ func Example() {
 	if err := p.Unmap(m); err != nil {
 		log.Fatal(err)
 	}
-	// Output: order-one, extents=1, contiguous=true
+	// Output:
+	// allocated+mapped 256 MiB in 8.140µs (simulated)
+	// allocated+mapped   4 KiB in 8.700µs (simulated)
+	// order-one, extents=1, contiguous=true
 }
 
 // ExampleSystem_Remount demonstrates crash recovery: persistent files

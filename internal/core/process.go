@@ -108,9 +108,6 @@ func (s *System) NewProcessOn(cpu *sim.CPU, mode TranslationMode) (*Process, err
 	return p, nil
 }
 
-// CPU returns the process's home CPU.
-func (p *Process) CPU() *sim.CPU { return p.cpu }
-
 // RunOn migrates the process to cpu: subsequent syscalls and accesses
 // execute (and are charged) there. The previous CPU stays in the
 // shootdown mask — its caches may still hold this PID's translations.
@@ -235,13 +232,6 @@ func (p *Process) flushShootOn(cur *sim.CPU) {
 	sh.rbases, sh.units = sh.rbases[:0], sh.units[:0]
 }
 
-// Mode returns the process's translation mode.
-func (p *Process) Mode() TranslationMode { return p.mode }
-
-// Stats exposes per-process counters: "allocs", "maps", "unmaps",
-// "touches".
-func (p *Process) Stats() *metrics.Set { return p.stats }
-
 // RangeTable exposes the process's range table (nil in SharedPT mode).
 func (p *Process) RangeTable() *rangetable.Table { return p.ranges }
 
@@ -282,9 +272,6 @@ func (m *Mapping) Bytes() uint64 { return m.pages * mem.FrameSize }
 
 // File returns the backing file.
 func (m *Mapping) File() *memfs.File { return m.file }
-
-// Prot returns the mapping's (file-grain) protection.
-func (m *Mapping) Prot() pagetable.Flags { return m.prot }
 
 // Contiguous reports whether the mapping occupies one virtual range.
 func (m *Mapping) Contiguous() bool { return len(m.segments) == 1 }

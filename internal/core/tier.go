@@ -41,9 +41,6 @@ func (s *System) AttachTier(eng *tier.Engine, fastBase mem.Frame, fastFrames uin
 	return nil
 }
 
-// Tier returns the attached migration engine (nil without tiering).
-func (s *System) Tier() *tier.Engine { return s.tier }
-
 // tierPump executes queued promotions at a quiescent point of the
 // access path (see tier.Engine.Pump).
 func (s *System) tierPump(cur *sim.CPU) {

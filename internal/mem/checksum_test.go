@@ -92,7 +92,7 @@ func TestContentChecksumMatchesByteOracle(t *testing.T) {
 			// including runs that end mid-word and whole-frame runs.
 			for _, f := range checksumFrames {
 				for off := rng.Intn(FrameSize); off < FrameSize; off += 1 + rng.Intn(900) {
-					m.WriteByteAt(f.Addr()+PhysAddr(off), byte(1+rng.Intn(255)))
+					m.WriteAt(f.Addr()+PhysAddr(off), []byte{byte(1 + rng.Intn(255))})
 				}
 			}
 		}},
@@ -102,7 +102,7 @@ func TestContentChecksumMatchesByteOracle(t *testing.T) {
 				if i%2 == 0 {
 					m.WriteAt(f.Addr(), zero)
 				} else {
-					m.WriteByteAt(f.Addr()+PhysAddr(i*97), byte(i))
+					m.WriteAt(f.Addr()+PhysAddr(i*97), []byte{byte(i)})
 				}
 			}
 		}},
@@ -113,7 +113,7 @@ func TestContentChecksumMatchesByteOracle(t *testing.T) {
 			write func(m *Memory, rng *rand.Rand)
 		}{fmt.Sprintf("one-byte-at-%d", off), func(m *Memory, _ *rand.Rand) {
 			for _, f := range checksumFrames {
-				m.WriteByteAt(f.Addr()+PhysAddr(off), 0x5a)
+				m.WriteAt(f.Addr()+PhysAddr(off), []byte{0x5a})
 			}
 		}})
 	}
@@ -145,7 +145,7 @@ func BenchmarkContentChecksum(b *testing.B) {
 		write func(m *Memory, f Frame, rng *rand.Rand)
 	}{
 		{"sparse", func(m *Memory, f Frame, rng *rand.Rand) {
-			m.WriteByteAt(f.Addr()+PhysAddr(rng.Intn(FrameSize)), 0x5a)
+			m.WriteAt(f.Addr()+PhysAddr(rng.Intn(FrameSize)), []byte{0x5a})
 		}},
 		{"dense", func(m *Memory, f Frame, rng *rand.Rand) {
 			buf := make([]byte, FrameSize)

@@ -27,9 +27,6 @@ func (m *Memory) SetDirtyTracking(on bool) {
 	m.tracking.Store(on)
 }
 
-// DirtyTracking reports whether dirty-frame tracking is on.
-func (m *Memory) DirtyTracking() bool { return m.tracking.Load() }
-
 // ResetDirty clears the dirty set, beginning a new checkpoint epoch.
 // It is a no-op while tracking is off.
 func (m *Memory) ResetDirty() {
@@ -72,9 +69,6 @@ func (m *Memory) DirtyFrames() []Frame {
 	})
 	return out
 }
-
-// DirtyCount returns the size of the dirty set.
-func (m *Memory) DirtyCount() int { return int(m.dirtyN.Load()) }
 
 // MaterializedFrameList returns every frame that currently has a
 // backing array, in ascending order. Checkpoint tooling uses it to

@@ -7,11 +7,11 @@ import (
 
 func TestDirtyTrackingOffByDefault(t *testing.T) {
 	m, _, _ := newTestMemory(t)
-	if m.DirtyTracking() {
+	if m.tracking.Load() {
 		t.Fatal("tracking on by default")
 	}
-	m.WriteByteAt(Frame(3).Addr(), 0xaa)
-	if n := m.DirtyCount(); n != 0 {
+	m.WriteAt(Frame(3).Addr(), []byte{0xaa})
+	if n := int(m.dirtyN.Load()); n != 0 {
 		t.Fatalf("DirtyCount = %d with tracking off", n)
 	}
 	if fr := m.DirtyFrames(); len(fr) != 0 {
@@ -22,22 +22,22 @@ func TestDirtyTrackingOffByDefault(t *testing.T) {
 func TestDirtyTrackingWritesAndDrops(t *testing.T) {
 	m, _, _ := newTestMemory(t)
 	// Content present before the epoch starts is not dirty.
-	m.WriteByteAt(Frame(1).Addr(), 0x11)
+	m.WriteAt(Frame(1).Addr(), []byte{0x11})
 	m.SetDirtyTracking(true)
-	if !m.DirtyTracking() {
+	if !m.tracking.Load() {
 		t.Fatal("tracking did not turn on")
 	}
-	if n := m.DirtyCount(); n != 0 {
+	if n := int(m.dirtyN.Load()); n != 0 {
 		t.Fatalf("DirtyCount = %d right after enabling", n)
 	}
 
 	// A write dirties its frame, including rewrites of materialized
 	// frames and multi-frame spans.
-	m.WriteByteAt(Frame(1).Addr(), 0x22)
+	m.WriteAt(Frame(1).Addr(), []byte{0x22})
 	buf := make([]byte, 2*FrameSize)
 	m.WriteAt(Frame(5).Addr(), buf)
 	// Reads do not dirty.
-	m.ReadByteAt(Frame(9).Addr())
+	readByte(m, Frame(9).Addr())
 	want := []Frame{1, 5, 6}
 	if got := m.DirtyFrames(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("DirtyFrames = %v, want %v", got, want)
@@ -55,18 +55,18 @@ func TestDirtyTrackingWritesAndDrops(t *testing.T) {
 	// Copies dirty the destination (and, via drop, destinations whose
 	// source reads as zero).
 	m.ResetDirty()
-	m.WriteByteAt(Frame(20).Addr(), 0x33)
+	m.WriteAt(Frame(20).Addr(), []byte{0x33})
 	m.ResetDirty()
-	m.CopyFrames(30, 20, 1) // materialized source
-	m.WriteByteAt(Frame(31).Addr(), 1)
+	m.copyFrames(m.clock, 30, 20, 1) // materialized source
+	m.WriteAt(Frame(31).Addr(), []byte{1})
 	m.ResetDirty()
-	m.CopyFrames(31, 40, 1) // absent source: 31 drops to zero
+	m.copyFrames(m.clock, 31, 40, 1) // absent source: 31 drops to zero
 	if got := m.DirtyFrames(); !reflect.DeepEqual(got, []Frame{31}) {
 		t.Fatalf("DirtyFrames after zero-copy = %v, want [31]", got)
 	}
 
 	m.SetDirtyTracking(false)
-	if m.DirtyTracking() {
+	if m.tracking.Load() {
 		t.Fatal("tracking did not turn off")
 	}
 }
@@ -76,8 +76,8 @@ func TestDirtyTrackingCrashDirtiesDRAMOnly(t *testing.T) {
 	dram, _ := m.Region(DRAM)
 	nvm, _ := m.Region(NVM)
 	m.SetDirtyTracking(true)
-	m.WriteByteAt(dram.Start.Addr(), 1)
-	m.WriteByteAt(nvm.Start.Addr(), 2)
+	m.WriteAt(dram.Start.Addr(), []byte{1})
+	m.WriteAt(nvm.Start.Addr(), []byte{2})
 	m.ResetDirty()
 	m.Crash()
 	if got := m.DirtyFrames(); !reflect.DeepEqual(got, []Frame{dram.Start}) {
@@ -90,9 +90,9 @@ func TestMaterializedFrameList(t *testing.T) {
 	if got := m.MaterializedFrameList(); len(got) != 0 {
 		t.Fatalf("MaterializedFrameList = %v on fresh memory", got)
 	}
-	m.WriteByteAt(Frame(7).Addr(), 1)
-	m.WriteByteAt(Frame(2).Addr(), 1)
-	m.ReadByteAt(Frame(9).Addr()) // reads do not materialize
+	m.WriteAt(Frame(7).Addr(), []byte{1})
+	m.WriteAt(Frame(2).Addr(), []byte{1})
+	readByte(m, Frame(9).Addr()) // reads do not materialize
 	if got := m.MaterializedFrameList(); !reflect.DeepEqual(got, []Frame{2, 7}) {
 		t.Fatalf("MaterializedFrameList = %v, want [2 7]", got)
 	}

@@ -105,16 +105,6 @@ type Config struct {
 	NVMFrames  uint64
 }
 
-// DefaultConfig returns a machine with 512 MiB of DRAM and 4 GiB of
-// NVM — small enough to simulate instantly, large enough for every
-// experiment in the paper's sweeps.
-func DefaultConfig() Config {
-	return Config{
-		DRAMFrames: 512 << 20 >> FrameShift,
-		NVMFrames:  4 << 30 >> FrameShift,
-	}
-}
-
 // Memory is the physical address space of one simulated machine.
 type Memory struct {
 	clock   *sim.Clock
@@ -209,13 +199,6 @@ func New(clock *sim.Clock, params *sim.Params, cfg Config) (*Memory, error) {
 // TotalFrames returns the number of frames in the address space.
 func (m *Memory) TotalFrames() uint64 { return m.total }
 
-// Regions returns the memory regions in address order.
-func (m *Memory) Regions() []Region {
-	out := make([]Region, len(m.regions))
-	copy(out, m.regions)
-	return out
-}
-
 // Region returns the region of the given kind, and whether one exists.
 // If multiple regions share a kind, the first is returned.
 func (m *Memory) Region(kind RegionKind) (Region, bool) {
@@ -241,10 +224,6 @@ func (m *Memory) Kind(f Frame) RegionKind {
 func (m *Memory) Valid(start Frame, count uint64) bool {
 	return uint64(start) < m.total && uint64(start)+count <= m.total
 }
-
-// Stats exposes the memory's event counters: "zeroed_frames",
-// "epoch_erases", "materialized_frames".
-func (m *Memory) Stats() *metrics.Set { return m.stats }
 
 // frame returns f's backing array for a write, materializing it when
 // f has none, and marks f dirty when tracking is on. A frame that is
@@ -404,18 +383,6 @@ func (m *Memory) WriteAt(pa PhysAddr, buf []byte) {
 	}
 }
 
-// ReadByteAt returns the byte at pa.
-func (m *Memory) ReadByteAt(pa PhysAddr) byte {
-	var b [1]byte
-	m.ReadAt(pa, b[:])
-	return b[0]
-}
-
-// WriteByteAt stores v at pa.
-func (m *Memory) WriteByteAt(pa PhysAddr, v byte) {
-	m.WriteAt(pa, []byte{v})
-}
-
 func (m *Memory) checkRange(pa PhysAddr, n int) {
 	if n < 0 || uint64(pa)+uint64(n) > m.total<<FrameShift {
 		panic(fmt.Sprintf("mem: access [%#x,+%d) outside physical address space (%d frames)", uint64(pa), n, m.total))
@@ -474,24 +441,19 @@ func (m *Memory) Crash() {
 	m.stats.Counter("crashes").Inc()
 }
 
-// CopyFrames copies count frames from src to dst (used by COW breaks
-// and page migration). Charges one eager-zero-equivalent copy cost per
-// frame, the same order as a 4 KiB memcpy.
-func (m *Memory) CopyFrames(dst, src Frame, count uint64) {
-	m.copyFrames(m.clock, dst, src, count)
-}
-
-// CopyFramesOn is CopyFrames with the cost charged to the given CPU's
-// own clock — the form used inside host-parallel phases, where the
-// construction clock (usually the machine's forwarding kernel clock)
-// has no single CPU to forward to.
+// CopyFramesOn copies count frames from src to dst (used by COW breaks
+// and page migration). It charges one eager-zero-equivalent copy cost
+// per frame, the same order as a 4 KiB memcpy, to the given CPU's own
+// clock: inside host-parallel phases the construction clock (usually
+// the machine's forwarding kernel clock) has no single CPU to forward
+// to.
 func (m *Memory) CopyFramesOn(cpu *sim.CPU, dst, src Frame, count uint64) {
 	m.copyFrames(cpu.Clock(), dst, src, count)
 }
 
 func (m *Memory) copyFrames(clock *sim.Clock, dst, src Frame, count uint64) {
 	if !m.Valid(dst, count) || !m.Valid(src, count) {
-		panic("mem: CopyFrames out of range")
+		panic("mem: CopyFramesOn out of range")
 	}
 	for i := uint64(0); i < count; i++ {
 		s := m.lookup(src + Frame(i))

@@ -44,10 +44,17 @@ func TestNewRejectsOversizedMachine(t *testing.T) {
 		t.Fatalf("New rejected a machine of MaxFrames frames: %v", err)
 	}
 	last := Frame(MaxFrames - 1)
-	m.WriteByteAt(last.Addr(), 7)
-	if got := m.ReadByteAt(last.Addr()); got != 7 {
+	m.WriteAt(last.Addr(), []byte{7})
+	if got := readByte(m, last.Addr()); got != 7 {
 		t.Fatalf("last frame reads %#x, wrote 0x07", got)
 	}
+}
+
+// readByte returns the byte at pa.
+func readByte(m *Memory, pa PhysAddr) byte {
+	var b [1]byte
+	m.ReadAt(pa, b[:])
+	return b[0]
 }
 
 func TestRegionLayout(t *testing.T) {
@@ -55,7 +62,7 @@ func TestRegionLayout(t *testing.T) {
 	if m.TotalFrames() != 3072 {
 		t.Fatalf("TotalFrames = %d, want 3072", m.TotalFrames())
 	}
-	regions := m.Regions()
+	regions := m.regions
 	if len(regions) != 2 {
 		t.Fatalf("got %d regions, want 2", len(regions))
 	}
@@ -115,14 +122,6 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestByteAccessors(t *testing.T) {
-	m, _, _ := newTestMemory(t)
-	m.WriteByteAt(100, 0xAB)
-	if m.ReadByteAt(100) != 0xAB {
-		t.Fatal("byte round trip failed")
-	}
-}
-
 func TestOutOfRangeAccessPanics(t *testing.T) {
 	m, _, _ := newTestMemory(t)
 	defer func() {
@@ -130,30 +129,30 @@ func TestOutOfRangeAccessPanics(t *testing.T) {
 			t.Fatal("out-of-range read did not panic")
 		}
 	}()
-	m.ReadByteAt(PhysAddr(m.TotalFrames() << FrameShift))
+	readByte(m, PhysAddr(m.TotalFrames()<<FrameShift))
 }
 
 func TestZeroFramesChargesLinearTime(t *testing.T) {
 	m, clock, params := newTestMemory(t)
-	m.WriteByteAt(Frame(7).Addr(), 1)
+	m.WriteAt(Frame(7).Addr(), []byte{1})
 	start := clock.Now()
 	m.ZeroFrames(7, 4)
 	if got, want := clock.Since(start), 4*params.ZeroPage; got != want {
 		t.Fatalf("ZeroFrames charged %v, want %v", got, want)
 	}
-	if m.ReadByteAt(Frame(7).Addr()) != 0 {
+	if readByte(m, Frame(7).Addr()) != 0 {
 		t.Fatal("frame not zeroed")
 	}
 }
 
 func TestEraseRangeEpochIsConstantTime(t *testing.T) {
 	m, clock, params := newTestMemory(t)
-	m.WriteByteAt(Frame(0).Addr(), 9)
+	m.WriteAt(Frame(0).Addr(), []byte{9})
 	small := clock.Now()
 	m.EraseRangeEpoch(0, 1)
 	smallCost := clock.Since(small)
 
-	m.WriteByteAt(Frame(100).Addr(), 9)
+	m.WriteAt(Frame(100).Addr(), []byte{9})
 	big := clock.Now()
 	m.EraseRangeEpoch(100, 2000)
 	bigCost := clock.Since(big)
@@ -161,20 +160,20 @@ func TestEraseRangeEpochIsConstantTime(t *testing.T) {
 	if smallCost != bigCost || smallCost != params.ZeroEpoch {
 		t.Fatalf("epoch erase costs differ: %v vs %v (want both %v)", smallCost, bigCost, params.ZeroEpoch)
 	}
-	if m.ReadByteAt(Frame(100).Addr()) != 0 {
+	if readByte(m, Frame(100).Addr()) != 0 {
 		t.Fatal("epoch erase did not zero content")
 	}
 }
 
 func TestCrashDropsDRAMKeepsNVM(t *testing.T) {
 	m, _, _ := newTestMemory(t)
-	m.WriteByteAt(Frame(10).Addr(), 0x11)   // DRAM
-	m.WriteByteAt(Frame(2000).Addr(), 0x22) // NVM
+	m.WriteAt(Frame(10).Addr(), []byte{0x11})   // DRAM
+	m.WriteAt(Frame(2000).Addr(), []byte{0x22}) // NVM
 	m.Crash()
-	if m.ReadByteAt(Frame(10).Addr()) != 0 {
+	if readByte(m, Frame(10).Addr()) != 0 {
 		t.Fatal("DRAM content survived crash")
 	}
-	if m.ReadByteAt(Frame(2000).Addr()) != 0x22 {
+	if readByte(m, Frame(2000).Addr()) != 0x22 {
 		t.Fatal("NVM content lost in crash")
 	}
 }
@@ -182,16 +181,16 @@ func TestCrashDropsDRAMKeepsNVM(t *testing.T) {
 func TestCopyFrames(t *testing.T) {
 	m, _, _ := newTestMemory(t)
 	m.WriteAt(Frame(1).Addr(), []byte{1, 2, 3})
-	m.CopyFrames(20, 1, 2)
+	m.copyFrames(m.clock, 20, 1, 2)
 	got := make([]byte, 3)
 	m.ReadAt(Frame(20).Addr(), got)
 	if !bytes.Equal(got, []byte{1, 2, 3}) {
 		t.Fatalf("copy read back %v", got)
 	}
 	// Copying an unmaterialized source zeroes the destination.
-	m.WriteByteAt(Frame(30).Addr(), 0xFF)
-	m.CopyFrames(30, 500, 1)
-	if m.ReadByteAt(Frame(30).Addr()) != 0 {
+	m.WriteAt(Frame(30).Addr(), []byte{0xFF})
+	m.copyFrames(m.clock, 30, 500, 1)
+	if readByte(m, Frame(30).Addr()) != 0 {
 		t.Fatal("copy from zero frame did not zero destination")
 	}
 }

@@ -31,7 +31,7 @@ func TestReleaseAdopt(t *testing.T) {
 	if len(s.frames) == 0 || len(s.leaves) == 0 || len(s.mids) == 0 {
 		t.Fatalf("released %d frame arrays, %d leaves, %d mid nodes", len(s.frames), len(s.leaves), len(s.mids))
 	}
-	if !mustPanic(func() { old.ReadByteAt(Frame(97).Addr() + 5) }) {
+	if !mustPanic(func() { readByte(old, Frame(97).Addr()+5) }) {
 		t.Fatal("a released memory read a frame")
 	}
 

@@ -30,7 +30,7 @@ type refMemory struct {
 }
 
 func newRefMemory(m *Memory) *refMemory {
-	return &refMemory{params: m.params, regions: m.Regions(), data: make(map[Frame]*frameArray)}
+	return &refMemory{params: m.params, regions: m.regions, data: make(map[Frame]*frameArray)}
 }
 
 func (r *refMemory) kind(f Frame) RegionKind {
@@ -314,7 +314,7 @@ func TestStoreMatchesMapOracle(t *testing.T) {
 				dst, _ := oracleRange(rng, total)
 				src, _ := oracleRange(rng, total)
 				count := min(1+uint64(rng.Intn(70)), total-uint64(dst), total-uint64(src))
-				m.CopyFrames(dst, src, count)
+				m.copyFrames(m.clock, dst, src, count)
 				ref.CopyFrames(dst, src, count)
 				desc = fmt.Sprintf("CopyFrames(%d, %d, %d)", dst, src, count)
 			case k < 18:
@@ -352,10 +352,10 @@ func compareWithOracle(t *testing.T, at string, m *Memory, ref *refMemory) {
 	if got, want := m.DirtyFrames(), ref.DirtyFrames(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: DirtyFrames = %v, map oracle %v", at, got, want)
 	}
-	if got, want := m.DirtyCount(), len(ref.dirty); got != want {
+	if got, want := int(m.dirtyN.Load()), len(ref.dirty); got != want {
 		t.Fatalf("%s: DirtyCount = %d, map oracle %d", at, got, want)
 	}
-	if got, want := m.DirtyTracking(), ref.dirty != nil; got != want {
+	if got, want := m.tracking.Load(), ref.dirty != nil; got != want {
 		t.Fatalf("%s: DirtyTracking = %v, map oracle %v", at, got, want)
 	}
 	if err := checkStore(m, true); err != nil {
@@ -373,7 +373,7 @@ func compareWithOracle(t *testing.T, at string, m *Memory, ref *refMemory) {
 	if got, want := m.clock.Now(), ref.clock.Now(); got != want {
 		t.Fatalf("%s: simulated time %v, map oracle %v", at, got, want)
 	}
-	s := m.Stats()
+	s := m.stats
 	for _, c := range []struct {
 		name string
 		want uint64

@@ -38,13 +38,13 @@ func TestRegionBoundaryFrames(t *testing.T) {
 
 	// Persistence splits exactly at the seam: the DRAM side of the
 	// boundary loses its contents on a crash, the NVM side keeps them.
-	m.WriteByteAt(lastDRAM.Addr(), 0xD7)
-	m.WriteByteAt(firstNVM.Addr(), 0x4E)
+	m.WriteAt(lastDRAM.Addr(), []byte{0xD7})
+	m.WriteAt(firstNVM.Addr(), []byte{0x4E})
 	m.Crash()
-	if got := m.ReadByteAt(lastDRAM.Addr()); got != 0 {
+	if got := readByte(m, lastDRAM.Addr()); got != 0 {
 		t.Fatalf("last DRAM frame survived the crash with 0x%02x", got)
 	}
-	if got := m.ReadByteAt(firstNVM.Addr()); got != 0x4E {
+	if got := readByte(m, firstNVM.Addr()); got != 0x4E {
 		t.Fatalf("first NVM frame lost its contents across the crash: 0x%02x", got)
 	}
 }
@@ -60,7 +60,7 @@ func TestZeroFrameRegionConfigs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NVM-only machine rejected: %v", err)
 	}
-	if got := len(nvmOnly.Regions()); got != 1 {
+	if got := len(nvmOnly.regions); got != 1 {
 		t.Fatalf("NVM-only machine has %d regions, want 1", got)
 	}
 	if k := nvmOnly.Kind(0); k != NVM {

@@ -81,7 +81,7 @@ func TestEmptiedLeavesAreRecycled(t *testing.T) {
 	m, _, _ := newTestMemory(t)
 	m.SetDirtyTracking(true)
 	for _, f := range []Frame{5, 70, 1500} {
-		m.WriteByteAt(f.Addr(), 1)
+		m.WriteAt(f.Addr(), []byte{1})
 	}
 	m.EraseRangeEpoch(0, 2000)
 	if err := checkStore(m, false); err != nil {
@@ -97,7 +97,7 @@ func TestEmptiedLeavesAreRecycled(t *testing.T) {
 	if n := len(m.spareLeaves); n != 3 {
 		t.Fatalf("%d leaves recycled, want 3", n)
 	}
-	m.WriteByteAt(Frame(3000).Addr(), 1)
+	m.WriteAt(Frame(3000).Addr(), []byte{1})
 	if n := len(m.spareLeaves); n != 2 {
 		t.Fatalf("materialization left %d spare leaves, want 2", n)
 	}
@@ -145,10 +145,10 @@ func TestConcurrentDisjointFrames(t *testing.T) {
 			switch rng.Intn(4) {
 			case 0, 1:
 				v := byte(1 + rng.Intn(255))
-				m.WriteByteAt(f.Addr()+off, v)
+				m.WriteAt(f.Addr()+off, []byte{v})
 				vals[f], dirty[f] = v, 1
 			case 2:
-				if got := m.ReadByteAt(f.Addr() + off); got != vals[f] {
+				if got := readByte(m, f.Addr()+off); got != vals[f] {
 					return fmt.Errorf("cpu %d: frame %d reads %#x, wrote %#x", c.ID(), f, got, vals[f])
 				}
 			default:
@@ -170,7 +170,7 @@ func TestConcurrentDisjointFrames(t *testing.T) {
 		for f, v := range r.vals {
 			wantMat = append(wantMat, f)
 			off := PhysAddr(uint64(f) * 7 % FrameSize)
-			if got := m.ReadByteAt(f.Addr() + off); got != v {
+			if got := readByte(m, f.Addr()+off); got != v {
 				t.Fatalf("frame %d reads %#x after the phase, wrote %#x", f, got, v)
 			}
 		}
@@ -234,7 +234,7 @@ var readSink byte
 // absent frame: the lock-free lookup, sparse-read's hot path.
 func BenchmarkFrameRead(b *testing.B) {
 	m := checksumMemory(b)
-	m.WriteByteAt(Frame(1<<32+5).Addr(), 7)
+	m.WriteAt(Frame(1<<32+5).Addr(), []byte{7})
 	b.ResetTimer()
 	for _, tc := range []struct {
 		name string
@@ -264,7 +264,7 @@ func BenchmarkDropRangeSparse(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j := Frame(0); j < 64; j++ {
-			m.WriteByteAt((start + j<<12 + j).Addr(), 1)
+			m.WriteAt((start + j<<12 + j).Addr(), []byte{1})
 		}
 		m.EraseRangeEpoch(start, 1<<18)
 	}

@@ -239,12 +239,6 @@ func New(name string, policy AllocPolicy, clock *sim.Clock, params *sim.Params, 
 	return fs, nil
 }
 
-// Name returns the mount name.
-func (fs *FS) Name() string { return fs.name }
-
-// Policy returns the allocation policy.
-func (fs *FS) Policy() AllocPolicy { return fs.policy }
-
 // FreeFrames returns the number of unallocated block frames.
 func (fs *FS) FreeFrames() uint64 { return fs.bud.FreeFrames() }
 
@@ -756,9 +750,6 @@ type File struct {
 
 // Inode returns the file's inode.
 func (f *File) Inode() *Inode { return f.inode }
-
-// FS returns the owning file system.
-func (f *File) FS() *FS { return f.inode.fs }
 
 // Close drops the handle's reference; the last reference of an
 // unlinked (or temp) file frees its storage.

@@ -52,9 +52,6 @@ func (fs *FS) AttachTier(eng *tier.Engine, fastBase mem.Frame, fastFrames uint64
 	return nil
 }
 
-// Tier returns the attached migration engine (nil without tiering).
-func (fs *FS) Tier() *tier.Engine { return fs.tier }
-
 // Owner resolves a block frame to the inode whose extent covers it
 // (nil when untracked or tiering is off).
 func (fs *FS) Owner(f mem.Frame) *Inode {

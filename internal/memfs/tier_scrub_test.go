@@ -88,8 +88,9 @@ func TestMigratedFrameScrubbedBeforeRecycle(t *testing.T) {
 		t.Fatalf("file contents lost across migration: %v 0x%02x", err, b[0])
 	}
 	// ...and the migrated-away frame's backing is scrubbed.
-	if got := m.ReadByteAt(old.Addr()); got != 0 {
-		t.Fatalf("migrated-away frame %d still holds 0x%02x — old backing not scrubbed", old, got)
+	m.ReadAt(old.Addr(), b[:])
+	if b[0] != 0 {
+		t.Fatalf("migrated-away frame %d still holds 0x%02x — old backing not scrubbed", old, b[0])
 	}
 	if err := m.SpareScrubbed(); err != nil {
 		t.Fatalf("poison reached the recycled-array pool: %v", err)

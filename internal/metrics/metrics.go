@@ -5,8 +5,6 @@ package metrics
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -132,107 +130,6 @@ func (s *Set) String() string {
 	return b.String()
 }
 
-// Histogram accumulates int64 samples and reports order statistics.
-// It stores raw samples; experiments record at most a few hundred
-// thousand points, so exact quantiles are affordable and reproducible.
-type Histogram struct {
-	samples []int64
-	sorted  bool
-	sum     int64
-}
-
-// Record adds one sample.
-func (h *Histogram) Record(v int64) {
-	h.samples = append(h.samples, v)
-	h.sum += v
-	h.sorted = false
-}
-
-// Count returns the number of samples recorded.
-func (h *Histogram) Count() int { return len(h.samples) }
-
-// Sum returns the sum of all samples.
-func (h *Histogram) Sum() int64 { return h.sum }
-
-// Mean returns the arithmetic mean, or zero with no samples.
-func (h *Histogram) Mean() float64 {
-	if len(h.samples) == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(len(h.samples))
-}
-
-// Min returns the smallest sample, or zero with no samples.
-func (h *Histogram) Min() int64 {
-	h.ensureSorted()
-	if len(h.samples) == 0 {
-		return 0
-	}
-	return h.samples[0]
-}
-
-// Max returns the largest sample, or zero with no samples.
-func (h *Histogram) Max() int64 {
-	h.ensureSorted()
-	if len(h.samples) == 0 {
-		return 0
-	}
-	return h.samples[len(h.samples)-1]
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) using nearest-rank, or
-// zero with no samples.
-func (h *Histogram) Quantile(q float64) int64 {
-	h.ensureSorted()
-	n := len(h.samples)
-	if n == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return h.samples[0]
-	}
-	if q >= 1 {
-		return h.samples[n-1]
-	}
-	idx := int(math.Ceil(q*float64(n))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= n {
-		idx = n - 1
-	}
-	return h.samples[idx]
-}
-
-// Stddev returns the population standard deviation of the samples.
-func (h *Histogram) Stddev() float64 {
-	n := len(h.samples)
-	if n == 0 {
-		return 0
-	}
-	mean := h.Mean()
-	var ss float64
-	for _, v := range h.samples {
-		d := float64(v) - mean
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n))
-}
-
-// Reset discards all samples.
-func (h *Histogram) Reset() {
-	h.samples = h.samples[:0]
-	h.sum = 0
-	h.sorted = true
-}
-
-func (h *Histogram) ensureSorted() {
-	if !h.sorted {
-		sort.Slice(h.samples, func(i, j int) bool { return h.samples[i] < h.samples[j] })
-		h.sorted = true
-	}
-}
-
 // Table is a simple fixed-column text table used to print experiment
 // results in the same row/series layout as the paper's figures.
 type Table struct {
@@ -249,21 +146,6 @@ func NewTable(title string, headers ...string) *Table {
 // AddRow appends a row; cells beyond the header count are kept as-is.
 func (t *Table) AddRow(cells ...string) {
 	t.Rows = append(t.Rows, cells)
-}
-
-// AddRowf appends a row formatting each value with %v, rendering
-// float64 with 3 decimals.
-func (t *Table) AddRowf(values ...interface{}) {
-	cells := make([]string, len(values))
-	for i, v := range values {
-		switch x := v.(type) {
-		case float64:
-			cells[i] = fmt.Sprintf("%.3f", x)
-		default:
-			cells[i] = fmt.Sprintf("%v", x)
-		}
-	}
-	t.AddRow(cells...)
 }
 
 // Markdown renders the table as a GitHub-flavoured markdown table.

@@ -87,76 +87,9 @@ func TestSetString(t *testing.T) {
 	}
 }
 
-func TestHistogramEmpty(t *testing.T) {
-	var h Histogram
-	if h.Count() != 0 || h.Mean() != 0 || h.Min() != 0 || h.Max() != 0 || h.Quantile(0.5) != 0 {
-		t.Fatal("empty histogram should report zeros")
-	}
-}
-
-func TestHistogramStats(t *testing.T) {
-	var h Histogram
-	for _, v := range []int64{5, 1, 3, 2, 4} {
-		h.Record(v)
-	}
-	if h.Count() != 5 || h.Sum() != 15 {
-		t.Fatalf("Count=%d Sum=%d", h.Count(), h.Sum())
-	}
-	if h.Mean() != 3 {
-		t.Fatalf("Mean = %v, want 3", h.Mean())
-	}
-	if h.Min() != 1 || h.Max() != 5 {
-		t.Fatalf("Min=%d Max=%d", h.Min(), h.Max())
-	}
-	if q := h.Quantile(0.5); q != 3 {
-		t.Fatalf("median = %d, want 3", q)
-	}
-	if q := h.Quantile(0); q != 1 {
-		t.Fatalf("q0 = %d, want 1", q)
-	}
-	if q := h.Quantile(1); q != 5 {
-		t.Fatalf("q1 = %d, want 5", q)
-	}
-}
-
-func TestHistogramStddev(t *testing.T) {
-	var h Histogram
-	for _, v := range []int64{2, 2, 2, 2} {
-		h.Record(v)
-	}
-	if h.Stddev() != 0 {
-		t.Fatalf("constant samples stddev = %v, want 0", h.Stddev())
-	}
-	h.Reset()
-	h.Record(0)
-	h.Record(10)
-	if got := h.Stddev(); got != 5 {
-		t.Fatalf("stddev = %v, want 5", got)
-	}
-}
-
-func TestHistogramRecordAfterQuantile(t *testing.T) {
-	var h Histogram
-	h.Record(10)
-	_ = h.Quantile(0.5)
-	h.Record(1)
-	if h.Min() != 1 {
-		t.Fatalf("Min after late record = %d, want 1", h.Min())
-	}
-}
-
-func TestHistogramReset(t *testing.T) {
-	var h Histogram
-	h.Record(7)
-	h.Reset()
-	if h.Count() != 0 || h.Sum() != 0 {
-		t.Fatal("Reset did not clear histogram")
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("demo", "size", "time")
-	tb.AddRowf(4096, 1.5)
+	tb.AddRow("4096", "1.500")
 	tb.AddRow("8192", "3.000")
 	out := tb.String()
 	if !strings.Contains(out, "demo") {

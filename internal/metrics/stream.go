@@ -1,9 +1,6 @@
 package metrics
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "math/bits"
 
 // Streaming-histogram geometry: values are bucketed by octave (the
 // position of the highest set bit) with subBuckets linear sub-divisions
@@ -79,23 +76,12 @@ func (h *StreamHist) Record(v int64) {
 // Count returns the number of samples recorded.
 func (h *StreamHist) Count() uint64 { return h.n }
 
-// Sum returns the sum of all samples.
-func (h *StreamHist) Sum() int64 { return h.sum }
-
 // Mean returns the arithmetic mean, or zero with no samples.
 func (h *StreamHist) Mean() float64 {
 	if h.n == 0 {
 		return 0
 	}
 	return float64(h.sum) / float64(h.n)
-}
-
-// Min returns the smallest recorded sample (exact), or zero if empty.
-func (h *StreamHist) Min() int64 {
-	if h.n == 0 {
-		return 0
-	}
-	return h.min
 }
 
 // Max returns the largest recorded sample (exact), or zero if empty.
@@ -146,15 +132,4 @@ func (h *StreamHist) Merge(other *StreamHist) {
 	}
 	h.n += other.n
 	h.sum += other.sum
-}
-
-// Reset discards all samples.
-func (h *StreamHist) Reset() {
-	*h = StreamHist{}
-}
-
-// Summary renders count, mean, and the standard latency quantiles.
-func (h *StreamHist) Summary() string {
-	return fmt.Sprintf("n=%d mean=%.1f p50=%d p99=%d p99.9=%d max=%d",
-		h.n, h.Mean(), h.Quantile(0.50), h.Quantile(0.99), h.Quantile(0.999), h.max)
 }

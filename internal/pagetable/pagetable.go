@@ -490,22 +490,6 @@ func (t *Table) Protect(cpu *sim.CPU, va mem.VirtAddr, flags Flags) error {
 	return c.Protect(cpu, va, flags)
 }
 
-// SubtreeLevel returns the level of the interior entry that exactly
-// covers a naturally aligned region of the given page count:
-// 512 pages -> level 2 (2 MiB node), 512² -> level 3, 512³ -> level 4.
-func SubtreeLevel(pages uint64) (int, error) {
-	switch pages {
-	case EntriesPerNode:
-		return 2, nil
-	case EntriesPerNode * EntriesPerNode:
-		return 3, nil
-	case EntriesPerNode * EntriesPerNode * EntriesPerNode:
-		return 4, nil
-	default:
-		return 0, fmt.Errorf("pagetable: %d pages is not a subtree span", pages)
-	}
-}
-
 // LinkSubtree points this table's interior entry covering va at the
 // node that covers srcVA in src — the paper's Figure 3/8 mechanism.
 // Both addresses must be aligned to the subtree span for the given

@@ -347,18 +347,6 @@ func TestSubtreeLinkAlignmentEnforced(t *testing.T) {
 	}
 }
 
-func TestSubtreeLevel(t *testing.T) {
-	if l, err := SubtreeLevel(512); err != nil || l != 2 {
-		t.Fatalf("SubtreeLevel(512) = %d, %v", l, err)
-	}
-	if l, err := SubtreeLevel(512 * 512); err != nil || l != 3 {
-		t.Fatalf("SubtreeLevel(512²) = %d, %v", l, err)
-	}
-	if _, err := SubtreeLevel(100); err == nil {
-		t.Fatal("SubtreeLevel(100) accepted")
-	}
-}
-
 func TestDestroyReleasesEverything(t *testing.T) {
 	tbl, bud, cpu := newTable(t, Levels4)
 	free0 := bud.FreeFrames() + 1 // +1 for the root allocated by New

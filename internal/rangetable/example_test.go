@@ -27,7 +27,7 @@ func Example() {
 		return
 	}
 	e, ok := tbl.Lookup(gig.VBase + 512<<20) // halfway in
-	fmt.Printf("hit=%v entries=%d pa=%#x\n", ok, tbl.Len(), uint64(e.Translate(gig.VBase+512<<20)))
+	fmt.Printf("hit=%v entries=%d pa=%#x\n", ok, len(tbl.Entries()), uint64(e.Translate(gig.VBase+512<<20)))
 
 	removed, _ := tbl.Remove(gig.VBase)
 	fmt.Printf("removed %d pages with one operation\n", removed.Pages)

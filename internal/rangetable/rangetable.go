@@ -65,9 +65,6 @@ func New(clock *sim.Clock, params *sim.Params) *Table {
 // Stats exposes counters: "inserts", "removes", "walks".
 func (t *Table) Stats() *metrics.Set { return t.stats }
 
-// Len returns the number of installed ranges.
-func (t *Table) Len() int { return len(t.entries) }
-
 // Entries returns a copy of the installed ranges in address order.
 func (t *Table) Entries() []Entry {
 	out := make([]Entry, len(t.entries))
@@ -224,9 +221,6 @@ func NewRTLB(cpu *sim.CPU, params *sim.Params, capacity int) *RTLB {
 // Stats exposes counters: "hits", "misses", "evictions".
 func (r *RTLB) Stats() *metrics.Set { return r.stats }
 
-// CPU returns the CPU this range TLB belongs to.
-func (r *RTLB) CPU() *sim.CPU { return r.cpu }
-
 // Lookup probes the range TLB. A hit charges RangeTLBHit; on a miss the
 // caller walks the range table and Inserts the result.
 func (r *RTLB) Lookup(asid int, va mem.VirtAddr) (Entry, bool) {
@@ -241,17 +235,6 @@ func (r *RTLB) Lookup(asid int, va mem.VirtAddr) (Entry, bool) {
 	}
 	r.cpu.Advance(r.params.RangeTLBHit) // probe cost, hit or miss
 	r.cMisses.Inc()
-	return Entry{}, false
-}
-
-// Peek reports whether the range TLB caches a translation for va,
-// without cost or LRU side effects (diagnostic).
-func (r *RTLB) Peek(asid int, va mem.VirtAddr) (Entry, bool) {
-	for i := range r.entries {
-		if r.entries[i].asid == asid && r.entries[i].e.Contains(va) {
-			return r.entries[i].e, true
-		}
-	}
 	return Entry{}, false
 }
 
@@ -284,13 +267,6 @@ func (r *RTLB) Invalidate(asid int, vbase mem.VirtAddr) {
 		}
 	}
 	r.cpu.Advance(r.params.TLBFlushEntry)
-}
-
-// FlushAll empties the range TLB (every address space) at the flat
-// full-flush cost.
-func (r *RTLB) FlushAll() {
-	r.entries = r.entries[:0]
-	r.cpu.Advance(r.params.TLBFullFlush)
 }
 
 // ValidEntries returns the number of cached ranges.

@@ -46,8 +46,8 @@ func TestInsertLookupRemove(t *testing.T) {
 	if err != nil || removed.Pages != 1000 {
 		t.Fatalf("Remove: %+v, %v", removed, err)
 	}
-	if tbl.Len() != 0 {
-		t.Fatalf("Len = %d after remove", tbl.Len())
+	if len(tbl.Entries()) != 0 {
+		t.Fatalf("Len = %d after remove", len(tbl.Entries()))
 	}
 }
 
@@ -199,10 +199,8 @@ func TestRTLBInvalidate(t *testing.T) {
 	if _, ok := r.Lookup(0, e.VBase); ok {
 		t.Fatal("entry survived invalidate")
 	}
-	r.Insert(0, e)
-	r.FlushAll()
 	if r.ValidEntries() != 0 {
-		t.Fatal("FlushAll left entries")
+		t.Fatal("invalidate left the entry cached")
 	}
 }
 

@@ -15,6 +15,8 @@ type CPU struct {
 	id    int
 	mach  *Machine
 	clock *Clock
+	// No simulator code draws from rng; its state is part of
+	// CaptureState, which snapshots and the pinned digests record.
 	rng   *RNG
 	stats *metrics.Set
 	// ipiLog holds the deliveries this CPU received, once the machine's
@@ -25,15 +27,8 @@ type CPU struct {
 // ID returns the CPU number, 0..NumCPUs-1.
 func (c *CPU) ID() int { return c.id }
 
-// Machine returns the machine this CPU belongs to.
-func (c *CPU) Machine() *Machine { return c.mach }
-
 // Clock returns this CPU's own (non-forwarding) clock.
 func (c *CPU) Clock() *Clock { return c.clock }
-
-// RNG returns this CPU's deterministic random stream. Streams of
-// distinct CPUs are decorrelated by seeding.
-func (c *CPU) RNG() *RNG { return c.rng }
 
 // Stats exposes per-CPU event counters: "ipis_sent", "ipis_received".
 func (c *CPU) Stats() *metrics.Set { return c.stats }
@@ -178,7 +173,8 @@ func (m *Machine) Current() *CPU {
 
 // SetCurrent switches execution to c. Subsequent charges through the
 // kernel clock land on c. c must belong to this machine. Panics during
-// a parallel phase's free-running window (use Ordered instead).
+// a parallel phase's free-running window (use a machine-wide
+// OrderedDomain instead).
 func (m *Machine) SetCurrent(c *CPU) {
 	if c.mach != m {
 		panic("sim: SetCurrent with a CPU from another machine")
@@ -214,17 +210,6 @@ func (m *Machine) Sync() {
 	for _, c := range m.cpus {
 		c.clock.AdvanceTo(t)
 	}
-}
-
-// Others returns every CPU except c, in ID order.
-func (m *Machine) Others(c *CPU) []*CPU {
-	out := make([]*CPU, 0, len(m.cpus)-1)
-	for _, o := range m.cpus {
-		if o != c {
-			out = append(out, o)
-		}
-	}
-	return out
 }
 
 // IPI models a synchronous inter-processor interrupt from one CPU to a
@@ -308,11 +293,6 @@ func (m *Machine) deliverIPI(from *CPU, targets []*CPU, handler func(*CPU), send
 	}
 	from.stats.Counter("ipis_sent").Add(uint64(len(targets)))
 	from.AdvanceTo(end)
-}
-
-// Broadcast sends an IPI from from to every other CPU.
-func (m *Machine) Broadcast(from *CPU, handler func(*CPU)) {
-	m.IPI(from, m.Others(from), handler)
 }
 
 // RegisterInvariants adds a named consistency check to the machine.

@@ -27,7 +27,7 @@ func TestNewMachineBasics(t *testing.T) {
 		t.Fatal("boot CPU is not CPU 0 / not current")
 	}
 	for i, c := range m.CPUs() {
-		if c.ID() != i || c.Machine() != m {
+		if c.ID() != i || c.mach != m {
 			t.Fatalf("CPU %d mislabeled", i)
 		}
 		if c.Now() != 0 {
@@ -70,7 +70,7 @@ func TestMaxCPUMachineRunsInPhaseIPIs(t *testing.T) {
 	err := m.RunParallel(func(c *CPU) error {
 		if c.ID() == MaxCPUs-1 {
 			m.IPI(c, []*CPU{m.CPU(0)}, nil)
-			m.Broadcast(c, nil)
+			m.IPI(c, others(m, c), nil)
 		}
 		return nil
 	})
@@ -98,7 +98,7 @@ func TestKernelClockForwardsToCurrentCPU(t *testing.T) {
 	if m.Time() != 100 {
 		t.Fatalf("machine time = %v, want max 100", m.Time())
 	}
-	if kc.Machine() != m || m.CPU(0).Clock().Machine() != m {
+	if kc.mach != m || m.CPU(0).Clock().Machine() != m {
 		t.Fatal("Clock.Machine does not resolve the owner")
 	}
 }
@@ -188,7 +188,7 @@ func TestIPIEmptyTargetSetIsFree(t *testing.T) {
 	params := DefaultParams()
 	m := NewMachine(&params, 1, 0)
 	m.IPI(m.BootCPU(), nil, func(*CPU) { t.Fatal("handler ran") })
-	m.Broadcast(m.BootCPU(), func(*CPU) { t.Fatal("handler ran") })
+	m.IPI(m.BootCPU(), others(m, m.BootCPU()), func(*CPU) { t.Fatal("handler ran") })
 	if m.BootCPU().Now() != 0 {
 		t.Fatalf("empty IPI charged %v", m.BootCPU().Now())
 	}
@@ -203,30 +203,6 @@ func TestIPIRejectsSelfTarget(t *testing.T) {
 		}
 	}()
 	m.IPI(m.CPU(0), []*CPU{m.CPU(0)}, nil)
-}
-
-func TestPerCPURNGStreams(t *testing.T) {
-	params := DefaultParams()
-	a := NewMachine(&params, 2, 7)
-	b := NewMachine(&params, 2, 7)
-	// Same seed → identical per-CPU streams (determinism).
-	for i := 0; i < 100; i++ {
-		if a.CPU(0).RNG().Uint64() != b.CPU(0).RNG().Uint64() ||
-			a.CPU(1).RNG().Uint64() != b.CPU(1).RNG().Uint64() {
-			t.Fatal("per-CPU streams not reproducible")
-		}
-	}
-	// Distinct CPUs → decorrelated streams.
-	c := NewMachine(&params, 2, 7)
-	same := 0
-	for i := 0; i < 100; i++ {
-		if c.CPU(0).RNG().Uint64() == c.CPU(1).RNG().Uint64() {
-			same++
-		}
-	}
-	if same > 2 {
-		t.Fatalf("CPU streams coincide %d/100 times", same)
-	}
 }
 
 func TestParamsDumpContainsIPIFields(t *testing.T) {
@@ -247,4 +223,39 @@ func TestParamsDumpContainsIPIFields(t *testing.T) {
 	if got.IPISend != p.IPISend || got.IPIReceive != p.IPIReceive || got.TLBFullFlush != p.TLBFullFlush {
 		t.Fatal("IPI costs lost in round trip")
 	}
+}
+
+func TestPerCPURNGStreams(t *testing.T) {
+	params := DefaultParams()
+	a := NewMachine(&params, 2, 7)
+	b := NewMachine(&params, 2, 7)
+	// Same seed → identical per-CPU streams (determinism).
+	for i := 0; i < 100; i++ {
+		if a.CPU(0).rng.Uint64() != b.CPU(0).rng.Uint64() ||
+			a.CPU(1).rng.Uint64() != b.CPU(1).rng.Uint64() {
+			t.Fatal("per-CPU streams not reproducible")
+		}
+	}
+	// Distinct CPUs → decorrelated streams.
+	c := NewMachine(&params, 2, 7)
+	same := 0
+	for i := 0; i < 100; i++ {
+		if c.CPU(0).rng.Uint64() == c.CPU(1).rng.Uint64() {
+			same++
+		}
+	}
+	if same > 2 {
+		t.Fatalf("CPU streams coincide %d/100 times", same)
+	}
+}
+
+// others returns every CPU of m except c, in ID order.
+func others(m *Machine, c *CPU) []*CPU {
+	var out []*CPU
+	for _, o := range m.cpus {
+		if o != c {
+			out = append(out, o)
+		}
+	}
+	return out
 }

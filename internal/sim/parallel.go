@@ -111,9 +111,6 @@ type syncWaiter struct {
 // results are identical either way.
 func (m *Machine) SetHostParallel(on bool) { m.hostpar = on }
 
-// HostParallel reports whether RunParallel uses all host cores.
-func (m *Machine) HostParallel() bool { return m.hostpar }
-
 // SetSyncGroups declares a partition of the machine's CPUs into
 // disjoint sync groups: a promise that no sync domain (IPI sender plus
 // targets, ordered-section peers) will ever span two groups, checked
@@ -448,25 +445,6 @@ func (p *phase) pubPast(j int, w *syncWaiter) bool {
 	return pj > w.at || (pj == w.at && j > w.cpu)
 }
 
-// Ordered executes fn as CPU c with cross-CPU effects permitted within
-// c's sync group. Outside a parallel phase this is simply
-// SetCurrent(c); fn(). Inside one, fn becomes a sync point keyed by
-// (c.Now(), c.ID()) whose domain is c's whole sync group — the whole
-// machine by default — so legacy code that assumes serial interleaving
-// stays correct under RunParallel. In-phase calls must come from c's
-// own task goroutine.
-func (m *Machine) Ordered(c *CPU, fn func()) {
-	if c.mach != m {
-		panic("sim: Ordered with a CPU from another machine")
-	}
-	if m.inFreePhase() {
-		m.phase.syncPoint(c, c.Now(), m.groupMask(c.id), fn)
-		return
-	}
-	m.cur = c
-	fn()
-}
-
 // OrderedDomain executes fn as CPU c under a narrow sync domain: c
 // plus the declared peers, which must all lie in c's sync group. In a
 // parallel phase fn runs once the domain CPUs are parked and every
@@ -474,7 +452,8 @@ func (m *Machine) Ordered(c *CPU, fn func()) {
 // domain keep free-running, so disjoint sections overlap. fn must
 // confine itself to the domain CPUs' state (it runs without the
 // machine-wide exclusive flag: no Current(), no forwarding kernel
-// clock). Outside a phase it is SetCurrent(c); fn().
+// clock), unless the domain is the whole machine: such a section runs
+// exclusively, as c. Outside a phase it is SetCurrent(c); fn().
 func (m *Machine) OrderedDomain(c *CPU, peers []*CPU, fn func()) {
 	if c.mach != m {
 		panic("sim: OrderedDomain with a CPU from another machine")

@@ -13,7 +13,7 @@ import (
 func parallelWorkload(ops int, seed uint64) func(*CPU) error {
 	return func(c *CPU) error {
 		rng := NewRNG(seed + uint64(c.ID())*0x9E3779B97F4A7C15)
-		m := c.Machine()
+		m := c.mach
 		for i := 0; i < ops; i++ {
 			switch rng.Intn(4) {
 			case 0, 1:
@@ -22,7 +22,7 @@ func parallelWorkload(ops int, seed uint64) func(*CPU) error {
 				c.Stats().Counter("local_ops").Inc()
 				c.Advance(Time(1 + rng.Intn(50)))
 			case 3:
-				m.Broadcast(c, func(t *CPU) {
+				m.IPI(c, others(m, c), func(t *CPU) {
 					t.Advance(Time(7))
 					t.Stats().Counter("handled").Inc()
 				})
@@ -160,9 +160,10 @@ func TestRunParallelPropagatesPanics(t *testing.T) {
 	})
 }
 
-// TestOrderedSerializesSharedState checks that Ordered sections may
-// touch shared machine state (the forwarding clock, SetCurrent) from a
-// parallel phase, and that their execution order follows (time, id).
+// TestOrderedSerializesSharedState checks that machine-wide ordered
+// sections may touch shared machine state (the forwarding clock,
+// SetCurrent) from a parallel phase, and that their execution order
+// follows (time, id).
 func TestOrderedSerializesSharedState(t *testing.T) {
 	params := DefaultParams()
 	type entry struct {
@@ -178,7 +179,7 @@ func TestOrderedSerializesSharedState(t *testing.T) {
 			// CPU 3 reaches its section at the earliest time.
 			c.Advance(Time(1000 * (4 - c.ID())))
 			for i := 0; i < 3; i++ {
-				m.Ordered(c, func() {
+				m.OrderedDomain(c, others(m, c), func() {
 					// Inside the section the forwarding kernel clock is
 					// legal and charges c.
 					m.Clock().Advance(10)
@@ -226,9 +227,9 @@ func TestFreePhaseGuards(t *testing.T) {
 			t.Fatalf("%s did not panic during free-running phase", name)
 		}
 	}
-	expectPanic("forwarding clock", func(c *CPU) { c.Machine().Clock().Advance(1) })
-	expectPanic("SetCurrent", func(c *CPU) { c.Machine().SetCurrent(c) })
-	expectPanic("Current", func(c *CPU) { _ = c.Machine().Current() })
+	expectPanic("forwarding clock", func(c *CPU) { c.mach.Clock().Advance(1) })
+	expectPanic("SetCurrent", func(c *CPU) { c.mach.SetCurrent(c) })
+	expectPanic("Current", func(c *CPU) { _ = c.mach.Current() })
 
 	// On a single-CPU machine the forwarding clock stays legal in-phase:
 	// there is only one possible current CPU, so forwarding is exact.
@@ -251,7 +252,7 @@ func TestRunParallelRestoresCurrent(t *testing.T) {
 	m := NewMachine(&params, 4, 1)
 	m.SetCurrent(m.CPU(2))
 	if err := m.RunParallel(func(c *CPU) error {
-		m.Ordered(c, func() {})
+		m.OrderedDomain(c, others(m, c), func() {})
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -285,7 +286,7 @@ func TestNestedRunParallelPanics(t *testing.T) {
 func shardedWorkload(ops int, seed uint64) func(*CPU) error {
 	return func(c *CPU) error {
 		rng := NewRNG(seed + uint64(c.ID())*0x9E3779B97F4A7C15)
-		m := c.Machine()
+		m := c.mach
 		partner := c.ID() ^ 1
 		for i := 0; i < ops; i++ {
 			switch rng.Intn(4) {

@@ -23,7 +23,6 @@ type Time int64
 
 // Common durations.
 const (
-	Nanosecond  Time = 1
 	Microsecond Time = 1000
 	Millisecond Time = 1000 * 1000
 	Second      Time = 1000 * 1000 * 1000
@@ -66,7 +65,7 @@ type Clock struct {
 // free-running window there is no current CPU, so a forwarding charge
 // would silently land on an arbitrary clock; the guard turns that
 // nondeterminism into a loud failure (charge the executing CPU's own
-// clock, or wrap the operation in Machine.Ordered).
+// clock, or wrap the operation in a machine-wide Machine.OrderedDomain).
 func (c *Clock) self() *Clock {
 	if c.fwd {
 		c.mach.mustNotFreePhase("forwarding kernel clock")

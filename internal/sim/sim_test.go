@@ -61,7 +61,7 @@ func TestTimeString(t *testing.T) {
 }
 
 func TestTimeMicroseconds(t *testing.T) {
-	if got := (2500 * Nanosecond).Microseconds(); got != 2.5 {
+	if got := Time(2500).Microseconds(); got != 2.5 {
 		t.Fatalf("Microseconds = %v, want 2.5", got)
 	}
 }

@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/buddy"
 	"repro/internal/mem"
-	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -39,8 +38,6 @@ type Cache struct {
 	full    []*slabT
 
 	byFrame mem.FrameTable[*slabT] // slab lookup for Free, over the pool's frames
-
-	stats *metrics.Set
 }
 
 type slabT struct {
@@ -78,19 +75,8 @@ func NewCache(name string, objSize uint64, clock *sim.Clock, params *sim.Params,
 		params:  params,
 		bud:     bud,
 		byFrame: byFrame,
-		stats:   metrics.NewSet(),
 	}, nil
 }
-
-// Name returns the cache name.
-func (c *Cache) Name() string { return c.name }
-
-// ObjectsPerSlab returns how many objects fit in one slab.
-func (c *Cache) ObjectsPerSlab() int { return c.perSlab }
-
-// Stats exposes counters: "allocs", "frees", "slabs_created",
-// "slabs_destroyed".
-func (c *Cache) Stats() *metrics.Set { return c.stats }
 
 // Alloc returns the physical address of a free object.
 func (c *Cache) Alloc() (mem.PhysAddr, error) {
@@ -109,7 +95,6 @@ func (c *Cache) Alloc() (mem.PhysAddr, error) {
 		c.partial = c.partial[:len(c.partial)-1]
 		c.full = append(c.full, s)
 	}
-	c.stats.Counter("allocs").Inc()
 	return s.start.Addr() + mem.PhysAddr(uint64(idx)*c.objSize), nil
 }
 
@@ -141,9 +126,7 @@ func (c *Cache) Free(addr mem.PhysAddr) error {
 		if err := c.bud.FreeRun(buddy.Run{Start: s.start, Count: s.frames}); err != nil {
 			return fmt.Errorf("slab %s: returning empty slab: %w", c.name, err)
 		}
-		c.stats.Counter("slabs_destroyed").Inc()
 	}
-	c.stats.Counter("frees").Inc()
 	return nil
 }
 
@@ -181,7 +164,6 @@ func (c *Cache) grow() error {
 		c.byFrame.Set(run.Start+mem.Frame(i), s)
 	}
 	c.partial = append(c.partial, s)
-	c.stats.Counter("slabs_created").Inc()
 	return nil
 }
 
@@ -193,26 +175,6 @@ func (c *Cache) removeFrom(list *[]*slabT, s *slabT) {
 			return
 		}
 	}
-}
-
-// InUse returns the number of currently allocated objects.
-func (c *Cache) InUse() int {
-	n := 0
-	for _, s := range c.partial {
-		n += s.inUse
-	}
-	for _, s := range c.full {
-		n += s.inUse
-	}
-	return n
-}
-
-// Slabs returns the number of live slabs.
-func (c *Cache) Slabs() int { return len(c.partial) + len(c.full) }
-
-// FootprintFrames returns the frames currently held by the cache.
-func (c *Cache) FootprintFrames() uint64 {
-	return uint64(c.Slabs()) * c.frames
 }
 
 // CheckInvariants validates per-slab free/allocated accounting.

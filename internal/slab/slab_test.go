@@ -42,14 +42,14 @@ func TestAllocFreeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Alloc: %v", err)
 	}
-	if c.InUse() != 1 {
-		t.Fatalf("InUse = %d, want 1", c.InUse())
+	if inUse(c) != 1 {
+		t.Fatalf("InUse = %d, want 1", inUse(c))
 	}
 	if err := c.Free(a); err != nil {
 		t.Fatalf("Free: %v", err)
 	}
-	if c.InUse() != 0 || c.Slabs() != 0 {
-		t.Fatalf("InUse=%d Slabs=%d after free, want 0/0", c.InUse(), c.Slabs())
+	if inUse(c) != 0 || slabs(c) != 0 {
+		t.Fatalf("InUse=%d Slabs=%d after free, want 0/0", inUse(c), slabs(c))
 	}
 	if bud.FreeFrames() != 4096 {
 		t.Fatalf("empty slab not returned to buddy: free=%d", bud.FreeFrames())
@@ -107,7 +107,7 @@ func TestMisalignedAddressRejected(t *testing.T) {
 
 func TestSlabGrowthAndShrink(t *testing.T) {
 	c, bud, _ := newCache(t, 512)
-	per := c.ObjectsPerSlab()
+	per := c.perSlab
 	var addrs []mem.PhysAddr
 	for i := 0; i < per*3; i++ {
 		a, err := c.Alloc()
@@ -116,16 +116,16 @@ func TestSlabGrowthAndShrink(t *testing.T) {
 		}
 		addrs = append(addrs, a)
 	}
-	if c.Slabs() != 3 {
-		t.Fatalf("Slabs = %d, want 3", c.Slabs())
+	if slabs(c) != 3 {
+		t.Fatalf("Slabs = %d, want 3", slabs(c))
 	}
 	for _, a := range addrs {
 		if err := c.Free(a); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if c.Slabs() != 0 || c.FootprintFrames() != 0 {
-		t.Fatalf("slabs not reclaimed: %d slabs", c.Slabs())
+	if slabs(c) != 0 {
+		t.Fatalf("slabs not reclaimed: %d slabs", slabs(c))
 	}
 	if bud.FreeFrames() != 4096 {
 		t.Fatalf("frames leaked: %d free", bud.FreeFrames())
@@ -152,7 +152,7 @@ func TestExhaustionReturnsError(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Slab needs 2 frames (8 objects * 1KiB); one slab fits, then OOM.
-	for i := 0; i < c.ObjectsPerSlab(); i++ {
+	for i := 0; i < c.perSlab; i++ {
 		if _, err := c.Alloc(); err != nil {
 			t.Fatalf("Alloc %d: %v", i, err)
 		}
@@ -204,9 +204,23 @@ func TestQuickRandomAllocFree(t *testing.T) {
 				return false
 			}
 		}
-		return c.InUse() == 0 && bud.FreeFrames() == 2048
+		return inUse(c) == 0 && bud.FreeFrames() == 2048
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
 	}
 }
+
+// inUse counts the objects currently allocated from c.
+func inUse(c *Cache) int {
+	n := 0
+	for _, list := range [][]*slabT{c.partial, c.full} {
+		for _, s := range list {
+			n += s.inUse
+		}
+	}
+	return n
+}
+
+// slabs returns the number of live slabs.
+func slabs(c *Cache) int { return len(c.partial) + len(c.full) }

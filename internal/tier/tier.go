@@ -188,9 +188,6 @@ func New(params *sim.Params, m *mem.Memory, policy Policy, fastCap uint64) (*Eng
 // SetBackend attaches the translation layer that executes migrations.
 func (e *Engine) SetBackend(b Backend) { e.backend = b }
 
-// Policy returns the engine's migration policy.
-func (e *Engine) Policy() Policy { return e.policy }
-
 // PreferFast reports whether a new allocation should be placed in the
 // fast tier: true while tracked fast-tier occupancy is below capacity.
 // Allocators consult this for first-touch placement.

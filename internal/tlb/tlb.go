@@ -318,9 +318,6 @@ func (t *TLB) Release(s *Spares) {
 // "evictions", "flushes".
 func (t *TLB) Stats() *metrics.Set { return t.stats }
 
-// CPU returns the CPU this TLB belongs to.
-func (t *TLB) CPU() *sim.CPU { return t.cpu }
-
 // l2key folds the page size into the key so differently sized entries
 // cannot alias in the unified array.
 func l2key(vpn uint64, size PageSize) uint64 {

@@ -137,9 +137,6 @@ func (k *Kernel) NewAddressSpaceOn(cpu *sim.CPU) (*AddressSpace, error) {
 	return a, nil
 }
 
-// CPU returns the address space's current home CPU.
-func (a *AddressSpace) CPU() *sim.CPU { return a.cpu }
-
 // RunOn migrates the address space to cpu: subsequent operations
 // execute (and are charged) there. The previous CPU stays in the
 // shootdown mask — its TLB may still hold entries.
@@ -297,16 +294,6 @@ func (a *AddressSpace) PageTable() *pagetable.Table { return a.pt }
 
 // TLB exposes the TLB of the address space's home CPU.
 func (a *AddressSpace) TLB() *tlb.TLB { return a.kernel.tlbs[a.cpu.ID()] }
-
-// ASID returns the address space identifier tagging this space's TLB
-// entries.
-func (a *AddressSpace) ASID() int { return a.asid }
-
-// VMACount returns the number of VMAs.
-func (a *AddressSpace) VMACount() int { return len(a.vmas) }
-
-// MappedPages returns the number of present PTEs.
-func (a *AddressSpace) MappedPages() uint64 { return a.pt.MappedPages() }
 
 // findVMA returns the VMA containing va.
 func (a *AddressSpace) findVMA(va mem.VirtAddr) (*VMA, bool) {

@@ -88,16 +88,6 @@ type Arena struct {
 	meta   metaDomain
 }
 
-// CPU returns the arena's owning CPU.
-func (ar *Arena) CPU() *sim.CPU { return ar.cpu }
-
-// FreeFrames returns the arena's free frame count.
-func (ar *Arena) FreeFrames() uint64 { return ar.pool.FreeFrames() }
-
-// TrackedPages returns the number of frames with live metadata in this
-// arena's domain.
-func (ar *Arena) TrackedPages() int { return ar.meta.live }
-
 // CarveArenas splits off one arena of framesPerCPU frames per CPU from
 // the kernel's global pool. It must run outside any parallel phase
 // (the carving itself charges the global pool's forwarding clock), and

@@ -40,7 +40,7 @@ func Example() {
 		}
 	}
 	fmt.Printf("minor faults: %d, resident pages: %d\n",
-		kernel.Stats().Value("minor_faults"), as.MappedPages())
+		kernel.Stats().Value("minor_faults"), as.PageTable().MappedPages())
 
 	// Second pass hits the TLB: no new faults.
 	for p := uint64(0); p < 8; p++ {

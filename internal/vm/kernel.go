@@ -256,9 +256,6 @@ func (k *Kernel) TLBFor(cpu *sim.CPU) *tlb.TLB { return k.tlbs[cpu.ID()] }
 // "reclaimed_pages", "anon_allocs".
 func (k *Kernel) Stats() *metrics.Set { return k.stats }
 
-// FreePoolFrames returns the free frames in the anonymous pool.
-func (k *Kernel) FreePoolFrames() uint64 { return k.pool.FreeFrames() }
-
 // Pool exposes the kernel's frame allocator (page tables allocate
 // their nodes from it).
 func (k *Kernel) Pool() *buddy.Allocator { return k.pool }

@@ -34,10 +34,6 @@ const (
 	PGSwapBacked
 	// PGWriteback marks pages being written to swap.
 	PGWriteback
-	// PGReserved marks kernel-reserved pages.
-	PGReserved
-	// PGSlab marks slab pages.
-	PGSlab
 	// PGCompound marks the head of a 2 MiB compound (huge) page; its
 	// frame is the first of a 512-frame run. Compound pages are
 	// unevictable in this simulator.
@@ -222,15 +218,4 @@ func (k *Kernel) lruActivate(cur *sim.CPU, p *PageInfo) {
 	p.Flags |= PGActive
 	d.active.pushBack(p)
 	k.chargeMeta(cur, 1)
-}
-
-// LRUStats returns the lengths of the active and inactive lists,
-// summed over the global domain and every arena.
-func (k *Kernel) LRUStats() (active, inactive int) {
-	active, inactive = k.meta.active.len(), k.meta.inactive.len()
-	for _, ar := range k.arenas {
-		active += ar.meta.active.len()
-		inactive += ar.meta.inactive.len()
-	}
-	return active, inactive
 }

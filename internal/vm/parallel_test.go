@@ -98,7 +98,7 @@ func TestCarveArenasRoutesFrames(t *testing.T) {
 	}
 	cpu := machine.CPU(2)
 	ar := kernel.ArenaFor(cpu)
-	if ar == nil || ar.CPU() != cpu {
+	if ar == nil || ar.cpu != cpu {
 		t.Fatalf("ArenaFor(cpu2) = %v", ar)
 	}
 	as, err := kernel.NewAddressSpaceOn(cpu)
@@ -109,7 +109,7 @@ func TestCarveArenasRoutesFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := ar.TrackedPages(); got != 8 {
+	if got := ar.meta.live; got != 8 {
 		t.Fatalf("arena tracks %d pages, want 8", got)
 	}
 	if got := kernel.meta.live; got != 0 {

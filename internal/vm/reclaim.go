@@ -73,9 +73,6 @@ func (s *SwapDevice) has(slot int) bool {
 	return ok
 }
 
-// SwapUsed returns the number of pages currently in swap.
-func (k *Kernel) SwapUsed() int { return k.swap.used() }
-
 // ReclaimPages runs the two-list scanner on cur until it has freed
 // want frames (or candidates run out), returning the number freed. The
 // per-page scanning work — examine flags, clear referenced bits,

@@ -45,12 +45,12 @@ func TestPerCPUTLBsAreIndependent(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The touch cached the translation only on the AS's home CPU.
-	home := as.CPU()
-	if _, ok := kernel.TLBFor(home).Peek(as.ASID(), va); !ok {
+	home := as.cpu
+	if _, ok := kernel.TLBFor(home).Peek(as.asid, va); !ok {
 		t.Fatal("translation not cached on home CPU")
 	}
-	for _, cpu := range machine.Others(home) {
-		if _, ok := kernel.TLBFor(cpu).Peek(as.ASID(), va); ok {
+	for _, cpu := range machine.CPUs() {
+		if _, ok := kernel.TLBFor(cpu).Peek(as.asid, va); ok && cpu != home {
 			t.Fatalf("translation leaked into CPU %d's TLB", cpu.ID())
 		}
 	}
@@ -74,7 +74,7 @@ func TestShootdownReachesEveryCPUTheASRanOn(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if _, ok := kernel.TLBFor(cpu).Peek(as.ASID(), va); !ok {
+		if _, ok := kernel.TLBFor(cpu).Peek(as.asid, va); !ok {
 			t.Fatalf("CPU %d did not cache the translation", cpu.ID())
 		}
 	}
@@ -83,7 +83,7 @@ func TestShootdownReachesEveryCPUTheASRanOn(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cpu := range machine.CPUs() {
-		if _, ok := kernel.TLBFor(cpu).Peek(as.ASID(), va); ok {
+		if _, ok := kernel.TLBFor(cpu).Peek(as.asid, va); ok {
 			t.Fatalf("stale translation on CPU %d after munmap", cpu.ID())
 		}
 	}
@@ -130,7 +130,7 @@ func TestNoStaleTranslationsQuickProperty(t *testing.T) {
 		checkNoStale := func(r region, unmapped bool) bool {
 			for _, cpu := range machine.CPUs() {
 				for p := uint64(0); p < r.pages; p++ {
-					tr, ok := kernel.TLBFor(cpu).Peek(r.as.ASID(), r.va+mem.VirtAddr(p*mem.FrameSize))
+					tr, ok := kernel.TLBFor(cpu).Peek(r.as.asid, r.va+mem.VirtAddr(p*mem.FrameSize))
 					if !ok {
 						continue
 					}

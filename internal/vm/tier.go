@@ -54,9 +54,6 @@ func (k *Kernel) checkTier() error {
 	return nil
 }
 
-// Tier returns the attached migration engine (nil without tiering).
-func (k *Kernel) Tier() *tier.Engine { return k.tier }
-
 // tierPump executes queued promotions at a quiescent point — the end
 // of a user access, after the data plane has used the translation it
 // faulted in, so a promotion can never move a frame between its

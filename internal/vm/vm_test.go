@@ -52,8 +52,8 @@ func TestAnonMmapDemandFaulting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if as.MappedPages() != 0 {
-		t.Fatalf("demand mapping pre-populated %d pages", as.MappedPages())
+	if as.pt.MappedPages() != 0 {
+		t.Fatalf("demand mapping pre-populated %d pages", as.pt.MappedPages())
 	}
 	for i := uint64(0); i < 16; i++ {
 		if err := as.Touch(va+mem.VirtAddr(i*mem.FrameSize), true); err != nil {
@@ -63,8 +63,8 @@ func TestAnonMmapDemandFaulting(t *testing.T) {
 	if got := m.kernel.Stats().Value("minor_faults"); got != 16 {
 		t.Fatalf("minor faults = %d, want 16", got)
 	}
-	if as.MappedPages() != 16 {
-		t.Fatalf("mapped pages = %d", as.MappedPages())
+	if as.pt.MappedPages() != 16 {
+		t.Fatalf("mapped pages = %d", as.pt.MappedPages())
 	}
 	// Second touches hit the TLB: no more faults.
 	for i := uint64(0); i < 16; i++ {
@@ -84,8 +84,8 @@ func TestPopulateAvoidsFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if as.MappedPages() != 32 {
-		t.Fatalf("populate mapped %d pages, want 32", as.MappedPages())
+	if as.pt.MappedPages() != 32 {
+		t.Fatalf("populate mapped %d pages, want 32", as.pt.MappedPages())
 	}
 	for i := uint64(0); i < 32; i++ {
 		if err := as.Touch(va+mem.VirtAddr(i*mem.FrameSize), true); err != nil {
@@ -238,16 +238,16 @@ func TestProtectionViolations(t *testing.T) {
 func TestMunmapFreesMemory(t *testing.T) {
 	m := newMachine(t, 4096)
 	as, _ := m.kernel.NewAddressSpace()
-	free0 := m.kernel.FreePoolFrames()
+	free0 := m.kernel.pool.FreeFrames()
 	va, _ := as.Mmap(MmapRequest{Pages: 64, Prot: rw, Anon: true, Populate: true})
 	if err := as.Munmap(va, 64); err != nil {
 		t.Fatal(err)
 	}
-	if as.VMACount() != 0 || as.MappedPages() != 0 {
-		t.Fatalf("VMAs=%d mapped=%d after munmap", as.VMACount(), as.MappedPages())
+	if len(as.vmas) != 0 || as.pt.MappedPages() != 0 {
+		t.Fatalf("VMAs=%d mapped=%d after munmap", len(as.vmas), as.pt.MappedPages())
 	}
 	// Page-table nodes may persist; frames for data must be back.
-	if got := m.kernel.FreePoolFrames(); got < free0-8 {
+	if got := m.kernel.pool.FreeFrames(); got < free0-8 {
 		t.Fatalf("frames not freed: %d -> %d", free0, got)
 	}
 	if m.kernel.TrackedPages() != 0 {
@@ -263,8 +263,8 @@ func TestMunmapPartialSplitsVMA(t *testing.T) {
 	if err := as.Munmap(va+3*mem.FrameSize, 4); err != nil {
 		t.Fatal(err)
 	}
-	if as.VMACount() != 2 {
-		t.Fatalf("VMAs = %d after split, want 2", as.VMACount())
+	if len(as.vmas) != 2 {
+		t.Fatalf("VMAs = %d after split, want 2", len(as.vmas))
 	}
 	// Outer pages still accessible; middle faults SEGV-free as anon
 	// VMAs are gone.
@@ -296,15 +296,15 @@ func TestVMAMerging(t *testing.T) {
 	if va2 != va1+4*mem.FrameSize {
 		t.Fatalf("allocations not adjacent: %#x then %#x", uint64(va1), uint64(va2))
 	}
-	if as.VMACount() != 1 {
-		t.Fatalf("adjacent identical anon VMAs not merged: %d", as.VMACount())
+	if len(as.vmas) != 1 {
+		t.Fatalf("adjacent identical anon VMAs not merged: %d", len(as.vmas))
 	}
 	// Different protection must not merge.
 	if _, err := as.Mmap(MmapRequest{Pages: 4, Prot: pagetable.FlagRead | pagetable.FlagUser, Anon: true}); err != nil {
 		t.Fatal(err)
 	}
-	if as.VMACount() != 2 {
-		t.Fatalf("VMAs = %d, want 2", as.VMACount())
+	if len(as.vmas) != 2 {
+		t.Fatalf("VMAs = %d, want 2", len(as.vmas))
 	}
 }
 
@@ -337,8 +337,8 @@ func TestMadviseDontneed(t *testing.T) {
 	if err := as.MadviseDontneed(va, 8); err != nil {
 		t.Fatal(err)
 	}
-	if as.MappedPages() != 0 {
-		t.Fatalf("pages mapped after DONTNEED: %d", as.MappedPages())
+	if as.pt.MappedPages() != 0 {
+		t.Fatalf("pages mapped after DONTNEED: %d", as.pt.MappedPages())
 	}
 	// Region still valid; refault reads zeros.
 	b, err := as.ReadByteAt(va)
@@ -604,9 +604,8 @@ func TestMetadataTracking(t *testing.T) {
 	if got := m.kernel.MetadataBytes(); got != 6400 {
 		t.Fatalf("MetadataBytes = %d, want 6400", got)
 	}
-	active, inactive := m.kernel.LRUStats()
-	if active+inactive != 100 {
-		t.Fatalf("LRU holds %d pages, want 100", active+inactive)
+	if n := m.kernel.meta.active.len() + m.kernel.meta.inactive.len(); n != 100 {
+		t.Fatalf("LRU holds %d pages, want 100", n)
 	}
 }
 
@@ -689,8 +688,8 @@ func TestUserFaultRegionsDoNotMerge(t *testing.T) {
 	if _, err := as.Mmap(MmapRequest{Pages: 2, Prot: rw, Anon: true, UserFault: h}); err != nil {
 		t.Fatal(err)
 	}
-	if as.VMACount() != 2 {
-		t.Fatalf("user-fault VMAs merged: count = %d", as.VMACount())
+	if len(as.vmas) != 2 {
+		t.Fatalf("user-fault VMAs merged: count = %d", len(as.vmas))
 	}
 }
 
@@ -704,8 +703,8 @@ func TestHugeMapping(t *testing.T) {
 	if uint64(va)%(mem.HugeFrames2M*mem.FrameSize) != 0 {
 		t.Fatalf("huge mapping at unaligned %#x", uint64(va))
 	}
-	if as.MappedPages() != 1024 {
-		t.Fatalf("MappedPages = %d", as.MappedPages())
+	if as.pt.MappedPages() != 1024 {
+		t.Fatalf("MappedPages = %d", as.pt.MappedPages())
 	}
 	if got := as.PageTable().PageSize(va); got != 2<<20 {
 		t.Fatalf("PageSize = %d, want 2 MiB", got)
@@ -727,11 +726,11 @@ func TestHugeMapping(t *testing.T) {
 		t.Fatalf("faults on populated huge mapping: %d", m.kernel.Stats().Value("minor_faults"))
 	}
 	// Teardown frees the compound runs.
-	free0 := m.kernel.FreePoolFrames()
+	free0 := m.kernel.pool.FreeFrames()
 	if err := as.Munmap(va, 1024); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.kernel.FreePoolFrames(); got < free0+1024 {
+	if got := m.kernel.pool.FreeFrames(); got < free0+1024 {
 		t.Fatalf("compound frames not freed: %d -> %d", free0, got)
 	}
 	if m.kernel.TrackedPages() != 0 {
@@ -862,7 +861,7 @@ func TestOOMWithFullSwap(t *testing.T) {
 	if lastErr == nil {
 		t.Fatal("512 pages fit in a 128-frame machine with 16 swap slots")
 	}
-	if kernel.SwapUsed() == 0 {
+	if kernel.swap.used() == 0 {
 		t.Fatal("swap never used before OOM")
 	}
 	// The address space is still usable for already-resident pages.

@@ -1,8 +1,7 @@
 // Package workload generates the deterministic access patterns and
 // allocation-size distributions used by the benchmark harness: the
-// sequential one-byte-per-page sweeps of the paper's figures, the
-// sparse random touches that motivate O(1) mapping, and malloc-style
-// size mixes for allocator experiments.
+// sparse random touches that motivate O(1) mapping, a hot/cold skew
+// for tiering, and a malloc-style size mix for allocator experiments.
 package workload
 
 import (
@@ -15,15 +14,10 @@ import (
 type Pattern int
 
 const (
-	// Sequential touches pages 0,1,2,... — the paper's figure
-	// workloads ("access one byte of each page").
-	Sequential Pattern = iota
-	// Strided touches every k-th page, wrapping.
-	Strided
 	// Random touches uniformly random pages — the sparse access to
 	// large data sets for which "the fundamental linear operation cost
 	// remains" (§3).
-	Random
+	Random Pattern = iota
 	// HotCold touches a small hot set 90% of the time.
 	HotCold
 )
@@ -31,10 +25,6 @@ const (
 // String names the pattern.
 func (p Pattern) String() string {
 	switch p {
-	case Sequential:
-		return "sequential"
-	case Strided:
-		return "strided"
 	case Random:
 		return "random"
 	case HotCold:
@@ -45,28 +35,16 @@ func (p Pattern) String() string {
 }
 
 // Touches generates n page indices over a region of totalPages pages
-// following the pattern. stride is used by Strided (0 means 8).
-// The sequence is deterministic for a given seed.
-func Touches(p Pattern, totalPages uint64, n int, stride uint64, seed uint64) ([]uint64, error) {
+// following the pattern. The fourth argument, a stride, is ignored:
+// neither pattern uses one. The sequence is deterministic for a given
+// seed.
+func Touches(p Pattern, totalPages uint64, n int, _ uint64, seed uint64) ([]uint64, error) {
 	if totalPages == 0 {
 		return nil, fmt.Errorf("workload: empty region")
-	}
-	if stride == 0 {
-		stride = 8
 	}
 	rng := sim.NewRNG(seed)
 	out := make([]uint64, n)
 	switch p {
-	case Sequential:
-		for i := range out {
-			out[i] = uint64(i) % totalPages
-		}
-	case Strided:
-		cur := uint64(0)
-		for i := range out {
-			out[i] = cur
-			cur = (cur + stride) % totalPages
-		}
 	case Random:
 		for i := range out {
 			out[i] = rng.Uint64n(totalPages)
@@ -100,22 +78,14 @@ func maxU(a, b uint64) uint64 {
 type SizeDist int
 
 const (
-	// Fixed returns the same size every time.
-	Fixed SizeDist = iota
-	// Uniform draws sizes uniformly from [lo, hi].
-	Uniform
 	// SmallHeavy draws mostly small allocations with a heavy tail,
 	// approximating heap traces (80% small, 15% medium, 5% large).
-	SmallHeavy
+	SmallHeavy SizeDist = iota
 )
 
 // String names the distribution.
 func (d SizeDist) String() string {
 	switch d {
-	case Fixed:
-		return "fixed"
-	case Uniform:
-		return "uniform"
 	case SmallHeavy:
 		return "small-heavy"
 	default:
@@ -124,7 +94,7 @@ func (d SizeDist) String() string {
 }
 
 // AllocSizes generates n allocation sizes in pages. lo and hi bound
-// the sizes (Fixed uses lo).
+// the sizes.
 func AllocSizes(d SizeDist, n int, lo, hi uint64, seed uint64) ([]uint64, error) {
 	if lo == 0 || hi < lo {
 		return nil, fmt.Errorf("workload: bad size bounds [%d,%d]", lo, hi)
@@ -133,10 +103,6 @@ func AllocSizes(d SizeDist, n int, lo, hi uint64, seed uint64) ([]uint64, error)
 	out := make([]uint64, n)
 	for i := range out {
 		switch d {
-		case Fixed:
-			out[i] = lo
-		case Uniform:
-			out[i] = lo + rng.Uint64n(hi-lo+1)
 		case SmallHeavy:
 			r := rng.Float64()
 			span := hi - lo

@@ -3,7 +3,7 @@ package o1mem
 // scenario_test.go runs a full-system integration scenario across every
 // subsystem: machine boot, program launch on both memory backends, a
 // shared database file, heap allocation through the user-level
-// allocator, trace replay, memory pressure, a crash, and recovery.
+// allocator, allocation churn, memory pressure, a crash, and recovery.
 
 import (
 	"bytes"
@@ -16,7 +16,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/memfs"
 	"repro/internal/pagetable"
-	"repro/internal/trace"
 	"repro/internal/vm"
 	"repro/internal/workload"
 )
@@ -230,26 +229,35 @@ func TestFullSystemScenario(t *testing.T) {
 		}
 	}
 
-	// --- Phase 3: trace replay against the same machine ------------
-	tr, err := trace.Generate(trace.GenSpec{
-		Name: "scenario", Ops: 300, SizeDist: workload.SmallHeavy,
-		MinPages: 1, MaxPages: 64, TouchFrac: 0.5, WriteFrac: 0.5, Seed: 9,
-	})
+	// --- Phase 3: a heap-trace-shaped churn on the same machine ----
+	sizes, err := workload.AllocSizes(workload.SmallHeavy, 300, 1, 64, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayProc, err := m.FOM.NewProcess(core.Ranges)
+	churnProc, err := m.FOM.NewProcess(core.Ranges)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := trace.Replay(tr, trace.NewFOMTarget(replayProc), m.Clock)
-	if err != nil {
-		t.Fatal(err)
+	churn := make([]*core.Mapping, len(sizes))
+	for i, pages := range sizes {
+		mp, err := churnProc.AllocVolatile(pages, rw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := mp.Base() + mem.VirtAddr((pages-1)*mem.FrameSize)
+		for _, va := range []mem.VirtAddr{mp.Base(), last} {
+			if err := churnProc.WriteBuf(va, []byte{byte(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		churn[i] = mp
 	}
-	if rep.Ops != len(tr.Ops) {
-		t.Fatal("replay incomplete")
+	for i := 0; i < len(churn); i += 2 {
+		if err := churnProc.Unmap(churn[i]); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := replayProc.Exit(); err != nil {
+	if err := churnProc.Exit(); err != nil {
 		t.Fatal(err)
 	}
 
